@@ -15,7 +15,7 @@ from .dims import (
     redimensionalize,
     similar_transform,
 )
-from .model import DimGateConfig, DimINOModel, ModelConfig, expand_gate, load_model, save_model
+from .model import DimINOModel, ModelConfig, load_model, save_model
 from .solvers import (
     SolverConfig,
     generate_dataset,

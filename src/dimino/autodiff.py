@@ -172,10 +172,6 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return tape._emit(y, inputs, backward)
 
 
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    return add(x, b)
-
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -410,7 +406,6 @@ def standard_primitive_checks(seed: int = 0, n_sample: int = 12) -> dict:
             lambda x, w, b: reduce_sum(power(linear(x, w, b), 2)),
             [r((2, 5, 3)), r((3, 4)), r(4)],
         ),
-        "bias-add": (lambda x, b: reduce_sum(power(bias_add(x, b), 2)), [r((2, 4)), r(4)]),
         "gelu": (lambda x: reduce_sum(gelu(x)), [r((3, 5))]),
         "layer-normalize": (
             lambda x: reduce_sum(power(layernorm(x, (1, 2)), 3)),

@@ -19,6 +19,7 @@ from .training import (
     TrainConfig,
     evaluate,
     format_metric_table,
+    gain,
     grad_check_model,
     history_json,
     train,
@@ -109,20 +110,11 @@ def cmd_gen_data(args) -> int:
 
 
 def _model_config_from_args(args, dataset, use_dimnorm=True) -> ModelConfig:
-    field_names = [
-        r["name"]
-        for r in json.loads((Path(args.data) / "manifest.json").read_text())["records"]
-        if r["kind"] == "field"
-    ]
-    target_names = [
-        r["name"]
-        for r in json.loads((Path(args.data) / "manifest.json").read_text())["records"]
-        if r["kind"] == "target"
-    ]
+    records = json.loads((Path(args.data) / "manifest.json").read_text())["records"]
     return ModelConfig(
         system=dataset.system,
-        in_fields=field_names,
-        target_fields=target_names,
+        in_fields=[r["name"] for r in records if r["kind"] == "field"],
+        target_fields=[r["name"] for r in records if r["kind"] == "target"],
         rank=dataset.grid.rank,
         width=args.width,
         depth=args.depth,
@@ -144,8 +136,6 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         lr=args.lr,
         seed=args.seed,
-        precision=args.precision,
-        scale_mode=args.scale_mode,
         patience=args.patience,
     )
     variants = [("dimino", True)]
@@ -168,9 +158,7 @@ def cmd_train(args) -> int:
               f"({len(history)} epochs), {split} rel-L2 {tables[name]['rel-l2']:.4f}")
     if "ablated" in tables:
         for k in ("rel-l2", "rel-h1", "rel-l1"):
-            tables["dimino"][f"{k}-gain"] = (
-                tables["ablated"][k] - tables["dimino"][k]
-            ) / tables["ablated"][k]
+            tables["dimino"][f"{k}-gain"] = gain(tables["ablated"][k], tables["dimino"][k])
         print(format_metric_table(tables))
     (out / "metrics.json").write_text(json.dumps(tables, indent=2, sort_keys=True) + "\n")
     _write_run_record(out, args, {"dataset_hash": dataset_hash(args.data)})

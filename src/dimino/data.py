@@ -31,13 +31,10 @@ class Grid:
 
     points: tuple
     extent: tuple
-    periodic: tuple = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(int(n) for n in self.points))
         object.__setattr__(self, "extent", tuple(float(e) for e in self.extent))
-        if self.periodic is None:
-            object.__setattr__(self, "periodic", (True,) * len(self.points))
         for n in self.points:
             if n < 2 or n & (n - 1):
                 raise ValueError(f"points per axis must be a power of two, got {n}")

@@ -181,6 +181,15 @@ class DimlessSpec:
     system: str
     numbers: tuple
 
+    def __post_init__(self):
+        scale_dims = SCALE_DIMS[self.system]
+        for number in self.numbers:
+            comp = number.composite_dimension(scale_dims)
+            if any(c != 0 for c in comp):
+                raise NonDimensionlessMonomial(
+                    f"{self.system}/{number.name}: composite exponents {comp}"
+                )
+
     @property
     def names(self):
         return [n.name for n in self.numbers]
@@ -256,23 +265,13 @@ SIMILAR_TRANSFORM_RULES: Dict[str, Dict[str, int]] = {
 }
 
 
-def _build_registry() -> Dict[str, DimlessSpec]:
-    registry = {}
-    for system, defs in _REGISTRY_DEFS.items():
-        numbers = tuple(DimlessNumber(name, _fr(mono)) for name, mono in defs)
-        spec = DimlessSpec(system, numbers)
-        dims = SCALE_DIMS[system]
-        for number in numbers:
-            comp = number.composite_dimension(dims)
-            if any(c != 0 for c in comp):
-                raise NonDimensionlessMonomial(
-                    f"{system}/{number.name}: composite exponents {comp}"
-                )
-        registry[system] = spec
-    return registry
-
-
-REGISTRY: Dict[str, DimlessSpec] = _build_registry()
+# Building a spec proves each of its monomials dimensionless, once.
+REGISTRY: Dict[str, DimlessSpec] = {
+    system: DimlessSpec(
+        system, tuple(DimlessNumber(name, _fr(mono)) for name, mono in defs)
+    )
+    for system, defs in _REGISTRY_DEFS.items()
+}
 
 
 def registry_table() -> str:
@@ -286,15 +285,12 @@ def registry_table() -> str:
 
 
 def compute_dimensionless(spec: DimlessSpec, scales: CharacteristicScales) -> np.ndarray:
-    """Evaluate the spec's dimensionless numbers in registry order."""
-    dims = SCALE_DIMS[spec.system]
-    out = np.empty(len(spec), dtype=np.float64)
-    for i, number in enumerate(spec.numbers):
-        comp = number.composite_dimension(dims)
-        if any(c != 0 for c in comp):
-            raise NonDimensionlessMonomial(f"{spec.system}/{number.name}")
-        out[i] = number.evaluate(scales)
-    return out
+    """Evaluate the spec's dimensionless numbers in registry order.
+
+    Dimensional consistency was proved when the spec was built.
+    """
+    return np.array([number.evaluate(scales) for number in spec.numbers],
+                    dtype=np.float64)
 
 
 def characteristic_scales_from_sample(sample) -> CharacteristicScales:

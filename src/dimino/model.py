@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -22,14 +22,10 @@ from .autodiff import Tape, Tensor
 from .data import Sample
 
 CKPT_MAGIC = b"DINOCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 class ModelError(Exception):
-    pass
-
-
-class LengthMismatch(ModelError):
     pass
 
 
@@ -43,37 +39,6 @@ class FieldSetMismatch(ModelError):
 
 class CorruptCheckpoint(ModelError):
     pass
-
-
-@dataclass(frozen=True)
-class DimGateConfig:
-    """Gate layout: m inputs block-expanded over (1-gamma)*n channels."""
-
-    n: int
-    m: int
-    gamma: float = 0.5
-    use_log_inputs: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-
-    @property
-    def l(self) -> int:
-        return ad.gate_block_length(self.n, self.m, self.gamma)
-
-
-def expand_gate(c: np.ndarray, cfg: DimGateConfig) -> np.ndarray:
-    """Expand an m-vector to n channels: block repeats, then ones."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (cfg.m,):
-        raise LengthMismatch(f"expected {cfg.m} gate inputs, got shape {c.shape}")
-    out = np.ones(cfg.n)
-    l = cfg.l
-    if l > 0:
-        idx = np.arange(cfg.m * l) // l
-        out[: cfg.m * l] = c[idx]
-    return out
 
 
 @dataclass
@@ -98,6 +63,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.postprocess_order not in ("phi-last", "def1"):
             raise ValueError(f"bad postprocess_order {self.postprocess_order!r}")
         if self.precision not in ("f64", "f32"):
@@ -190,7 +157,6 @@ class ForwardResult:
     output: Tensor
     u_star: Tensor
     leaves: Dict[str, Tensor]
-    out_scales: np.ndarray
 
 
 class DimINOModel:
@@ -208,47 +174,41 @@ class DimINOModel:
             scales.update(self.dataset_field_scales)
         return scales
 
-    def _gate_inputs(self, samples):
-        spec = dims.REGISTRY[self.config.system]
-        return np.stack(
-            [dims.compute_dimensionless(spec, self.sample_scales(s)) for s in samples]
-        )
+    def _prepare(self, samples):
+        """Network input, gate inputs and output scales of one batch.
 
-    def _out_scales(self, samples):
-        return np.stack(
-            [
-                [self.sample_scales(s)[name].value for name in self.config.target_fields]
-                for s in samples
-            ]
-        )
-
-    def _input_array(self, samples):
+        The gated model divides each field by its characteristic scale, so
+        every channel is dimensionless and exactly invariant under
+        similarity transforms by powers of two; its gate reads the
+        registry's dimensionless numbers, and the same scales restore the
+        output.  The twin sees raw fields plus, optionally, constant and
+        prediction-interval channels, and gets neither gate nor scales.
+        """
         cfg = self.config
         for s in samples:
             if set(cfg.in_fields) - set(s.fields):
                 raise FieldSetMismatch(
                     f"sample fields {sorted(s.fields)} != model fields {cfg.in_fields}"
                 )
-        chans = []
-        for name in cfg.in_fields:
-            arrs = []
+        if cfg.use_dimnorm:
+            inputs, cvecs, out_scales = [], [], []
             for s in samples:
-                arr = s.fields[name]
-                if cfg.use_dimnorm:
-                    # divide by the characteristic scale so the channel is
-                    # dimensionless and exactly invariant under similarity
-                    # transforms by powers of two
-                    arr = arr / self.sample_scales(s)[name].value
-                arrs.append(arr)
-            chans.append(np.stack(arrs))
-        if not cfg.use_dimnorm and cfg.expose_constants:
+                scales = self.sample_scales(s)
+                nd = dims.nondimensionalize(s, scales)
+                inputs.append(np.stack([nd.fields[n] for n in cfg.in_fields], axis=-1))
+                cvecs.append([q.value for q in nd.constants.values()])
+                out_scales.append([scales[n].value for n in cfg.target_fields])
+            return (np.stack(inputs).astype(cfg.dtype), np.array(cvecs),
+                    np.array(out_scales))
+        chans = [np.stack([s.fields[n] for s in samples]) for n in cfg.in_fields]
+        if cfg.expose_constants:
             shape = chans[0].shape
-            for name in cfg.constant_names:
-                vals = np.array([s.constants[name].value for s in samples])
-                chans.append(np.broadcast_to(vals.reshape(-1, *[1] * (len(shape) - 1)), shape).copy())
-            tvals = np.array([s.t_final for s in samples])
-            chans.append(np.broadcast_to(tvals.reshape(-1, *[1] * (len(shape) - 1)), shape).copy())
-        return np.stack(chans, axis=-1).astype(cfg.dtype)
+            per_sample = [[s.constants[n].value for s in samples] for n in cfg.constant_names]
+            per_sample.append([s.t_final for s in samples])
+            for vals in per_sample:
+                vals = np.array(vals).reshape(-1, *[1] * (len(shape) - 1))
+                chans.append(np.broadcast_to(vals, shape))
+        return np.stack(chans, axis=-1).astype(cfg.dtype), None, None
 
     # -- forward ----------------------------------------------------------
 
@@ -268,7 +228,8 @@ class DimINOModel:
                 name: tape.leaf(arr, requires_grad=train)
                 for name, arr in self.params.items()
             }
-        x = tape.leaf(self._input_array(samples))
+        x_in, c, out_scales = self._prepare(samples)
+        x = tape.leaf(x_in)
 
         if cfg.use_dimnorm:
             x = ad.layernorm(x, spatial_axes)
@@ -277,7 +238,6 @@ class DimINOModel:
         x = ad.linear(x, leaves["pre_w2"], leaves["pre_b2"])
 
         if cfg.use_dimnorm and cfg.m > 0:
-            c = self._gate_inputs(samples)
             if cfg.gate_log_inputs:
                 c = np.log(c)
             cl = tape.leaf(c.astype(cfg.dtype))
@@ -300,7 +260,6 @@ class DimINOModel:
         u_star = ad.linear(x, leaves["head_w2"], leaves["head_b2"])
 
         if cfg.use_dimnorm:
-            out_scales = self._out_scales(samples)
             sc = out_scales.reshape(
                 len(samples), *[1] * cfg.rank, cfg.out_channels
             ).astype(cfg.dtype)
@@ -310,38 +269,12 @@ class DimINOModel:
                 out = ad.gelu(out)
                 out = ad.linear(out, leaves["post2_w2"], leaves["post2_b2"])
         else:
-            out_scales = np.ones((len(samples), cfg.out_channels))
             out = u_star
-        return ForwardResult(tape, out, u_star, leaves, out_scales)
+        return ForwardResult(tape, out, u_star, leaves)
 
     def predict(self, samples: List[Sample]) -> np.ndarray:
         """Physical-space prediction, shape (B, *grid, out_channels)."""
         return self.forward(samples).output.data
-
-    def dimnorm_forward(self, samples: List[Sample]):
-        """Gated latent of the input stage plus the captured scales."""
-        cfg = self.config
-        spatial_axes = tuple(range(1, 1 + cfg.rank))
-        tape = Tape()
-        x = tape.leaf(self._input_array(samples))
-        if cfg.use_dimnorm:
-            x = ad.layernorm(x, spatial_axes)
-        x = ad.linear(x, tape.leaf(self.params["pre_w1"]), tape.leaf(self.params["pre_b1"]))
-        x = ad.gelu(x)
-        x = ad.linear(x, tape.leaf(self.params["pre_w2"]), tape.leaf(self.params["pre_b2"]))
-        if cfg.use_dimnorm and cfg.m > 0:
-            c = self._gate_inputs(samples)
-            if cfg.gate_log_inputs:
-                c = np.log(c)
-            cl = tape.leaf(c.astype(cfg.dtype))
-            if cfg.gate_ffw:
-                cl = ad.linear(cl, tape.leaf(self.params["cfw_w1"]), tape.leaf(self.params["cfw_b1"]))
-                cl = ad.gelu(cl)
-                cl = ad.linear(cl, tape.leaf(self.params["cfw_w2"]), tape.leaf(self.params["cfw_b2"]))
-            gate = ad.gate_expand(cl, cfg.width, cfg.gamma)
-            x = ad.gate_mul(x, gate)
-        scales = [self.sample_scales(s) for s in samples]
-        return x.data, scales
 
 
 def spectral_block_forward(x: np.ndarray, spec_w: np.ndarray, byp_w: np.ndarray,
@@ -372,8 +305,17 @@ def save_model(model: DimINOModel, path) -> None:
     blob = bytearray()
     blob += CKPT_MAGIC
     blob += struct.pack("<I", CKPT_VERSION)
-    cfg_json = json.dumps(asdict(model.config), sort_keys=True).encode()
-    blob += struct.pack("<I", len(cfg_json)) + cfg_json
+    # the header carries the shared per-dataset scales as well, since they
+    # change predictions just as the parameters do
+    shared = model.dataset_field_scales
+    header = {
+        "config": asdict(model.config),
+        "dataset_field_scales": None if shared is None else {
+            name: [q.value, list(q.dim.exponents)] for name, q in shared.items()
+        },
+    }
+    header_json = json.dumps(header, sort_keys=True).encode()
+    blob += struct.pack("<I", len(header_json)) + header_json
     for name, arr in model.params.items():
         nb = name.encode()
         blob += struct.pack("<H", len(nb)) + nb
@@ -400,10 +342,12 @@ def load_model(path) -> DimINOModel:
         raise CorruptCheckpoint(
             f"{path}: checkpoint version {version}, expected {CKPT_VERSION}"
         )
-    (cfg_len,) = struct.unpack_from("<I", body, off)
+    (header_len,) = struct.unpack_from("<I", body, off)
     off += 4
-    config = ModelConfig(**json.loads(body[off:off + cfg_len].decode()))
-    off += cfg_len
+    header = json.loads(body[off:off + header_len].decode())
+    off += header_len
+    config = ModelConfig(**header["config"])
+    shared = header["dataset_field_scales"]
     params = {}
     try:
         while off < len(body):
@@ -423,4 +367,10 @@ def load_model(path) -> DimINOModel:
             off += nbytes
     except (struct.error, KeyError, ValueError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed parameter table") from exc
-    return DimINOModel(config, params)
+    model = DimINOModel(config, params)
+    if shared is not None:
+        model.dataset_field_scales = {
+            name: dims.Quantity(value, dims.Dimension(tuple(exps)))
+            for name, (value, exps) in shared.items()
+        }
+    return model

@@ -29,7 +29,6 @@ class NonZeroMeanInput(Exception):
 
 @dataclass
 class SolverConfig:
-    stepper: str = "rk4"
     steps: Optional[int] = None
     cfl: float = 0.25
     dealias_frac: float = 2.0 / 3.0

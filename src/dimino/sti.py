@@ -115,8 +115,8 @@ def sti_check(model: DimINOModel, samples: List[Sample], p_list,
         p_list = sorted(p_list + [1.0])
 
     report = STIReport(system, len(samples))
-    base_pred = model.predict(samples)
-    base_star = model.forward(samples).u_star.data
+    base = model.forward(samples)
+    base_pred, base_star = base.output.data, base.u_star.data
     truths = {}
     for p in p_list:
         transformed = [dims.similar_transform(s, p) for s in samples]
@@ -196,8 +196,7 @@ def solver_sti_oracle(sample: Sample, p: float, cfg: SolverConfig = None) -> flo
     # stretch the step count with the horizon so accuracy is comparable
     cfg_t = cfg
     if cfg is not None and cfg.steps is not None:
-        cfg_t = SolverConfig(cfg.stepper, max(int(math.ceil(cfg.steps * p)), 1),
-                             cfg.cfl, cfg.dealias_frac)
+        cfg_t = replace(cfg, steps=max(int(math.ceil(cfg.steps * p)), 1))
     moved = solve_sample(transformed, cfg_t)
     ratio = _target_ratio(sample.system, p)
     errs = [_rel_l2(moved[name], ratio * base[name]) for name in base]

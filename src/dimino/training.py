@@ -139,8 +139,6 @@ class TrainConfig:
     batch_size: int = 16
     lr: float = 2e-3
     seed: int = 0
-    precision: str = "f64"
-    scale_mode: str = "per-sample"
     warmup_epochs: int = 5
     schedule: str = "cosine"
     patience: int = 30
@@ -183,8 +181,7 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     if not train_samples:
         raise ValueError("dataset too small to split")
 
-    model.config.scale_mode = cfg.scale_mode
-    if cfg.scale_mode == "per-dataset":
+    if model.config.scale_mode == "per-dataset":
         model.dataset_field_scales = dims.dataset_scales(train_samples)
 
     names = list(model.params)

@@ -15,7 +15,7 @@ from dimino import dims
 from dimino import autodiff as ad
 from dimino.data import Dataset, Grid, dataset_hash
 from dimino.cli import main as cli_main
-from dimino.model import DimGateConfig, DimINOModel, ModelConfig, expand_gate
+from dimino.model import DimINOModel, ModelConfig
 from dimino.solvers import (
     SolverConfig,
     generate_dataset,
@@ -306,15 +306,15 @@ def test_paired_advection_training():
 def test_gate_layout_exhaustive():
     """Block layout l = floor((1-gamma) n / m) with ones padding, all cases."""
     rng = np.random.default_rng(0)
+    tape = ad.Tape()
     for n in range(1, 65):
         x = rng.standard_normal(n)
         for m in range(0, 9):
             c = np.exp(rng.standard_normal(m))
             for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
-                cfg = DimGateConfig(n=n, m=m, gamma=gamma)
                 l = math.floor((1 - gamma) * n / m) if m else 0
-                assert cfg.l == l
-                gate = expand_gate(c, cfg)
+                assert ad.gate_block_length(n, m, gamma) == l
+                gate = ad.gate_expand(tape.leaf(c[None]), n, gamma).data[0]
                 want = np.concatenate([np.repeat(c, l), np.ones(n - m * l)])
                 np.testing.assert_array_equal(gate, want)
                 if gamma == 1.0 or m == 0:

@@ -65,6 +65,13 @@ def test_train_writes_checkpoint_metrics_history(trained):
     assert json.loads(history[0])["epoch"] == 0
 
 
+def test_train_gamma_outside_unit_interval_exits_one(adv_data, tmp_path, capsys):
+    assert run(["train", "--data", str(adv_data), "--out", str(tmp_path / "o"),
+                "--epochs", "1", "--width", "6", "--depth", "2", "--modes", "4",
+                "--gamma", "1.5"]) == 1
+    assert "gamma" in capsys.readouterr().err
+
+
 def test_train_missing_dataset_exits_one(tmp_path, capsys):
     assert run(["train", "--data", str(tmp_path / "nope"),
                 "--out", str(tmp_path / "o")]) == 1

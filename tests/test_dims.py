@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,13 @@ def test_registry_numbers_are_dimensionless():
         for number in spec.numbers:
             comp = number.composite_dimension(scale_dims)
             assert all(c == 0 for c in comp), (system, number.name)
+
+
+def test_spec_rejects_non_dimensionless_monomial():
+    # burgers u*x carries [L2 T-1], so it cannot be a gate input
+    bad = dims.DimlessNumber("u-times-x", {"u": Fraction(1), "x": Fraction(1)})
+    with pytest.raises(dims.NonDimensionlessMonomial, match="u-times-x"):
+        dims.DimlessSpec("burgers1d", (bad,))
 
 
 def test_registry_table_is_versioned():

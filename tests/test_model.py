@@ -4,13 +4,10 @@ import pytest
 from dimino import autodiff as ad
 from dimino.model import (
     CorruptCheckpoint,
-    DimGateConfig,
     DimINOModel,
     FieldSetMismatch,
-    LengthMismatch,
     ModeOverflow,
     ModelConfig,
-    expand_gate,
     init_params,
     load_model,
     save_model,
@@ -38,43 +35,36 @@ def small_config(**kw):
 
 # -- gate layout -----------------------------------------------------------
 
-def test_expand_gate_block_layout():
-    cfg = DimGateConfig(n=8, m=2, gamma=0.25)
-    assert cfg.l == 3
-    out = expand_gate(np.array([2.0, 3.0]), cfg)
-    np.testing.assert_array_equal(out, [2, 2, 2, 3, 3, 3, 1, 1])
+def _gate(c, n, gamma):
+    """The model's gate layout, applied to one sample's gate inputs."""
+    c = ad.Tape().leaf(np.asarray(c, dtype=float)[None])
+    return ad.gate_expand(c, n, gamma).data[0]
 
 
-def test_expand_gate_remainder_padding():
-    cfg = DimGateConfig(n=7, m=3, gamma=0.0)
-    assert cfg.l == 2
-    out = expand_gate(np.array([4.0, 5.0, 6.0]), cfg)
-    np.testing.assert_array_equal(out, [4, 4, 5, 5, 6, 6, 1])
+def test_gate_expand_block_layout():
+    assert ad.gate_block_length(8, 2, 0.25) == 3
+    np.testing.assert_array_equal(_gate([2.0, 3.0], 8, 0.25), [2, 2, 2, 3, 3, 3, 1, 1])
 
 
-def test_expand_gate_gamma_one_is_all_ones():
-    out = expand_gate(np.array([4.0, 5.0]), DimGateConfig(n=6, m=2, gamma=1.0))
-    np.testing.assert_array_equal(out, np.ones(6))
+def test_gate_expand_remainder_padding():
+    assert ad.gate_block_length(7, 3, 0.0) == 2
+    np.testing.assert_array_equal(_gate([4.0, 5.0, 6.0], 7, 0.0), [4, 4, 5, 5, 6, 6, 1])
 
 
-def test_expand_gate_exhaustive_layout_law():
+def test_gate_expand_gamma_one_is_all_ones():
+    np.testing.assert_array_equal(_gate([4.0, 5.0], 6, 1.0), np.ones(6))
+
+
+def test_gate_expand_exhaustive_layout_law():
     for n in (1, 2, 5, 8, 16, 33, 64):
         for m in (1, 2, 3, 8):
             for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
-                cfg = DimGateConfig(n=n, m=m, gamma=gamma)
                 l = int(np.floor((1 - gamma) * n / m))
-                assert cfg.l == l
-                out = expand_gate(np.arange(2, 2 + m, dtype=float), cfg)
+                assert ad.gate_block_length(n, m, gamma) == l
+                out = _gate(np.arange(2, 2 + m, dtype=float), n, gamma)
                 for i in range(n):
                     want = 2 + i // l if l > 0 and i < m * l else 1.0
                     assert out[i] == want, (n, m, gamma, i)
-
-
-def test_expand_gate_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        expand_gate(np.ones(3), DimGateConfig(n=8, m=2))
-    with pytest.raises(ValueError):
-        DimGateConfig(n=8, m=2, gamma=1.5)
 
 
 def test_gamma_one_model_bit_equals_gate_free_path():
@@ -84,9 +74,11 @@ def test_gamma_one_model_bit_equals_gate_free_path():
     gated = model.predict([sample])
 
     # replay the pipeline with the gate stage removed entirely
+    scales = dims.characteristic_scales_from_sample(sample)
+    nd = dims.nondimensionalize(sample, scales)
     p = model.params
     tape = ad.Tape()
-    x = tape.leaf(model._input_array([sample]))
+    x = tape.leaf(np.stack([nd.fields[n] for n in cfg.in_fields], axis=-1)[None])
     x = ad.layernorm(x, (1, 2))
     x = ad.linear(x, tape.leaf(p["pre_w1"]), tape.leaf(p["pre_b1"]))
     x = ad.gelu(x)
@@ -101,8 +93,7 @@ def test_gamma_one_model_bit_equals_gate_free_path():
     x = ad.linear(x, tape.leaf(p["head_w1"]), tape.leaf(p["head_b1"]))
     x = ad.gelu(x)
     x = ad.linear(x, tape.leaf(p["head_w2"]), tape.leaf(p["head_b2"]))
-    scales = model._out_scales([sample]).reshape(1, 1, 1, 1)
-    ungated = x.data * scales
+    ungated = x.data * scales["omega"].value
     np.testing.assert_array_equal(gated, ungated)
 
 
@@ -141,6 +132,13 @@ def test_config_validation():
         small_config(precision="f16")
 
 
+@pytest.mark.parametrize("gamma", [1.5, -0.5])
+def test_gamma_outside_unit_interval_rejected(gamma):
+    # 1.5 would train an all-pass gate, -0.5 would fail later inside forward
+    with pytest.raises(ValueError, match="gamma"):
+        small_config(gamma=gamma)
+
+
 # -- forward ---------------------------------------------------------------
 
 def test_forward_shapes_and_finiteness():
@@ -163,6 +161,22 @@ def test_field_set_mismatch_raises():
     del sample.fields["f"]
     with pytest.raises(FieldSetMismatch):
         model.predict([sample])
+
+
+def test_gated_forward_extracts_scales_once_per_sample(monkeypatch):
+    seen = []
+    extract = dims.characteristic_scales_from_sample
+
+    def counting(sample):
+        seen.append(sample)
+        return extract(sample)
+
+    monkeypatch.setattr(dims, "characteristic_scales_from_sample", counting)
+    model = DimINOModel(small_config())
+    samples = [random_sample("ns-vorticity2d", seed=s) for s in range(3)]
+    model.forward(samples)
+    assert len(seen) == len(samples)
+    assert all(a is b for a, b in zip(seen, samples))
 
 
 def test_def1_postprocess_changes_output_but_keeps_shape():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dimino.data import Dataset, Grid
-from dimino.model import DimINOModel, ModelConfig
+from dimino.model import DimINOModel, ModelConfig, load_model, save_model
 from dimino.solvers import generate_dataset
 from dimino.training import (
     MissingSplit,
@@ -191,6 +191,34 @@ def test_nan_loss_raises():
     cfg = TrainConfig(loss="l2", epochs=1, batch_size=4, lr=1e-3)
     with pytest.raises(NaNLoss):
         train(model, ds, cfg)
+
+
+@pytest.fixture(scope="module")
+def burgers_dataset():
+    return _tiny_dataset("burgers1d", n=10)
+
+
+def test_per_dataset_scale_mode_survives_training(burgers_dataset):
+    # the model config owns the scale mode; training must not reset it
+    model = _tiny_model(system="burgers1d", scale_mode="per-dataset")
+    model, _ = train(model, burgers_dataset, TrainConfig(loss="l2", epochs=1, batch_size=4))
+    assert model.config.scale_mode == "per-dataset"
+    assert set(model.dataset_field_scales) == {"u"}
+
+
+@pytest.mark.parametrize("use_dimnorm", [True, False])
+@pytest.mark.parametrize("scale_mode", ["per-sample", "per-dataset"])
+def test_checkpoint_reload_keeps_predictions_bit_identical(
+        burgers_dataset, tmp_path, scale_mode, use_dimnorm):
+    model = _tiny_model(system="burgers1d", scale_mode=scale_mode,
+                        use_dimnorm=use_dimnorm)
+    cfg = TrainConfig(loss="l2", epochs=2, batch_size=4, patience=0)
+    model, _ = train(model, burgers_dataset, cfg)
+    save_model(model, tmp_path / "m.bin")
+    loaded = load_model(tmp_path / "m.bin")
+    assert loaded.dataset_field_scales == model.dataset_field_scales
+    samples = burgers_dataset.split("train")
+    np.testing.assert_array_equal(loaded.predict(samples), model.predict(samples))
 
 
 def test_train_config_validation():
