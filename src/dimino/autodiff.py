@@ -3,9 +3,8 @@
 The engine records primitive applications on an append-only tape and replays
 them in exact reverse order, so gradients are bit-deterministic.  Complex
 tensors appear only inside the spectral primitives; their cotangents follow
-the (dL/dRe + i dL/dIm) convention, which makes the FFT adjoints below exact.
-
-FFT convention: unnormalized forward transform, 1/N inverse.
+the (dL/dRe + i dL/dIm) convention, which makes the FFT adjoints below exact
+under the convention of :mod:`dimino.spectral`.
 """
 from __future__ import annotations
 
@@ -14,6 +13,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
+
+from . import spectral
 
 
 class AutodiffError(Exception):
@@ -146,10 +147,6 @@ def const_mul(a: Tensor, c: np.ndarray) -> Tensor:
     )
 
 
-def const_add(a: Tensor, c) -> Tensor:
-    return a.tape._emit(a.data + c, (a,), lambda g: (_sum_to(g, a.shape),))
-
-
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Channel-axis matmul: x[..., i] @ w[i, o] (+ b[o])."""
     if x.data.shape[-1] != w.data.shape[0]:
@@ -178,10 +175,12 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    pdf = np.exp(-0.5 * x.data**2) * _INV_SQRT2PI
-    return x.tape._emit(
-        x.data * cdf, (x,), lambda g: (g * (cdf + x.data * pdf),)
-    )
+
+    def backward(g):
+        pdf = np.exp(-0.5 * x.data**2) * _INV_SQRT2PI
+        return (g * (cdf + x.data * pdf),)
+
+    return x.tape._emit(x.data * cdf, (x,), backward)
 
 
 def layernorm(x: Tensor, axes, eps: float = 1e-5) -> Tensor:
@@ -210,18 +209,15 @@ def rfftn(x: Tensor, axes) -> Tensor:
     if sizes[-1] % 2:
         raise UnsupportedPrimitive("rfftn requires an even last transform axis")
     n_total = int(np.prod(sizes))
-    y = np.fft.rfftn(x.data, axes=axes)
-    if x.data.dtype == np.float32:
-        y = y.astype(np.complex64)
-    last = axes[-1]
+    y = spectral.rfftn(x.data, axes=axes)
+    # interior rfft modes (neither DC nor Nyquist) stand for a conjugate pair
+    interior = (slice(None),) * (axes[-1] % x.data.ndim) + (slice(1, -1),)
 
     def backward(g):
         d = np.array(g)
-        sl = [slice(None)] * d.ndim
-        sl[last] = slice(1, -1)
-        d[tuple(sl)] *= 0.5
-        gx = np.fft.irfftn(d, s=sizes, axes=axes) * n_total
-        return (gx.astype(x.data.dtype),)
+        d[interior] *= 0.5
+        gx = spectral.irfftn(d, s=sizes, axes=axes) * n_total
+        return (gx.astype(x.data.dtype, copy=False),)
 
     return x.tape._emit(y, (x,), backward)
 
@@ -231,17 +227,13 @@ def irfftn(y: Tensor, axes, s) -> Tensor:
     axes = tuple(axes)
     s = tuple(s)
     n_total = int(np.prod(s))
-    x = np.fft.irfftn(y.data, s=s, axes=axes)
-    if y.data.dtype == np.complex64:
-        x = x.astype(np.float32)
-    last = axes[-1]
+    x = spectral.irfftn(y.data, s=s, axes=axes)
+    interior = (slice(None),) * (axes[-1] % y.data.ndim) + (slice(1, -1),)
 
     def backward(g):
-        gy = np.fft.rfftn(g, axes=axes)
-        sl = [slice(None)] * gy.ndim
-        sl[last] = slice(1, -1)
-        gy[tuple(sl)] *= 2.0
-        return ((gy / n_total).astype(y.data.dtype),)
+        gy = spectral.rfftn(g, axes=axes)
+        gy[interior] *= 2.0
+        return ((gy / n_total).astype(y.data.dtype, copy=False),)
 
     return y.tape._emit(x, (y,), backward)
 

@@ -41,6 +41,10 @@ class CorruptCheckpoint(ModelError):
     pass
 
 
+class MissingDatasetScales(ModelError):
+    """A per-dataset model has no shared scales yet: it was never trained."""
+
+
 @dataclass
 class ModelConfig:
     system: str
@@ -170,7 +174,10 @@ class DimINOModel:
 
     def sample_scales(self, sample: Sample) -> dims.CharacteristicScales:
         scales = dims.characteristic_scales_from_sample(sample)
-        if self.config.scale_mode == "per-dataset" and self.dataset_field_scales:
+        if self.config.scale_mode == "per-dataset":
+            if self.dataset_field_scales is None:
+                raise MissingDatasetScales(
+                    "scale_mode 'per-dataset' needs dataset_field_scales; train the model first")
             scales.update(self.dataset_field_scales)
         return scales
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import Dataset, Grid, Sample
 from .dims import Quantity, SCALE_DIMS
+from .spectral import dealias_mask, irfft, irfft2, mode_numbers, rfft, rfft2, wavenumbers
 
 
 class StepUnstable(Exception):
@@ -44,29 +45,6 @@ def _val(q) -> float:
     return q.value if isinstance(q, Quantity) else float(q)
 
 
-def _wavenumbers_1d(n: int, extent: float) -> np.ndarray:
-    return 2 * np.pi * np.fft.rfftfreq(n, d=extent / n)
-
-
-def _wavenumbers_2d(grid_shape, extent):
-    nx, ny = grid_shape
-    kx = 2 * np.pi * np.fft.fftfreq(nx, d=extent[0] / nx)
-    ky = 2 * np.pi * np.fft.rfftfreq(ny, d=extent[1] / ny)
-    return kx[:, None], ky[None, :]
-
-
-def _dealias_mask_1d(n: int, frac: float) -> np.ndarray:
-    m = np.arange(n // 2 + 1)
-    return m <= frac * (n // 2)
-
-
-def _dealias_mask_2d(shape, frac):
-    nx, ny = shape
-    mx = np.abs(np.fft.fftfreq(nx) * nx) <= frac * (nx // 2)
-    my = np.arange(ny // 2 + 1) <= frac * (ny // 2)
-    return mx[:, None] & my[None, :]
-
-
 def _check_finite(arr, step):
     if not np.all(np.isfinite(arr)):
         raise StepUnstable(step)
@@ -74,9 +52,9 @@ def _check_finite(arr, step):
 
 def solve_advection_analytic(u0: np.ndarray, beta, t, extent: float = 1.0) -> np.ndarray:
     """Shift u0 by beta*t with spectral interpolation (exact if band-limited)."""
-    k = _wavenumbers_1d(u0.shape[0], extent)
+    k, = wavenumbers(u0.shape, (extent,))
     shift = np.exp(-1j * k * _val(beta) * _val(t))
-    return np.fft.irfft(np.fft.rfft(u0) * shift, n=u0.shape[0])
+    return irfft(rfft(u0) * shift, n=u0.shape[0])
 
 
 def _ifrk4(v, n_steps, dt, lin, nonlin):
@@ -101,8 +79,8 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
     cfg = cfg or SolverConfig()
     nu, t = _val(nu), _val(t)
     n = u0.shape[0]
-    k = _wavenumbers_1d(n, extent)
-    mask = _dealias_mask_1d(n, cfg.dealias_frac)
+    k, = wavenumbers((n,), (extent,))
+    mask = dealias_mask((n,), cfg.dealias_frac)
     if cfg.steps is not None:
         n_steps = cfg.steps
     else:
@@ -112,11 +90,11 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
     dt = t / n_steps
 
     def nonlin(v):
-        u = np.fft.irfft(v * mask, n=n)
-        return -0.5j * k * (np.fft.rfft(u * u) * mask)
+        u = irfft(v * mask, n=n)
+        return -0.5j * k * (rfft(u * u) * mask)
 
-    v = _ifrk4(np.fft.rfft(u0), n_steps, dt, -nu * k**2, nonlin)
-    return np.fft.irfft(v, n=n)
+    v = _ifrk4(rfft(u0), n_steps, dt, -nu * k**2, nonlin)
+    return irfft(v, n=n)
 
 
 def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
@@ -129,42 +107,35 @@ def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
     """
     cfg = cfg or SolverConfig()
     Du, Dv, k_const, t = _val(Du), _val(Dv), _val(k_const), _val(t)
-    kx, ky = _wavenumbers_2d(u0.shape, extent)
-    k2 = kx**2 + ky**2
+    shape = u0.shape
+    kx, ky = wavenumbers(shape, extent)
     n_steps = cfg.steps if cfg.steps is not None else max(int(math.ceil(t / 0.01)), 16)
     dt = t / n_steps
-    eu = np.exp(-Du * k2 * dt / 2)
-    ev = np.exp(-Dv * k2 * dt / 2)
+    # u and v share one (2, nx, ny) state, so each half-step of diffusion is
+    # one stacked transform pair.
+    decay = np.exp(-np.array([Du, Dv])[:, None, None] * (kx**2 + ky**2) * dt / 2)
 
-    def react(state):
-        u, v = state
-        return u - u**3 - k_const - v, u - v
+    def diffuse(w):
+        return irfft2(rfft2(w) * decay, s=shape)
 
-    u, v = u0.astype(np.float64), v0.astype(np.float64)
+    def react(w):
+        u, v = w
+        return np.stack((u - u * u * u - k_const - v, u - v))
+
+    w = np.stack((u0, v0)).astype(np.float64)
     for step in range(n_steps):
-        u = np.fft.irfft2(np.fft.rfft2(u) * eu, s=u0.shape)
-        v = np.fft.irfft2(np.fft.rfft2(v) * ev, s=u0.shape)
+        w = diffuse(w)
         if reaction:
-            r1u, r1v = react((u, v))
-            r2u, r2v = react((u + dt / 2 * r1u, v + dt / 2 * r1v))
-            r3u, r3v = react((u + dt / 2 * r2u, v + dt / 2 * r2v))
-            r4u, r4v = react((u + dt * r3u, v + dt * r3v))
-            u = u + dt / 6 * (r1u + 2 * r2u + 2 * r3u + r4u)
-            v = v + dt / 6 * (r1v + 2 * r2v + 2 * r3v + r4v)
-        u = np.fft.irfft2(np.fft.rfft2(u) * eu, s=u0.shape)
-        v = np.fft.irfft2(np.fft.rfft2(v) * ev, s=u0.shape)
+            r1 = react(w)
+            r2 = react(w + dt / 2 * r1)
+            r3 = react(w + dt / 2 * r2)
+            r4 = react(w + dt * r3)
+            w = w + dt / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
+        w = diffuse(w)
         if step % 16 == 15:
-            _check_finite(u, step)
-    _check_finite(u, n_steps - 1)
-    _check_finite(v, n_steps - 1)
-    return u, v
-
-
-def _ns_velocity(omega_hat, kx, ky, k2_inv, shape):
-    psi_hat = omega_hat * k2_inv
-    ux = np.fft.irfft2(1j * ky * psi_hat, s=shape)
-    uy = np.fft.irfft2(-1j * kx * psi_hat, s=shape)
-    return ux, uy
+            _check_finite(w, step)
+    _check_finite(w, n_steps - 1)
+    return w[0], w[1]
 
 
 def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
@@ -177,11 +148,17 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
     cfg = cfg or SolverConfig()
     nu, t = _val(nu), _val(t)
     shape = omega0.shape
-    kx, ky = _wavenumbers_2d(shape, extent)
+    kx, ky = wavenumbers(shape, extent)
     k2 = kx**2 + ky**2
     k2_inv = np.zeros_like(k2)
     k2_inv[k2 > 0] = 1.0 / k2[k2 > 0]
-    mask = _dealias_mask_2d(shape, cfg.dealias_frac)
+    mask = dealias_mask(shape, cfg.dealias_frac)
+
+    def velocity_and_gradient(w_hat):
+        """ux, uy, d(omega)/dx, d(omega)/dy from one stacked inverse transform."""
+        psi_hat = w_hat * k2_inv
+        return irfft2(np.stack((1j * ky * psi_hat, -1j * kx * psi_hat,
+                                1j * kx * w_hat, 1j * ky * w_hat)), s=shape)
 
     scale = max(float(np.max(np.abs(omega0))), 1e-12)
     if abs(float(np.mean(omega0))) > 1e-10 * scale:
@@ -190,57 +167,40 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
         omega0 = omega0 - np.mean(omega0)
     f = f - np.mean(f)
 
-    w_hat = np.fft.rfft2(omega0)
-    f_hat = np.fft.rfft2(f) * mask
+    w_hat = rfft2(omega0)
+    f_hat = rfft2(f) * mask
 
     if cfg.steps is not None:
         n_steps = cfg.steps
     else:
-        ux, uy = _ns_velocity(w_hat, kx, ky, k2_inv, shape)
+        ux, uy, _, _ = velocity_and_gradient(w_hat)
         umax = max(float(np.max(np.hypot(ux, uy))), 1e-6)
         dt_cfl = cfg.cfl * (extent[0] / shape[0]) / umax
         n_steps = max(int(math.ceil(t / dt_cfl)), 32)
     dt = t / n_steps
 
     def nonlin(v):
-        vm = v * mask
-        ux, uy = _ns_velocity(vm, kx, ky, k2_inv, shape)
-        wx = np.fft.irfft2(1j * kx * vm, s=shape)
-        wy = np.fft.irfft2(1j * ky * vm, s=shape)
-        adv = np.fft.rfft2(ux * wx + uy * wy) * mask
-        return -adv + f_hat
+        ux, uy, wx, wy = velocity_and_gradient(v * mask)
+        return f_hat - rfft2(ux * wx + uy * wy) * mask
 
     w_hat = _ifrk4(w_hat, n_steps, dt, -nu * k2, nonlin)
-    return np.fft.irfft2(w_hat, s=shape)
+    return irfft2(w_hat, s=shape)
 
 
 def solve_sample(sample: Sample, cfg: SolverConfig = None, t: float = None
                  ) -> Dict[str, np.ndarray]:
     """Run the reference solver for a sample; returns target-field dict."""
     t = sample.t_final if t is None else t
+    f, c, extent = sample.fields, sample.constants, sample.grid.extent
     if sample.system == "advection1d":
-        u = solve_advection_analytic(
-            sample.fields["u"], sample.constants["beta"], t, sample.grid.extent[0]
-        )
-        return {"u": u}
+        return {"u": solve_advection_analytic(f["u"], c["beta"], t, extent[0])}
     if sample.system == "burgers1d":
-        u = solve_burgers_1d(
-            sample.fields["u"], sample.constants["nu"], t, cfg, sample.grid.extent[0]
-        )
-        return {"u": u}
+        return {"u": solve_burgers_1d(f["u"], c["nu"], t, cfg, extent[0])}
     if sample.system == "diffreact2d":
-        u, v = solve_diffreact_2d(
-            sample.fields["u"], sample.fields["v"], sample.constants["Du"],
-            sample.constants["Dv"], sample.constants["k"], t, cfg,
-            sample.grid.extent,
-        )
+        u, v = solve_diffreact_2d(f["u"], f["v"], c["Du"], c["Dv"], c["k"], t, cfg, extent)
         return {"u": u, "v": v}
     if sample.system == "ns-vorticity2d":
-        w = solve_ns_vorticity_2d(
-            sample.fields["omega"], sample.constants["nu"], sample.fields["f"],
-            t, cfg, sample.grid.extent,
-        )
-        return {"omega": w}
+        return {"omega": solve_ns_vorticity_2d(f["omega"], c["nu"], f["f"], t, cfg, extent)}
     raise ValueError(f"unknown system {sample.system!r}")
 
 
@@ -256,12 +216,11 @@ def random_fourier_field(rng, grid: Grid, k_max: int = None, decay: float = 2.5,
         coef[1:k_max + 1] = (
             rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)
         ) * m**-decay
-        u = np.fft.irfft(coef, n=n) * n
+        u = irfft(coef, n=n) * n
     else:
         nx, ny = grid.points
-        mx = np.fft.fftfreq(nx) * nx
-        my = np.arange(ny // 2 + 1)
-        kk = np.sqrt(mx[:, None] ** 2 + my[None, :] ** 2)
+        mx, my = mode_numbers((nx, ny))
+        kk = np.sqrt(mx**2 + my**2)
         keep = (kk > 0) & (kk <= k_max)
         coef = np.where(
             keep,
@@ -269,7 +228,7 @@ def random_fourier_field(rng, grid: Grid, k_max: int = None, decay: float = 2.5,
             * np.where(kk > 0, kk, 1.0) ** -decay,
             0.0,
         )
-        u = np.fft.irfft2(coef, s=(nx, ny)) * nx * ny
+        u = irfft2(coef, s=(nx, ny)) * nx * ny
     u -= u.mean()
     peak = max(float(np.max(np.abs(u))), 1e-12)
     return u * (amplitude / peak)

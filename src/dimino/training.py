@@ -9,7 +9,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from . import dims
+from . import dims, spectral
 from .data import Dataset, Sample
 from .model import DimINOModel
 
@@ -27,29 +27,6 @@ class MissingSplit(Exception):
     pass
 
 
-def _spectral_gradients(arr: np.ndarray, extent) -> List[np.ndarray]:
-    """d(arr)/dx_a per spatial axis via the Fourier derivative.
-
-    The Nyquist mode is zeroed so differentiation stays skew-symmetric.
-    """
-    grads = []
-    shape = arr.shape
-    ah = np.fft.rfftn(arr, axes=tuple(range(arr.ndim)))
-    for axis in range(arr.ndim):
-        n = shape[axis]
-        if axis == arr.ndim - 1:
-            k = 2 * np.pi * np.fft.rfftfreq(n, d=extent[axis] / n)
-            k[-1] = 0.0
-        else:
-            k = 2 * np.pi * np.fft.fftfreq(n, d=extent[axis] / n)
-            k[n // 2] = 0.0
-        kshape = [1] * arr.ndim
-        kshape[axis] = len(k)
-        d = ah * (1j * k.reshape(kshape))
-        grads.append(np.fft.irfftn(d, s=shape, axes=tuple(range(arr.ndim))))
-    return grads
-
-
 def rel_metric(kind: str, pred: np.ndarray, target: np.ndarray,
                extent=None) -> float:
     """Relative error of one field; falls back to the absolute norm when the
@@ -64,8 +41,8 @@ def rel_metric(kind: str, pred: np.ndarray, target: np.ndarray,
     elif kind == "rel-l1":
         num, den = np.abs(e).sum(), np.abs(target).sum()
     elif kind == "rel-h1":
-        ge = _spectral_gradients(e, extent)
-        gt = _spectral_gradients(target, extent)
+        ge = spectral.gradients(e, extent)
+        gt = spectral.gradients(target, extent)
         num = math.sqrt(np.sum(e**2) + sum(np.sum(g**2) for g in ge))
         den = math.sqrt(np.sum(target**2) + sum(np.sum(g**2) for g in gt))
     else:
@@ -87,21 +64,10 @@ def build_loss(kind: str, out: ad.Tensor, target: np.ndarray, rank: int,
     den = np.sum(target**2, axis=reduce_axes)
     if kind == "h1":
         eh = ad.rfftn(e, spatial_axes)
-        th = np.fft.rfftn(target, axes=spatial_axes)
         spatial = target.shape[1:1 + rank]
-        for axis_i, axis in enumerate(spatial_axes):
-            n = spatial[axis_i]
-            if axis == spatial_axes[-1]:
-                k = 2 * np.pi * np.fft.rfftfreq(n, d=extent[axis_i] / n)
-                k[-1] = 0.0
-            else:
-                k = 2 * np.pi * np.fft.fftfreq(n, d=extent[axis_i] / n)
-                k[n // 2] = 0.0
-            kshape = [1] * target.ndim
-            kshape[axis] = len(k)
-            ik = (1j * k.reshape(kshape)).astype(np.complex128)
-            de = ad.irfftn(ad.const_mul(eh, ik), spatial_axes, spatial)
-            dt = np.fft.irfftn(th * ik, s=spatial, axes=spatial_axes)
+        symbols = spectral.derivative_symbols(spatial, extent)
+        for ik, dt in zip(symbols, spectral.gradients(target, extent, spatial_axes)):
+            de = ad.irfftn(ad.const_mul(eh, ik[..., None]), spatial_axes, spatial)
             num = ad.add(num, ad.reduce_sum(ad.power(de, 2), axes=reduce_axes))
             den = den + np.sum(dt**2, axis=reduce_axes)
     elif kind != "l2":

@@ -74,6 +74,7 @@ def _ns_model_config(**kw):
     return ModelConfig(**base)
 
 
+@pytest.mark.slow
 def test_sti_exactness_random_and_trained(ns_dataset):
     """Latent/output invariance under power-of-two similarity transforms."""
     t0 = time.monotonic()
@@ -106,6 +107,7 @@ def test_sti_exactness_random_and_trained(ns_dataset):
     assert elapsed < 120
 
 
+@pytest.mark.slow
 def test_baseline_sti_degradation(ns_dataset):
     """The gate-ablated twin must degrade >=5x under a p=2 transform."""
     t0 = time.monotonic()
@@ -255,6 +257,7 @@ def test_gradient_checks():
     assert elapsed < 300
 
 
+@pytest.mark.slow
 def test_paired_advection_training():
     """Median test rel-L2 of the gated model must not exceed the raw twin's.
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from dimino.data import Dataset, Grid
-from dimino.model import DimINOModel, ModelConfig, load_model, save_model
+from dimino.model import (
+    DimINOModel, MissingDatasetScales, ModelConfig, load_model, save_model,
+)
 from dimino.solvers import generate_dataset
 from dimino.training import (
     MissingSplit,
@@ -204,6 +206,17 @@ def test_per_dataset_scale_mode_survives_training(burgers_dataset):
     model, _ = train(model, burgers_dataset, TrainConfig(loss="l2", epochs=1, batch_size=4))
     assert model.config.scale_mode == "per-dataset"
     assert set(model.dataset_field_scales) == {"u"}
+
+
+def test_per_dataset_scales_missing_until_trained(burgers_dataset, tmp_path):
+    samples = burgers_dataset.split("train")[:2]
+    model = _tiny_model(system="burgers1d", scale_mode="per-dataset")
+    with pytest.raises(MissingDatasetScales):
+        model.forward(samples)
+    model, _ = train(model, burgers_dataset, TrainConfig(loss="l2", epochs=1, batch_size=4))
+    assert np.all(np.isfinite(model.forward(samples).output.data))
+    save_model(model, tmp_path / "m.bin")
+    assert np.all(np.isfinite(load_model(tmp_path / "m.bin").forward(samples).output.data))
 
 
 @pytest.mark.parametrize("use_dimnorm", [True, False])
