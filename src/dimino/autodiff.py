@@ -346,21 +346,6 @@ def reduce_sum(x: Tensor, axes=None) -> Tensor:
     return x.tape._emit(x.data.sum(axis=axes), (x,), backward)
 
 
-def reduce_mean(x: Tensor, axes=None) -> Tensor:
-    shape = x.data.shape
-    count = x.data.size if axes is None else int(
-        np.prod([shape[a] for a in np.atleast_1d(axes)])
-    )
-
-    def backward(g):
-        if axes is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
-        g = np.expand_dims(g / count, axes)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return x.tape._emit(x.data.mean(axis=axes), (x,), backward)
-
-
 def power(x: Tensor, k: float) -> Tensor:
     return x.tape._emit(
         x.data**k, (x,), lambda g: (g * k * x.data ** (k - 1),)
@@ -436,7 +421,6 @@ def standard_primitive_checks(seed: int = 0, n_sample: int = 12) -> dict:
             [r((2, 2))],
         ),
         "sum": (lambda x: reduce_sum(power(reduce_sum(x, (1,)), 2)), [r((3, 4, 2))]),
-        "mean": (lambda x: reduce_sum(power(reduce_mean(x, (1, 2)), 3)), [r((3, 4, 2))]),
         "power": (lambda x: reduce_sum(power(x, 3)), [r((3, 4)) + 3.0]),
         "sqrt": (lambda x: reduce_sum(sqrt(x)), [np.abs(r((3, 4))) + 1.0]),
     }

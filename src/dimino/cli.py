@@ -226,7 +226,7 @@ def cmd_grad_check(args) -> int:
     dataset = gen("advection1d", {}, 2, args.seed, Grid((16,), (1.0,)), 1.0)
     cfg = ModelConfig(
         system="advection1d", in_fields=["u"], target_fields=["u"], rank=1,
-        width=6, depth=4, modes=4, precision=args.precision, init_seed=args.seed,
+        width=6, depth=4, modes=4, init_seed=args.seed,
     )
     model = DimINOModel(cfg)
     err = grad_check_model(model, dataset.split("train"), seed=args.seed)
@@ -250,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dimino",
         description="dimension-informed neural operator laboratory",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; 1 guarantees bit determinism")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a PDE dataset")
@@ -311,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sti_check)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
-    p.add_argument("--precision", choices=("f64",), default="f64")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-6)
     p.set_defaults(func=cmd_grad_check)

@@ -2,16 +2,18 @@
 
 Pipeline: LayerNorm -> FFW_pre -> DimGate -> spectral block stack -> head,
 with redimensionalization multiplying the dimensionless prediction by the
-target characteristic scales.  Setting ``use_dimnorm=False`` builds the
-baseline twin: raw field and constant channels in, physical prediction out,
-no per-sample scaling anywhere.
+target characteristic scales as the last step.  The gate MLP reads the log
+of the registry's dimensionless numbers; the spectral blocks are the FNO
+block of Li et al. (arXiv 2010.08895).  Setting ``use_dimnorm=False`` builds
+the baseline twin: raw field, constant and prediction-interval channels in,
+physical prediction out, no per-sample scaling anywhere.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -22,7 +24,7 @@ from .autodiff import Tape, Tensor
 from .data import Sample
 
 CKPT_MAGIC = b"DINOCKPT"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 
 class ModelError(Exception):
@@ -56,10 +58,6 @@ class ModelConfig:
     modes: int = 12
     gamma: float = 0.5
     use_dimnorm: bool = True
-    expose_constants: bool = True  # baseline twin only
-    gate_ffw: bool = True
-    gate_log_inputs: bool = True
-    postprocess_order: str = "phi-last"  # or "def1"
     scale_mode: str = "per-sample"  # or "per-dataset"
     precision: str = "f64"
     init_seed: int = 0
@@ -69,8 +67,6 @@ class ModelConfig:
             raise ValueError("depth must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.postprocess_order not in ("phi-last", "def1"):
-            raise ValueError(f"bad postprocess_order {self.postprocess_order!r}")
         if self.precision not in ("f64", "f32"):
             raise ValueError(f"bad precision {self.precision!r}")
 
@@ -89,7 +85,7 @@ class ModelConfig:
     @property
     def in_channels(self) -> int:
         c = len(self.in_fields)
-        if not self.use_dimnorm and self.expose_constants:
+        if not self.use_dimnorm:
             # constants + prediction-interval broadcast channels
             c += len(self.constant_names) + 1
         return c
@@ -127,7 +123,7 @@ def init_params(config: ModelConfig) -> Dict[str, np.ndarray]:
     p["pre_b1"] = np.zeros(n)
     p["pre_w2"] = _fan_in_uniform(rng, (n, n), n)
     p["pre_b2"] = np.zeros(n)
-    if config.use_dimnorm and config.gate_ffw and config.m > 0:
+    if config.m > 0:
         m = config.m
         p["cfw_w1"] = _fan_in_uniform(rng, (m, m), m)
         p["cfw_b1"] = np.zeros(m)
@@ -145,11 +141,6 @@ def init_params(config: ModelConfig) -> Dict[str, np.ndarray]:
     p["head_b1"] = np.zeros(n)
     p["head_w2"] = _fan_in_uniform(rng, (n, cout), n)
     p["head_b2"] = np.zeros(cout)
-    if config.postprocess_order == "def1":
-        p["post2_w1"] = _fan_in_uniform(rng, (cout, cout), cout)
-        p["post2_b1"] = np.zeros(cout)
-        p["post2_w2"] = _fan_in_uniform(rng, (cout, cout), cout)
-        p["post2_b2"] = np.zeros(cout)
     for k, v in p.items():
         p[k] = v.astype(config.cdtype if np.iscomplexobj(v) else config.dtype)
     return p
@@ -188,7 +179,7 @@ class DimINOModel:
         every channel is dimensionless and exactly invariant under
         similarity transforms by powers of two; its gate reads the
         registry's dimensionless numbers, and the same scales restore the
-        output.  The twin sees raw fields plus, optionally, constant and
+        output.  The twin sees raw fields plus constant and
         prediction-interval channels, and gets neither gate nor scales.
         """
         cfg = self.config
@@ -208,13 +199,12 @@ class DimINOModel:
             return (np.stack(inputs).astype(cfg.dtype), np.array(cvecs),
                     np.array(out_scales))
         chans = [np.stack([s.fields[n] for s in samples]) for n in cfg.in_fields]
-        if cfg.expose_constants:
-            shape = chans[0].shape
-            per_sample = [[s.constants[n].value for s in samples] for n in cfg.constant_names]
-            per_sample.append([s.t_final for s in samples])
-            for vals in per_sample:
-                vals = np.array(vals).reshape(-1, *[1] * (len(shape) - 1))
-                chans.append(np.broadcast_to(vals, shape))
+        shape = chans[0].shape
+        per_sample = [[s.constants[n].value for s in samples] for n in cfg.constant_names]
+        per_sample.append([s.t_final for s in samples])
+        for vals in per_sample:
+            vals = np.array(vals).reshape(-1, *[1] * (len(shape) - 1))
+            chans.append(np.broadcast_to(vals, shape))
         return np.stack(chans, axis=-1).astype(cfg.dtype), None, None
 
     # -- forward ----------------------------------------------------------
@@ -244,14 +234,11 @@ class DimINOModel:
         x = ad.gelu(x)
         x = ad.linear(x, leaves["pre_w2"], leaves["pre_b2"])
 
-        if cfg.use_dimnorm and cfg.m > 0:
-            if cfg.gate_log_inputs:
-                c = np.log(c)
-            cl = tape.leaf(c.astype(cfg.dtype))
-            if cfg.gate_ffw:
-                cl = ad.linear(cl, leaves["cfw_w1"], leaves["cfw_b1"])
-                cl = ad.gelu(cl)
-                cl = ad.linear(cl, leaves["cfw_w2"], leaves["cfw_b2"])
+        if cfg.m > 0:
+            cl = tape.leaf(np.log(c).astype(cfg.dtype))
+            cl = ad.linear(cl, leaves["cfw_w1"], leaves["cfw_b1"])
+            cl = ad.gelu(cl)
+            cl = ad.linear(cl, leaves["cfw_w2"], leaves["cfw_b2"])
             gate = ad.gate_expand(cl, cfg.width, cfg.gamma)
             x = ad.gate_mul(x, gate)
 
@@ -271,10 +258,6 @@ class DimINOModel:
                 len(samples), *[1] * cfg.rank, cfg.out_channels
             ).astype(cfg.dtype)
             out = ad.const_mul(u_star, sc)
-            if cfg.postprocess_order == "def1":
-                out = ad.linear(out, leaves["post2_w1"], leaves["post2_b1"])
-                out = ad.gelu(out)
-                out = ad.linear(out, leaves["post2_w2"], leaves["post2_b2"])
         else:
             out = u_star
         return ForwardResult(tape, out, u_star, leaves)
@@ -351,10 +334,8 @@ def load_model(path) -> DimINOModel:
         )
     (header_len,) = struct.unpack_from("<I", body, off)
     off += 4
-    header = json.loads(body[off:off + header_len].decode())
+    config, shared = _parse_header(path, body[off:off + header_len])
     off += header_len
-    config = ModelConfig(**header["config"])
-    shared = header["dataset_field_scales"]
     params = {}
     try:
         while off < len(body):
@@ -375,9 +356,32 @@ def load_model(path) -> DimINOModel:
     except (struct.error, KeyError, ValueError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed parameter table") from exc
     model = DimINOModel(config, params)
-    if shared is not None:
-        model.dataset_field_scales = {
-            name: dims.Quantity(value, dims.Dimension(tuple(exps)))
-            for name, (value, exps) in shared.items()
-        }
+    model.dataset_field_scales = shared
     return model
+
+
+def _parse_header(path, raw: bytes):
+    """Model config and shared dataset scales of a checkpoint header.
+
+    Every fault (bad JSON, a missing or unknown config key, a config that
+    ``ModelConfig`` rejects, malformed scales) raises ``CorruptCheckpoint``.
+    """
+    try:
+        header = json.loads(raw.decode())
+        keys = set(header["config"])
+        expected = {f.name for f in fields(ModelConfig)}
+        if keys != expected:
+            raise CorruptCheckpoint(
+                f"{path}: config keys differ from ModelConfig: "
+                f"unknown {sorted(keys - expected)}, missing {sorted(expected - keys)}"
+            )
+        config = ModelConfig(**header["config"])
+        shared = header["dataset_field_scales"]
+        if shared is not None:
+            shared = {
+                name: dims.Quantity(value, dims.Dimension(tuple(exps)))
+                for name, (value, exps) in shared.items()
+            }
+    except (ValueError, TypeError, KeyError, AttributeError, dims.DimensionError) as exc:
+        raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
+    return config, shared

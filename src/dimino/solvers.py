@@ -28,15 +28,26 @@ class NonZeroMeanInput(Exception):
     pass
 
 
+# Courant number of the adaptive step count, and the retained fraction of
+# each axis's modes in nonlinear products (the 2/3 rule).
+CFL = 0.25
+DEALIAS_FRAC = 2.0 / 3.0
+
+# Initial fields: spectrum ~ |k|^-IC_DECAY up to _ic_k_max(grid); a sample
+# whose solve goes non-finite is redrawn on a sub-seed up to MAX_RETRIES times.
+IC_DECAY = 2.5
+MAX_RETRIES = 3
+
+
+def _ic_k_max(grid: Grid) -> int:
+    return max(grid.points[0] // 8, 2)
+
+
 @dataclass
 class SolverConfig:
     steps: Optional[int] = None
-    cfl: float = 0.25
-    dealias_frac: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if not 0 < self.dealias_frac <= 1:
-            raise ValueError("dealias_frac must be in (0, 1]")
         if self.steps is not None and self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -80,12 +91,12 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
     nu, t = _val(nu), _val(t)
     n = u0.shape[0]
     k, = wavenumbers((n,), (extent,))
-    mask = dealias_mask((n,), cfg.dealias_frac)
+    mask = dealias_mask((n,), DEALIAS_FRAC)
     if cfg.steps is not None:
         n_steps = cfg.steps
     else:
         umax = max(float(np.max(np.abs(u0))), 1e-6)
-        dt_cfl = cfg.cfl * (extent / n) / umax
+        dt_cfl = CFL * (extent / n) / umax
         n_steps = max(int(math.ceil(t / dt_cfl)), 16)
     dt = t / n_steps
 
@@ -102,8 +113,11 @@ def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
     """FitzHugh-Nagumo diffusion-reaction, Strang splitting.
 
     Diffusion is integrated exactly in spectral space; the pointwise reaction
-    (Ru = u - u^3 - k - v, Rv = u - v) takes an RK4 step.  ``reaction=False``
-    is a test hook for the pure-diffusion probe.
+    (Ru = u - u^3 - k - v, Rv = u - v) takes an RK4 step.  The closing half
+    step of diffusion of one step and the opening half step of the next are
+    merged into one full step (first same as last), so n steps take n + 1
+    diffusions.  ``reaction=False`` is a test hook for the pure-diffusion
+    probe.
     """
     cfg = cfg or SolverConfig()
     Du, Dv, k_const, t = _val(Du), _val(Dv), _val(k_const), _val(t)
@@ -111,27 +125,27 @@ def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
     kx, ky = wavenumbers(shape, extent)
     n_steps = cfg.steps if cfg.steps is not None else max(int(math.ceil(t / 0.01)), 16)
     dt = t / n_steps
-    # u and v share one (2, nx, ny) state, so each half-step of diffusion is
-    # one stacked transform pair.
-    decay = np.exp(-np.array([Du, Dv])[:, None, None] * (kx**2 + ky**2) * dt / 2)
+    # u and v share one (2, nx, ny) state, so each diffusion is one stacked
+    # transform pair.
+    rate = -np.array([Du, Dv])[:, None, None] * (kx**2 + ky**2)
+    half, full = np.exp(rate * dt / 2), np.exp(rate * dt)
 
-    def diffuse(w):
-        return irfft2(rfft2(w) * decay, s=shape)
+    def diffuse(w, factor):
+        return irfft2(rfft2(w) * factor, s=shape)
 
     def react(w):
         u, v = w
         return np.stack((u - u * u * u - k_const - v, u - v))
 
-    w = np.stack((u0, v0)).astype(np.float64)
+    w = diffuse(np.stack((u0, v0)).astype(np.float64), half)
     for step in range(n_steps):
-        w = diffuse(w)
         if reaction:
             r1 = react(w)
             r2 = react(w + dt / 2 * r1)
             r3 = react(w + dt / 2 * r2)
             r4 = react(w + dt * r3)
             w = w + dt / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
-        w = diffuse(w)
+        w = diffuse(w, full if step < n_steps - 1 else half)
         if step % 16 == 15:
             _check_finite(w, step)
     _check_finite(w, n_steps - 1)
@@ -152,7 +166,7 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
     k2 = kx**2 + ky**2
     k2_inv = np.zeros_like(k2)
     k2_inv[k2 > 0] = 1.0 / k2[k2 > 0]
-    mask = dealias_mask(shape, cfg.dealias_frac)
+    mask = dealias_mask(shape, DEALIAS_FRAC)
 
     def velocity_and_gradient(w_hat):
         """ux, uy, d(omega)/dx, d(omega)/dy from one stacked inverse transform."""
@@ -175,7 +189,7 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
     else:
         ux, uy, _, _ = velocity_and_gradient(w_hat)
         umax = max(float(np.max(np.hypot(ux, uy))), 1e-6)
-        dt_cfl = cfg.cfl * (extent[0] / shape[0]) / umax
+        dt_cfl = CFL * (extent[0] / shape[0]) / umax
         n_steps = max(int(math.ceil(t / dt_cfl)), 32)
     dt = t / n_steps
 
@@ -204,11 +218,9 @@ def solve_sample(sample: Sample, cfg: SolverConfig = None, t: float = None
     raise ValueError(f"unknown system {sample.system!r}")
 
 
-def random_fourier_field(rng, grid: Grid, k_max: int = None, decay: float = 2.5,
-                         amplitude: float = 1.0) -> np.ndarray:
-    """Mean-zero random field with spectrum ~ |k|^-decay up to k_max."""
-    if k_max is None:
-        k_max = max(grid.points[0] // 8, 2)
+def random_fourier_field(rng, grid: Grid, amplitude: float = 1.0) -> np.ndarray:
+    """Mean-zero random field with spectrum ~ |k|^-IC_DECAY up to _ic_k_max."""
+    k_max, decay = _ic_k_max(grid), IC_DECAY
     if grid.rank == 1:
         n = grid.points[0]
         coef = np.zeros(n // 2 + 1, dtype=np.complex128)
@@ -258,14 +270,12 @@ def _log_uniform(rng, lo, hi):
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def _make_sample(system, rng, grid, t_final, ranges, cfg, k_max=None,
-                 decay=2.5) -> Sample:
+def _make_sample(system, rng, grid, t_final, ranges, cfg) -> Sample:
     dims = SCALE_DIMS[system]
     amp = _log_uniform(rng, *ranges["amp"])
 
     def random_field(amplitude):
-        return random_fourier_field(rng, grid, k_max=k_max, decay=decay,
-                                    amplitude=amplitude)
+        return random_fourier_field(rng, grid, amplitude=amplitude)
     if system == "advection1d":
         fields = {"u": random_field(amp)}
         constants = {"beta": Quantity(_log_uniform(rng, *ranges["beta"]), dims["beta"])}
@@ -291,9 +301,7 @@ def _make_sample(system, rng, grid, t_final, ranges, cfg, k_max=None,
 
 def generate_dataset(system: str, param_ranges: dict = None, n_samples: int = 64,
                      seed: int = 0, grid: Grid = None, t_final: float = 1.0,
-                     cfg: SolverConfig = None, split: str = "train",
-                     max_retries: int = 3, k_max: int = None,
-                     decay: float = 2.5) -> Dataset:
+                     cfg: SolverConfig = None, split: str = "train") -> Dataset:
     """Deterministic dataset generation; failed samples retry on a sub-seed."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -303,22 +311,18 @@ def generate_dataset(system: str, param_ranges: dict = None, n_samples: int = 64
         ranges.update(param_ranges)
     samples = []
     for i in range(n_samples):
-        for attempt in range(max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             rng = np.random.default_rng([seed, i, attempt])
             try:
-                samples.append(_make_sample(system, rng, grid, t_final, ranges,
-                                            cfg, k_max=k_max, decay=decay))
+                samples.append(_make_sample(system, rng, grid, t_final, ranges, cfg))
                 break
             except StepUnstable:
-                if attempt == max_retries:
+                if attempt == MAX_RETRIES:
                     raise
     meta = {
         "seed": seed,
         "t_final": t_final,
         "param_ranges": {k: list(v) for k, v in ranges.items()},
-        "ic_spectrum": {
-            "decay": decay,
-            "k_max": k_max if k_max is not None else max(grid.points[0] // 8, 2),
-        },
+        "ic_spectrum": {"decay": IC_DECAY, "k_max": _ic_k_max(grid)},
     }
     return Dataset(system, grid, {split: samples}, meta)

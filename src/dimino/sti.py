@@ -79,20 +79,6 @@ class STIReport:
         return "\n".join(lines)
 
 
-def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
-    den = np.linalg.norm(b.ravel())
-    num = np.linalg.norm((a - b).ravel())
-    return float(num) if den == 0 else float(num / den)
-
-
-def _target_ratio(system: str, p: float) -> float:
-    """Scale factor the transformed target fields carry relative to p=1."""
-    rule = dims.SIMILAR_TRANSFORM_RULES[system]
-    name = {"advection1d": "u", "burgers1d": "u",
-            "diffreact2d": "u", "ns-vorticity2d": "omega"}[system]
-    return p ** rule.get(name, 0)
-
-
 def sti_check(model: DimINOModel, samples: List[Sample], p_list,
               baseline: DimINOModel = None, solver_cfg: SolverConfig = None
               ) -> STIReport:
@@ -115,6 +101,7 @@ def sti_check(model: DimINOModel, samples: List[Sample], p_list,
         p_list = sorted(p_list + [1.0])
 
     report = STIReport(system, len(samples))
+    rule = dims.SIMILAR_TRANSFORM_RULES[system]
     base = model.forward(samples)
     base_pred, base_star = base.output.data, base.u_star.data
     truths = {}
@@ -123,11 +110,13 @@ def sti_check(model: DimINOModel, samples: List[Sample], p_list,
         result = model.forward(transformed)
         pred = result.output.data
         star = result.u_star.data
-        ratio = _target_ratio(system, p)
+        # each target field carries p ** (its exponent) relative to p = 1
+        ratios = np.array([p ** rule.get(name, 0) for name in model.config.target_fields])
 
-        latent = np.mean([_rel_l2(star[i], base_star[i]) for i in range(len(samples))])
+        latent = np.mean([rel_metric("rel-l2", star[i], base_star[i])
+                          for i in range(len(samples))])
         scaling = np.mean(
-            [_rel_l2(pred[i], ratio * base_pred[i]) for i in range(len(samples))]
+            [rel_metric("rel-l2", pred[i], ratios * base_pred[i]) for i in range(len(samples))]
         )
         truth_p = []
         for s_t in transformed:
@@ -198,6 +187,7 @@ def solver_sti_oracle(sample: Sample, p: float, cfg: SolverConfig = None) -> flo
     if cfg is not None and cfg.steps is not None:
         cfg_t = replace(cfg, steps=max(int(math.ceil(cfg.steps * p)), 1))
     moved = solve_sample(transformed, cfg_t)
-    ratio = _target_ratio(sample.system, p)
-    errs = [_rel_l2(moved[name], ratio * base[name]) for name in base]
+    rule = dims.SIMILAR_TRANSFORM_RULES[sample.system]
+    errs = [rel_metric("rel-l2", moved[name], p ** rule.get(name, 0) * base[name])
+            for name in base]
     return float(np.mean(errs))

@@ -106,7 +106,6 @@ class TrainConfig:
     lr: float = 2e-3
     seed: int = 0
     warmup_epochs: int = 5
-    schedule: str = "cosine"
     patience: int = 30
     valid_frac: float = 0.2
 
@@ -118,9 +117,10 @@ class TrainConfig:
 
 
 def _lr_at(cfg: TrainConfig, epoch: int) -> float:
+    """Linear warm-up, then cosine decay to zero at the last epoch."""
     if cfg.warmup_epochs > 0 and epoch < cfg.warmup_epochs:
         return cfg.lr * (epoch + 1) / cfg.warmup_epochs
-    if cfg.schedule != "cosine" or cfg.epochs <= cfg.warmup_epochs:
+    if cfg.epochs <= cfg.warmup_epochs:
         return cfg.lr
     frac = (epoch - cfg.warmup_epochs) / max(cfg.epochs - cfg.warmup_epochs, 1)
     return cfg.lr * 0.5 * (1 + math.cos(math.pi * min(frac, 1.0)))

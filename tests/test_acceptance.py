@@ -344,14 +344,14 @@ def test_metric_identities():
 
 
 def test_cli_reproducibility(tmp_path):
-    """gen-data and train are byte-identical across reruns at --threads 1."""
+    """gen-data and train are byte-identical across reruns on one BLAS thread."""
 
     def run_once(root):
         data = root / "data"
         run = root / "run"
         rc = cli_main(
             [
-                "--threads", "1", "gen-data", "--system", "burgers1d",
+                "gen-data", "--system", "burgers1d",
                 "--grid", "32", "--n", "6", "--n-test", "2", "--seed", "3",
                 "--t", "0.5", "--out", str(data),
             ]
@@ -359,7 +359,7 @@ def test_cli_reproducibility(tmp_path):
         assert rc == 0
         rc = cli_main(
             [
-                "--threads", "1", "train", "--data", str(data), "--epochs", "3",
+                "train", "--data", str(data), "--epochs", "3",
                 "--width", "8", "--modes", "4", "--batch-size", "4",
                 "--seed", "3", "--out", str(run),
             ]

@@ -1,8 +1,12 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dimino import cli
 from dimino.cli import main
 from dimino.data import dataset_hash, load_dataset
 
@@ -161,3 +165,17 @@ def test_train_determinism_byte_identical(adv_data, tmp_path):
     assert (tmp_path / "a" / "dimino-history.jsonl").read_text() == (
         tmp_path / "b" / "dimino-history.jsonl"
     ).read_text()
+
+
+def test_every_parsed_option_is_read():
+    """A flag that is parsed but never read (once ``--threads``) cannot return."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in (parser, *subparsers.choices.values()) for a in p._actions
+             if not isinstance(a, argparse._HelpAction)}
+    read = set(re.findall(r"\bargs\.(\w+)", Path(cli.__file__).read_text()))
+    assert dests - read == set()
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "1", "gen-data", "--system", "burgers1d"])
+    assert exc.value.code == 2

@@ -1,8 +1,13 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from dimino import autodiff as ad
 from dimino.model import (
+    CKPT_MAGIC,
     CorruptCheckpoint,
     DimINOModel,
     FieldSetMismatch,
@@ -127,8 +132,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(depth=0)
     with pytest.raises(ValueError):
-        small_config(postprocess_order="banana")
-    with pytest.raises(ValueError):
         small_config(precision="f16")
 
 
@@ -177,16 +180,6 @@ def test_gated_forward_extracts_scales_once_per_sample(monkeypatch):
     model.forward(samples)
     assert len(seen) == len(samples)
     assert all(a is b for a, b in zip(seen, samples))
-
-
-def test_def1_postprocess_changes_output_but_keeps_shape():
-    base = DimINOModel(small_config())
-    alt = DimINOModel(small_config(postprocess_order="def1"))
-    sample = random_sample("ns-vorticity2d", seed=2)
-    a, b = base.predict([sample]), alt.predict([sample])
-    assert a.shape == b.shape
-    assert not np.array_equal(a, b)
-    assert "post2_w1" in alt.params
 
 
 def test_f32_precision_runs_in_single():
@@ -299,5 +292,42 @@ def test_checkpoint_corruption_detected(tmp_path):
 def test_checkpoint_bad_magic_detected(tmp_path):
     path = tmp_path / "m.bin"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
+    with pytest.raises(CorruptCheckpoint):
+        load_model(path)
+
+
+def _rewrite_header(path, version=None, header=None, edit_config=None):
+    """Rewrite a saved checkpoint's version or header and re-digest it, so
+    only the header check can refuse it."""
+    body = path.read_bytes()[:-8]
+    off = len(CKPT_MAGIC)
+    (old_version,) = struct.unpack_from("<I", body, off)
+    (header_len,) = struct.unpack_from("<I", body, off + 4)
+    raw = body[off + 8:off + 8 + header_len]
+    if edit_config is not None:
+        parsed = json.loads(raw)
+        edit_config(parsed["config"])
+        raw = json.dumps(parsed, sort_keys=True).encode()
+    if header is not None:
+        raw = header
+    new = (CKPT_MAGIC + struct.pack("<I", old_version if version is None else version)
+           + struct.pack("<I", len(raw)) + raw + body[off + 8 + header_len:])
+    path.write_bytes(new + hashlib.blake2b(new, digest_size=8).digest())
+
+
+@pytest.mark.parametrize("fault", [
+    dict(version=2),
+    dict(edit_config=lambda c: c.update(gate_ffw=True)),
+    dict(edit_config=lambda c: c.pop("width")),
+    dict(header=b"{not json"),
+    dict(header=b"[1, 2]"),
+    dict(edit_config=lambda c: c.update(gamma=1.5)),
+    dict(edit_config=lambda c: c.update(depth="four")),
+], ids=["v2-file", "unknown-key", "missing-key", "malformed-json", "not-an-object",
+        "rejected-gamma", "wrong-type"])
+def test_checkpoint_header_faults_are_typed(tmp_path, fault):
+    path = tmp_path / "m.bin"
+    save_model(DimINOModel(small_config()), path)
+    _rewrite_header(path, **fault)
     with pytest.raises(CorruptCheckpoint):
         load_model(path)

@@ -219,12 +219,17 @@ def test_per_dataset_scales_missing_until_trained(burgers_dataset, tmp_path):
     assert np.all(np.isfinite(load_model(tmp_path / "m.bin").forward(samples).output.data))
 
 
-@pytest.mark.parametrize("use_dimnorm", [True, False])
-@pytest.mark.parametrize("scale_mode", ["per-sample", "per-dataset"])
+@pytest.mark.parametrize("scale_mode,use_dimnorm,precision", [
+    pytest.param(mode, dimnorm, precision,
+                 id=f"{mode}-{dimnorm}" + ("" if precision == "f64" else f"-{precision}"))
+    for precision in ("f64", "f32")
+    for mode in ("per-sample", "per-dataset")
+    for dimnorm in (True, False)
+])
 def test_checkpoint_reload_keeps_predictions_bit_identical(
-        burgers_dataset, tmp_path, scale_mode, use_dimnorm):
+        burgers_dataset, tmp_path, scale_mode, use_dimnorm, precision):
     model = _tiny_model(system="burgers1d", scale_mode=scale_mode,
-                        use_dimnorm=use_dimnorm)
+                        use_dimnorm=use_dimnorm, precision=precision)
     cfg = TrainConfig(loss="l2", epochs=2, batch_size=4, patience=0)
     model, _ = train(model, burgers_dataset, cfg)
     save_model(model, tmp_path / "m.bin")
