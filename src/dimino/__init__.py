@@ -10,7 +10,6 @@ from .dims import (
     REGISTRY,
     characteristic_scales_from_sample,
     compute_dimensionless,
-    dim_combine,
     nondimensionalize,
     redimensionalize,
     similar_transform,

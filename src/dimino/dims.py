@@ -127,19 +127,6 @@ class Quantity:
         return Quantity(self.value**k, self.dim**k)
 
 
-def dim_combine(a: Quantity, b, op: str) -> Quantity:
-    """Combine quantities under {mul, div, pow_k}; pow takes integer k as `b`."""
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op.startswith("pow"):
-        if not isinstance(b, int):
-            raise NonIntegerPower(f"pow exponent must be an integer, got {b!r}")
-        return a**b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # A characteristic-scale table: name -> positive Quantity.  Field names map to
 # their max-abs magnitude, constants to their own magnitude, "x" to the domain
 # extent, and "t" to the prediction interval.
@@ -254,15 +241,18 @@ _REGISTRY_DEFS = {
     ],
 }
 
-# Similarity-transform generator: name -> power of p multiplied onto the
-# stored value.  "t" scales the prediction interval.  Target fields follow the
-# rule of their same-named input field.
-SIMILAR_TRANSFORM_RULES: Dict[str, Dict[str, int]] = {
-    "advection1d": {"beta": -1, "t": 1},
-    "burgers1d": {"u": -1, "nu": -1, "t": 1},
-    "diffreact2d": {"u": -1, "v": -1, "Du": -1, "Dv": -1, "k": -1, "t": 1},
-    "ns-vorticity2d": {"omega": -1, "nu": -1, "f": -2, "t": 1},
-}
+def similarity_exponents(system: str) -> Dict[str, int]:
+    """Power of p that a similarity transform multiplies onto each named value.
+
+    The transform rescales the unit of time by p, so each exponent is the time
+    exponent of the name's dimension in SCALE_DIMS.  "t" scales the prediction
+    interval; target fields follow their same-named input field.
+    """
+    scale_dims = SCALE_DIMS.get(system)
+    if scale_dims is None:
+        raise UnknownSystemRule(f"no similarity rule for system {system!r}")
+    t_axis = BASE_UNITS.index("T")
+    return {name: d.exponents[t_axis] for name, d in scale_dims.items()}
 
 
 # Building a spec proves each of its monomials dimensionless, once.
@@ -373,9 +363,7 @@ def similar_transform(sample, p: float):
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    rule = SIMILAR_TRANSFORM_RULES.get(sample.system)
-    if rule is None:
-        raise UnknownSystemRule(f"no similarity rule for system {sample.system!r}")
+    rule = similarity_exponents(sample.system)
     fields = {
         name: arr * p ** rule.get(name, 0) for name, arr in sample.fields.items()
     }

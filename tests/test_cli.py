@@ -9,6 +9,7 @@ import pytest
 from dimino import cli
 from dimino.cli import main
 from dimino.data import dataset_hash, load_dataset
+from dimino.model import DimINOModel, ModelConfig, save_model
 
 
 def run(argv):
@@ -133,6 +134,20 @@ def test_sti_check_latent_threshold_breach_exits_one(adv_data, trained, capsys):
     ])
     assert code == 1
     assert "latent residual" in capsys.readouterr().err
+
+
+def test_sti_check_oracle_is_exact_at_power_of_two_p(tmp_path, capsys):
+    data = tmp_path / "ns"
+    assert run(["gen-data", "--system", "ns-vorticity2d", "--n", "2", "--n-test", "2",
+                "--seed", "4", "--grid", "16,16", "--t", "0.25", "--out", str(data)]) == 0
+    ckpt = tmp_path / "ns.bin"
+    save_model(DimINOModel(ModelConfig(
+        "ns-vorticity2d", ["omega", "f"], ["omega"], 2, width=6, depth=2, modes=4,
+    )), ckpt)
+    code = run(["sti-check", "--data", str(data), "--ckpt", str(ckpt), "--p", "1,8",
+                "--n", "2", "--solver-steps", "32", "--oracle"])
+    assert code == 0
+    assert "solver oracle residual at p=8: 0.00e+00" in capsys.readouterr().out
 
 
 def test_grad_check_exits_zero(capsys):

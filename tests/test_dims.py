@@ -53,15 +53,6 @@ def test_quantity_arithmetic():
         u ** 1.5
 
 
-def test_dim_combine_ops():
-    u = Quantity(4.0, dim(l=1))
-    assert dims.dim_combine(u, u, "mul").dim == dim(l=2)
-    assert dims.dim_combine(u, u, "div").dim == DIMLESS
-    assert dims.dim_combine(u, 2, "pow").value == 16.0
-    with pytest.raises(NonIntegerPower):
-        dims.dim_combine(u, 0.5, "pow")
-
-
 # -- registry --------------------------------------------------------------
 
 def test_registry_covers_all_systems():
@@ -217,6 +208,21 @@ def test_similar_transform_inverse_pair():
     np.testing.assert_array_equal(back.fields["u"], sample.fields["u"])
     assert back.t_final == sample.t_final
     assert back.constants["nu"].value == sample.constants["nu"].value
+
+
+def test_similarity_exponents_are_time_exponents():
+    # the rule table this derivation replaced, nonzero entries only
+    rules = {
+        "advection1d": {"beta": -1, "t": 1},
+        "burgers1d": {"u": -1, "nu": -1, "t": 1},
+        "diffreact2d": {"u": -1, "v": -1, "Du": -1, "Dv": -1, "k": -1, "t": 1},
+        "ns-vorticity2d": {"omega": -1, "nu": -1, "f": -2, "t": 1},
+    }
+    for system, rule in rules.items():
+        exps = dims.similarity_exponents(system)
+        assert {name: e for name, e in exps.items() if e} == rule
+    with pytest.raises(UnknownSystemRule):
+        dims.similarity_exponents("made-up")
 
 
 def test_similar_transform_rejects_unknown_system():

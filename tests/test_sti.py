@@ -1,19 +1,32 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import make_sample, random_sample
+from dimino import dims, sti
 from dimino.data import Grid
 from dimino.model import DimINOModel, ModelConfig
-from dimino.solvers import SolverConfig, generate_dataset
+from dimino.solvers import SolverConfig, generate_dataset, solve_sample
 from dimino.sti import SpecMismatch, solver_sti_oracle, sti_check
+from dimino.training import rel_metric
+
+# system -> (in_fields, target_fields, rank)
+_MODEL_FIELDS = {
+    "burgers1d": (["u"], ["u"], 1),
+    "diffreact2d": (["u", "v"], ["u", "v"], 2),
+    "ns-vorticity2d": (["omega", "f"], ["omega"], 2),
+}
 
 
-def _ns_model(use_dimnorm=True):
+def _model(system, use_dimnorm=True):
+    in_fields, target_fields, rank = _MODEL_FIELDS[system]
     return DimINOModel(ModelConfig(
-        system="ns-vorticity2d", in_fields=["omega", "f"],
-        target_fields=["omega"], rank=2, width=8, depth=2, modes=4,
-        use_dimnorm=use_dimnorm, init_seed=0,
+        system=system, in_fields=in_fields, target_fields=target_fields,
+        rank=rank, width=8, depth=2, modes=4, use_dimnorm=use_dimnorm,
+        init_seed=0,
     ))
 
 
@@ -26,7 +39,7 @@ def _ns_samples(n=2, seed=0):
 
 
 def test_p_equal_one_has_zero_residuals():
-    report = sti_check(_ns_model(), _ns_samples(), [1.0],
+    report = sti_check(_model("ns-vorticity2d"), _ns_samples(), [1.0],
                        solver_cfg=SolverConfig(steps=64))
     entry = report.entries[0]
     assert entry.p == 1.0
@@ -35,7 +48,7 @@ def test_p_equal_one_has_zero_residuals():
 
 
 def test_power_of_two_sweep_is_bit_invariant():
-    report = sti_check(_ns_model(), _ns_samples(), [2.0, 4.0],
+    report = sti_check(_model("ns-vorticity2d"), _ns_samples(), [2.0, 4.0],
                        solver_cfg=SolverConfig(steps=64))
     for entry in report.entries:
         assert entry.latent_residual == 0.0
@@ -43,8 +56,8 @@ def test_power_of_two_sweep_is_bit_invariant():
 
 
 def test_baseline_columns_populated():
-    report = sti_check(_ns_model(), _ns_samples(), [1.0, 2.0],
-                       baseline=_ns_model(use_dimnorm=False),
+    report = sti_check(_model("ns-vorticity2d"), _ns_samples(), [1.0, 2.0],
+                       baseline=_model("ns-vorticity2d", use_dimnorm=False),
                        solver_cfg=SolverConfig(steps=64))
     for entry in report.entries:
         assert entry.baseline_single_shot is not None
@@ -52,7 +65,7 @@ def test_baseline_columns_populated():
 
 
 def test_report_serialization_and_table():
-    report = sti_check(_ns_model(), _ns_samples(), [1.0, 2.0],
+    report = sti_check(_model("ns-vorticity2d"), _ns_samples(), [1.0, 2.0],
                        solver_cfg=SolverConfig(steps=64))
     payload = json.loads(report.to_json())
     assert payload["system"] == "ns-vorticity2d"
@@ -76,22 +89,114 @@ def test_solver_oracle_taylor_green_p2():
     grid = Grid((32, 32), (1.0, 1.0))
     x = np.linspace(0, 1, 32, endpoint=False)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    from conftest import make_sample
-
     sample = make_sample(
         "ns-vorticity2d", grid,
         {"omega": np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y),
          "f": np.zeros((32, 32))},
         {"nu": 0.01}, 1.0,
     )
-    assert solver_sti_oracle(sample, 2.0, SolverConfig(steps=128)) < 1e-6
+    assert solver_sti_oracle(sample, 2.0, SolverConfig(steps=128)) == 0.0
 
 
 def test_solver_oracle_generic_sample_p8():
     sample = _ns_samples(n=1, seed=3)[0]
-    assert solver_sti_oracle(sample, 8.0, SolverConfig(steps=64)) < 1e-4
+    assert solver_sti_oracle(sample, 8.0, SolverConfig(steps=64)) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(system=st.sampled_from(sorted(sti.EXACT_SOLVER_SYMMETRY)),
+       k=st.integers(-3, 3), seed=st.integers(0, 2**16),
+       steps=st.sampled_from([None, 24]))
+def test_solver_oracle_exact_for_power_of_two_p(system, k, seed, steps):
+    """Both CFL and fixed step counts: the transformed solve is the rescaled
+    original bit for bit."""
+    sample = random_sample(system, seed=seed, t_final=0.25)
+    cfg = SolverConfig(steps=steps) if steps else None
+    assert solver_sti_oracle(sample, 2.0**k, cfg) == 0.0
+
+
+def test_solver_oracle_diffreact_rule_is_not_a_symmetry():
+    # the reaction u - u^3 - k - v has an implicit unit rate, so the rule is
+    # not a symmetry of the PDE; this pins the known defect
+    sample = random_sample("diffreact2d", seed=0, t_final=0.5)
+    assert solver_sti_oracle(sample, 2.0, SolverConfig(steps=50)) > 0.1
 
 
 def test_solver_oracle_rejects_bad_p():
     with pytest.raises(ValueError):
         solver_sti_oracle(_ns_samples(n=1)[0], 0.0)
+
+
+def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
+    """Reference sweep: a second forward and a fresh solver run for every p."""
+    system = samples[0].system
+    rule = dims.similarity_exponents(system)
+    p_list = sorted(set(float(p) for p in p_list) | {1.0})
+    report = sti.STIReport(system, len(samples))
+    base = model.forward(samples)
+    base_pred, base_star = base.output.data, base.u_star.data
+    n = len(samples)
+
+    def mean_err(pred, names, truth):
+        return float(np.mean([rel_metric("rel-l2", pred[i, ..., j], truth[i][name])
+                              for i in range(n) for j, name in enumerate(names)]))
+
+    for p in p_list:
+        transformed = [dims.similar_transform(s, p) for s in samples]
+        result = model.forward(transformed)
+        pred, star = result.output.data, result.u_star.data
+        ratios = np.array([p ** rule.get(name, 0) for name in model.config.target_fields])
+        truth = [solve_sample(s, solver_cfg) for s in transformed]
+        entry = sti.STIEntry(
+            p=p,
+            latent_residual=float(np.mean(
+                [rel_metric("rel-l2", star[i], base_star[i]) for i in range(n)])),
+            output_scaling_residual=float(np.mean(
+                [rel_metric("rel-l2", pred[i], ratios * base_pred[i]) for i in range(n)])),
+            model_rel_l2=mean_err(pred, model.config.target_fields, truth),
+        )
+        names = baseline.config.target_fields
+        entry.baseline_single_shot = mean_err(baseline.predict(transformed), names, truth)
+        if p.is_integer():
+            current = [replace(s, t_final=s.t_final / int(p)) for s in transformed]
+            for _ in range(int(p)):
+                rolled = baseline.predict(current)
+                nxt = []
+                for i, s in enumerate(current):
+                    fields = dict(s.fields)
+                    for j, name in enumerate(names):
+                        fields[name] = rolled[i, ..., j]
+                    nxt.append(replace(s, fields=fields))
+                current = nxt
+            entry.baseline_rollout = float(np.mean(
+                [rel_metric("rel-l2", s.fields[name], truth[i][name])
+                 for i, s in enumerate(current) for name in names]))
+        report.entries.append(entry)
+    return report
+
+
+@pytest.mark.parametrize("system,p_list,solver_cfg,solves_per_sample", [
+    ("ns-vorticity2d", [0.5, 1, 2, 3, 4], None, 2),
+    ("burgers1d", [0.5, 1, 2, 3, 4], SolverConfig(steps=48), 2),
+    ("diffreact2d", [1, 2], None, 2),
+])
+def test_sti_check_matches_per_p_solve_reference(system, p_list, solver_cfg,
+                                                 solves_per_sample, monkeypatch):
+    """Reusing the p = 1 solve (and forward) changes no bit of the report, and
+    solves only p = 1 and the p that no exact rescaling covers."""
+    grid = Grid((32,), (1.0,)) if system == "burgers1d" else Grid((16, 16), (1.0, 1.0))
+    samples = generate_dataset(system, None, 2, 5, grid, 0.5,
+                               SolverConfig(steps=32)).split("train")
+    model, twin = _model(system), _model(system, use_dimnorm=False)
+    expected = _per_p_solve_sti_check(model, samples, p_list, twin, solver_cfg)
+
+    calls = []
+
+    def counting_solve(sample, cfg=None):
+        calls.append(sample.system)
+        return solve_sample(sample, cfg)
+
+    monkeypatch.setattr(sti, "solve_sample", counting_solve)
+    report = sti_check(model, samples, p_list, twin, solver_cfg)
+    assert report.to_json() == expected.to_json()
+    assert len(calls) == solves_per_sample * len(samples)
