@@ -11,7 +11,6 @@ from .dims import (
     characteristic_scales_from_sample,
     compute_dimensionless,
     nondimensionalize,
-    redimensionalize,
     similar_transform,
 )
 from .model import DimINOModel, ModelConfig, load_model, save_model

@@ -158,100 +158,89 @@ def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
     return directory
 
 
+# Every key save_dataset writes besides the meta block; all are required.
+_MANIFEST_KEYS = ("format", "system", "grid", "dtype", "records", "field_dims",
+                  "constant_dims", "dimless_spec", "splits")
+
+
 def load_dataset(directory) -> Dataset:
+    """Read a dataset; a malformed manifest or blob raises DatasetFormatError."""
     directory = Path(directory)
     with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "dimino-dataset-v1":
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{directory}: manifest is not JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != "dimino-dataset-v1":
         raise DatasetFormatError(f"unknown manifest format in {directory}")
-    grid = Grid(
-        tuple(manifest["grid"]["points"]), tuple(manifest["grid"]["extent"])
-    )
-    dtype = np.dtype(manifest["dtype"])
-    records = [(r["kind"], r["name"]) for r in manifest["records"]]
-    field_dims = {
-        name: Dimension(tuple(e)) for name, e in manifest["field_dims"].items()
-    }
-    constant_dims = {
-        name: Dimension(tuple(e)) for name, e in manifest["constant_dims"].items()
-    }
-    splits = {}
-    for split_name in manifest["splits"]:
-        splits[split_name] = _read_blob(
-            directory / f"{split_name}.bin",
-            manifest["system"],
-            grid,
-            records,
-            dtype,
-            field_dims,
-            constant_dims,
+    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
+    if missing:
+        raise DatasetFormatError(f"{directory}: manifest lacks {missing}")
+    try:
+        grid = Grid(
+            tuple(manifest["grid"]["points"]), tuple(manifest["grid"]["extent"])
         )
-    meta = {
-        k: v
-        for k, v in manifest.items()
-        if k
-        not in (
-            "format",
-            "system",
-            "grid",
-            "dtype",
-            "records",
-            "field_dims",
-            "constant_dims",
-            "dimless_spec",
-            "splits",
-        )
+        dtype = np.dtype(manifest["dtype"])
+        records = [(r["kind"], r["name"]) for r in manifest["records"]]
+        if sorted(k for k, _ in records if k not in ("field", "target", "constant")) != ["time"]:
+            raise ValueError(f"records need known kinds and one time entry: {records}")
+        field_dims = {
+            name: Dimension(tuple(e)) for name, e in manifest["field_dims"].items()
+        }
+        constant_dims = {
+            name: Dimension(tuple(e)) for name, e in manifest["constant_dims"].items()
+        }
+        counts = {name: int(n) for name, n in manifest["splits"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DatasetFormatError(f"{directory}: malformed manifest: {exc!r}") from exc
+    splits = {
+        name: _read_blob(directory / f"{name}.bin", manifest["system"], grid, records,
+                         dtype, field_dims, constant_dims, count)
+        for name, count in counts.items()
     }
+    meta = {k: v for k, v in manifest.items() if k not in _MANIFEST_KEYS}
     return Dataset(manifest["system"], grid, splits, meta)
 
 
-def _read_blob(path, system, grid, records, dtype, field_dims, constant_dims):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != BLOB_MAGIC:
-            raise DatasetFormatError(f"{path}: bad magic {magic!r}")
-        count, rank = struct.unpack("<II", fh.read(8))
-        points = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        if points != grid.points:
-            raise DatasetFormatError(f"{path}: grid mismatch {points}")
-        (itemsize,) = struct.unpack("<I", fh.read(4))
-        if itemsize != np.dtype(dtype).itemsize:
-            raise DatasetFormatError(f"{path}: item size mismatch")
-        per_sample = {"field": {}, "target": {}, "constant": {}, "time": None}
-        for kind, name in records:
-            if kind in ("field", "target"):
-                n = count * int(np.prod(points))
-                block = np.frombuffer(fh.read(n * itemsize), dtype=dtype)
-                per_sample[kind][name] = block.reshape(count, *points)
-            else:
-                block = np.frombuffer(fh.read(count * itemsize), dtype=dtype)
-                if kind == "constant":
-                    per_sample["constant"][name] = block
-                else:
-                    per_sample["time"] = block
-    samples = []
-    for i in range(count):
-        samples.append(
-            Sample(
-                system=system,
-                grid=grid,
-                fields={
-                    n: np.array(b[i], dtype=np.float64)
-                    for n, b in per_sample["field"].items()
-                },
-                constants={
-                    n: Quantity(float(b[i]), constant_dims[n])
-                    for n, b in per_sample["constant"].items()
-                },
-                t_final=float(per_sample["time"][i]),
-                targets={
-                    n: np.array(b[i], dtype=np.float64)
-                    for n, b in per_sample["target"].items()
-                },
-                field_dims=dict(field_dims),
-            )
+def _read_blob(path, system, grid, records, dtype, field_dims, constant_dims, count):
+    raw = Path(path).read_bytes()
+    if raw[:8] != BLOB_MAGIC:
+        raise DatasetFormatError(f"{path}: bad magic {raw[:8]!r}")
+    header = struct.Struct(f"<II{grid.rank}II")
+    if len(raw) < 8 + header.size:
+        raise DatasetFormatError(f"{path}: truncated header ({len(raw)} bytes)")
+    blob_count, rank, *points, itemsize = header.unpack_from(raw, 8)
+    if blob_count != count:
+        raise DatasetFormatError(f"{path}: {blob_count} samples, manifest says {count}")
+    if rank != grid.rank or tuple(points) != grid.points:
+        raise DatasetFormatError(f"{path}: grid mismatch {(rank, *points)}")
+    if itemsize != dtype.itemsize:
+        raise DatasetFormatError(f"{path}: item size mismatch")
+    shapes = [grid.points if kind in ("field", "target") else () for kind, _ in records]
+    sizes = [count * int(np.prod(shape)) * itemsize for shape in shapes]
+    offset, body = 8 + header.size, len(raw) - 8 - header.size
+    if body != sum(sizes):
+        what = "truncated" if body < sum(sizes) else "has trailing bytes"
+        raise DatasetFormatError(f"{path}: {what}: {body} record bytes, expected {sum(sizes)}")
+    blocks = {"field": {}, "target": {}, "constant": {}, "time": {}}
+    for (kind, name), shape, size in zip(records, shapes, sizes):
+        blocks[kind][name] = np.frombuffer(raw, dtype, size // itemsize, offset
+                                           ).reshape(count, *shape)
+        offset += size
+    (times,) = blocks["time"].values()
+    return [
+        Sample(
+            system=system,
+            grid=grid,
+            fields={n: np.array(b[i], dtype=np.float64) for n, b in blocks["field"].items()},
+            constants={n: Quantity(float(b[i]), constant_dims[n])
+                       for n, b in blocks["constant"].items()},
+            t_final=float(times[i]),
+            targets={n: np.array(b[i], dtype=np.float64) for n, b in blocks["target"].items()},
+            field_dims=dict(field_dims),
         )
-    return samples
+        for i in range(count)
+    ]
 
 
 def dataset_hash(directory) -> str:

@@ -346,15 +346,6 @@ def nondimensionalize(sample, scales: CharacteristicScales):
     )
 
 
-def redimensionalize(
-    u_star: np.ndarray, scales: CharacteristicScales, target_name: str
-) -> np.ndarray:
-    """Exact elementwise inverse of nondimensionalize for one field."""
-    if target_name not in scales:
-        raise MissingScale(f"no scale for target {target_name!r}")
-    return u_star * scales[target_name].value
-
-
 def similar_transform(sample, p: float):
     """Rescale a sample by the system's similarity rule.
 

@@ -267,24 +267,6 @@ class DimINOModel:
         return self.forward(samples).output.data
 
 
-def spectral_block_forward(x: np.ndarray, spec_w: np.ndarray, byp_w: np.ndarray,
-                           byp_b: np.ndarray, modes, activation: str = "gelu"
-                           ) -> np.ndarray:
-    """Standalone spectral block on (B, *spatial, C) input, for oracles."""
-    rank = len(modes)
-    spatial_axes = tuple(range(1, 1 + rank))
-    spatial = x.shape[1:1 + rank]
-    tape = Tape()
-    xl = tape.leaf(x)
-    xh = ad.rfftn(xl, spatial_axes)
-    y = ad.mode_mix(xh, tape.leaf(spec_w), modes)
-    y = ad.irfftn(y, spatial_axes, spatial)
-    y = ad.add(y, ad.linear(xl, tape.leaf(byp_w), tape.leaf(byp_b)))
-    if activation == "gelu":
-        y = ad.gelu(y)
-    return y.data
-
-
 # -- checkpoint I/O -------------------------------------------------------
 
 _DTYPE_CODES = {"float64": 0, "float32": 1, "complex128": 2, "complex64": 3}

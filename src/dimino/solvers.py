@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset, Grid, Sample
 from .dims import Quantity, SCALE_DIMS
-from .spectral import dealias_mask, irfft, irfft2, mode_numbers, rfft, rfft2, wavenumbers
+from .spectral import dealias_mask, irfftn, mode_numbers, rfftn, wavenumbers
 
 
 class StepUnstable(Exception):
@@ -65,19 +65,25 @@ def solve_advection_analytic(u0: np.ndarray, beta, t, extent: float = 1.0) -> np
     """Shift u0 by beta*t with spectral interpolation (exact if band-limited)."""
     k, = wavenumbers(u0.shape, (extent,))
     shift = np.exp(-1j * k * _val(beta) * _val(t))
-    return irfft(rfft(u0) * shift, n=u0.shape[0])
+    return irfftn(rfftn(u0, (0,)) * shift, u0.shape, (0,))
 
 
 def _ifrk4(v, n_steps, dt, lin, nonlin):
-    """Integrating-factor RK4: exact linear part, RK4 on the nonlinearity."""
+    """Integrating-factor RK4: exact linear part, RK4 on the nonlinearity.
+
+    The loop-invariant factors are hoisted without reordering any product,
+    so each step computes the textbook expressions bit for bit.
+    """
     e_full = np.exp(lin * dt)
     e_half = np.exp(lin * dt / 2)
+    dt_e_half, two_e_half = dt * e_half, 2 * e_half
     for step in range(n_steps):
         k1 = nonlin(v)
         k2 = nonlin(e_half * (v + dt / 2 * k1))
         k3 = nonlin(e_half * v + dt / 2 * k2)
-        k4 = nonlin(e_full * v + dt * e_half * k3)
-        v = e_full * v + dt / 6 * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
+        e_full_v = e_full * v
+        k4 = nonlin(e_full_v + dt_e_half * k3)
+        v = e_full_v + dt / 6 * (e_full * k1 + two_e_half * (k2 + k3) + k4)
         if step % 16 == 15:
             _check_finite(v, step)
     _check_finite(v, n_steps - 1)
@@ -99,13 +105,14 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
         dt_cfl = CFL * (extent / n) / umax
         n_steps = max(int(math.ceil(t / dt_cfl)), 16)
     dt = t / n_steps
+    flux_symbol = -0.5j * k
 
     def nonlin(v):
-        u = irfft(v * mask, n=n)
-        return -0.5j * k * (rfft(u * u) * mask)
+        u = irfftn(v * mask, (n,), (0,))
+        return flux_symbol * (rfftn(u * u, (0,)) * mask)
 
-    v = _ifrk4(rfft(u0), n_steps, dt, -nu * k**2, nonlin)
-    return irfft(v, n=n)
+    v = _ifrk4(rfftn(u0, (0,)), n_steps, dt, -nu * k**2, nonlin)
+    return irfftn(v, (n,), (0,))
 
 
 def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
@@ -131,7 +138,7 @@ def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
     half, full = np.exp(rate * dt / 2), np.exp(rate * dt)
 
     def diffuse(w, factor):
-        return irfft2(rfft2(w) * factor, s=shape)
+        return irfftn(rfftn(w, (-2, -1)) * factor, shape, (-2, -1))
 
     def react(w):
         u, v = w
@@ -171,8 +178,8 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
     def velocity_and_gradient(w_hat):
         """ux, uy, d(omega)/dx, d(omega)/dy from one stacked inverse transform."""
         psi_hat = w_hat * k2_inv
-        return irfft2(np.stack((1j * ky * psi_hat, -1j * kx * psi_hat,
-                                1j * kx * w_hat, 1j * ky * w_hat)), s=shape)
+        return irfftn(np.stack((1j * ky * psi_hat, -1j * kx * psi_hat,
+                                1j * kx * w_hat, 1j * ky * w_hat)), shape, (-2, -1))
 
     scale = max(float(np.max(np.abs(omega0))), 1e-12)
     if abs(float(np.mean(omega0))) > 1e-10 * scale:
@@ -181,8 +188,8 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
         omega0 = omega0 - np.mean(omega0)
     f = f - np.mean(f)
 
-    w_hat = rfft2(omega0)
-    f_hat = rfft2(f) * mask
+    w_hat = rfftn(omega0, (0, 1))
+    f_hat = rfftn(f, (0, 1)) * mask
 
     if cfg.steps is not None:
         n_steps = cfg.steps
@@ -195,10 +202,10 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
 
     def nonlin(v):
         ux, uy, wx, wy = velocity_and_gradient(v * mask)
-        return f_hat - rfft2(ux * wx + uy * wy) * mask
+        return f_hat - rfftn(ux * wx + uy * wy, (0, 1)) * mask
 
     w_hat = _ifrk4(w_hat, n_steps, dt, -nu * k2, nonlin)
-    return irfft2(w_hat, s=shape)
+    return irfftn(w_hat, shape, (0, 1))
 
 
 def solve_sample(sample: Sample, cfg: SolverConfig = None, t: float = None
@@ -228,7 +235,7 @@ def random_fourier_field(rng, grid: Grid, amplitude: float = 1.0) -> np.ndarray:
         coef[1:k_max + 1] = (
             rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)
         ) * m**-decay
-        u = irfft(coef, n=n) * n
+        u = irfftn(coef, (n,), (0,)) * n
     else:
         nx, ny = grid.points
         mx, my = mode_numbers((nx, ny))
@@ -240,7 +247,7 @@ def random_fourier_field(rng, grid: Grid, amplitude: float = 1.0) -> np.ndarray:
             * np.where(kk > 0, kk, 1.0) ** -decay,
             0.0,
         )
-        u = irfft2(coef, s=(nx, ny)) * nx * ny
+        u = irfftn(coef, (nx, ny), (0, 1)) * nx * ny
     u -= u.mean()
     peak = max(float(np.max(np.abs(u))), 1e-12)
     return u * (amplitude / peak)

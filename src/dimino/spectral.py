@@ -1,15 +1,24 @@
 """Fourier transforms, wavenumbers, dealiasing and the Fourier derivative.
 
-Every FFT in dimino goes through this module.  The transforms are scipy.fft's
-(pocketfft, run on the calling thread); for float64 input they equal
-numpy.fft's bit for bit, and a transform over a stacked leading axis equals
-the per-slice transforms bit for bit.
+Every FFT in dimino goes through ``rfftn`` and ``irfftn`` here.  Both call
+the pocketfft kernel that ``scipy.fft`` dispatches to, with the arguments
+``scipy.fft.rfftn`` / ``irfftn`` pass for the default norm and one worker, so
+every result equals scipy's bit for bit; for float64 input they also equal
+numpy.fft's, and a transform over a stacked leading axis equals the per-slice
+transforms bit for bit.  The kernel is reached through scipy's private
+``_pocketfft.pypocketfft`` binding because scipy.fft's per-call Python
+dispatch (backend lookup, dtype and shape normalisation) costs several times
+the kernel itself on the small grids the solvers step thousands of times.
+``tests/test_spectral.py::test_transforms_bit_equal_public_scipy_fft`` pins
+the equality, so a scipy upgrade that moves a bit fails there.
 
-FFT convention: unnormalized forward transform, 1/N inverse.
+FFT convention: unnormalized forward transform, 1/N inverse.  Real float32
+and float64 input keep their precision.
 
 Spectra use the real-FFT layout: every transformed axis holds its modes in
 ``fftfreq`` order except the last, which holds the ``n // 2 + 1``
-non-negative modes.  The helpers below take the spatial ``shape`` and return
+non-negative modes.  ``irfftn`` requires exactly that layout (it neither pads
+nor truncates), and the helpers below take the spatial ``shape`` and return
 one array per axis, shaped to broadcast against such a spectrum.
 """
 from __future__ import annotations
@@ -17,10 +26,25 @@ from __future__ import annotations
 from typing import List, Sequence
 
 import numpy as np
-from scipy.fft import fftfreq, irfft, irfft2, irfftn, rfft, rfft2, rfftfreq, rfftn
+from scipy.fft import fftfreq, rfftfreq
+from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 
-__all__ = ["rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "mode_numbers",
-           "wavenumbers", "dealias_mask", "derivative_symbols", "gradients"]
+__all__ = ["rfftn", "irfftn", "mode_numbers", "wavenumbers", "dealias_mask",
+           "derivative_symbols", "gradients"]
+
+
+def rfftn(x: np.ndarray, axes) -> np.ndarray:
+    """Real-to-complex FFT over ``axes``; the last of them keeps n // 2 + 1 modes."""
+    return _r2c(x, axes, True, 0, None, 1)
+
+
+def irfftn(y: np.ndarray, s, axes) -> np.ndarray:
+    """Inverse of ``rfftn`` to the real shape ``s`` on ``axes``."""
+    last = s[-1]
+    if [y.shape[a] for a in axes] != [*s[:-1], last // 2 + 1]:
+        raise ValueError(f"irfftn: spectrum shape {y.shape} on axes {tuple(axes)} is not "
+                         f"the real-FFT layout of s={tuple(s)}")
+    return _c2r(y, axes, last, False, 2, None, 1)
 
 
 def _per_axis(arrays) -> List[np.ndarray]:
@@ -70,6 +94,6 @@ def gradients(arr: np.ndarray, extent: Sequence[float], axes=None) -> List[np.nd
     axes = tuple(range(arr.ndim)) if axes is None else tuple(axes)
     shape = tuple(arr.shape[a] for a in axes)
     trailing = (1,) * (arr.ndim - 1 - axes[-1])
-    ah = rfftn(arr, axes=axes)
-    return [irfftn(ah * ik.reshape(ik.shape + trailing), s=shape, axes=axes)
+    ah = rfftn(arr, axes)
+    return [irfftn(ah * ik.reshape(ik.shape + trailing), shape, axes)
             for ik in derivative_symbols(shape, extent)]

@@ -1,7 +1,14 @@
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimino.data import (
+    _MANIFEST_KEYS,
     BLOB_MAGIC,
     Dataset,
     DatasetFormatError,
@@ -69,6 +76,69 @@ def test_manifest_format_is_checked(tmp_path):
     manifest.write_text(manifest.read_text().replace("dimino-dataset-v1", "v0"))
     with pytest.raises(DatasetFormatError):
         load_dataset(tmp_path / "d")
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("saved") / "d"
+    save_dataset(generate_dataset("burgers1d", {}, 2, 0, Grid((16,), (1.0,)), 0.5), directory)
+    return directory
+
+
+def _load_edited(directory, edit):
+    """load_dataset on a copy of ``directory`` after ``edit(copy)``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "d"
+        shutil.copytree(directory, copy)
+        edit(copy)
+        return load_dataset(copy)
+
+
+@given(cut=st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_blob_raises_format_error(saved_dataset, cut):
+    blob = (saved_dataset / "train.bin").read_bytes()
+    keep = cut.draw(st.integers(0, len(blob) - 1), label="kept bytes")
+    with pytest.raises(DatasetFormatError):
+        _load_edited(saved_dataset, lambda d: (d / "train.bin").write_bytes(blob[:keep]))
+
+
+@given(extra=st.binary(min_size=1, max_size=24))
+@settings(max_examples=20, deadline=None)
+def test_trailing_bytes_raise_format_error(saved_dataset, extra):
+    blob = (saved_dataset / "train.bin").read_bytes()
+    with pytest.raises(DatasetFormatError, match="trailing bytes"):
+        _load_edited(saved_dataset, lambda d: (d / "train.bin").write_bytes(blob + extra))
+
+
+@pytest.mark.parametrize("key", _MANIFEST_KEYS)
+def test_manifest_missing_key_raises_format_error(saved_dataset, key):
+    def drop(d):
+        manifest = json.loads((d / "manifest.json").read_text())
+        del manifest[key]
+        (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetFormatError, match=key):
+        _load_edited(saved_dataset, drop)
+
+
+def _recount(d):
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["splits"]["train"] = 3
+    (d / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_recount, "2 samples, manifest says 3"),
+    (lambda d: (d / "manifest.json").write_text("{"), "not JSON"),
+])
+def test_bad_manifest_raises_format_error(saved_dataset, edit, message):
+    with pytest.raises(DatasetFormatError, match=message):
+        _load_edited(saved_dataset, edit)
+
+
+def test_intact_copy_loads(saved_dataset):
+    back = _load_edited(saved_dataset, lambda d: None)
+    assert len(back.split("train")) == 2
 
 
 def test_dataset_hash_tracks_content(tmp_path):

@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from dimino import solvers
 from dimino.data import Grid
 from dimino.solvers import (
+    CFL,
+    DEALIAS_FRAC,
     NonZeroMeanInput,
     SolverConfig,
     StepUnstable,
@@ -15,6 +22,7 @@ from dimino.solvers import (
     solve_ns_vorticity_2d,
     solve_sample,
 )
+from dimino.spectral import dealias_mask, wavenumbers
 
 
 def rel_l2(a, b):
@@ -157,6 +165,71 @@ def test_unstable_step_raises():
     u0 = 10.0 * random_fourier_field(rng, Grid((128,), (1.0,)))
     with pytest.raises(StepUnstable):
         solve_burgers_1d(u0, 0.0, 1000.0, SolverConfig(steps=64))
+
+
+# -- IF-RK4 reference equivalence ------------------------------------------
+
+def _reference_ifrk4(v, n_steps, dt, lin, nonlin):
+    """The IF-RK4 loop as first written: every factor recomputed in every step."""
+    e_full = np.exp(lin * dt)
+    e_half = np.exp(lin * dt / 2)
+    for step in range(n_steps):
+        k1 = nonlin(v)
+        k2 = nonlin(e_half * (v + dt / 2 * k1))
+        k3 = nonlin(e_half * v + dt / 2 * k2)
+        k4 = nonlin(e_full * v + dt * e_half * k3)
+        v = e_full * v + dt / 6 * (e_full * k1 + 2 * e_half * (k2 + k3) + k4)
+    return v
+
+
+def _reference_burgers(u0, nu, t, steps):
+    """solve_burgers_1d as first written, on the public scipy.fft transforms."""
+    n = u0.shape[0]
+    k, = wavenumbers((n,), (1.0,))
+    mask = dealias_mask((n,), DEALIAS_FRAC)
+    if steps is None:
+        umax = max(float(np.max(np.abs(u0))), 1e-6)
+        steps = max(int(math.ceil(t / (CFL * (1.0 / n) / umax))), 16)
+
+    def nonlin(v):
+        u = scipy.fft.irfft(v * mask, n=n)
+        return -0.5j * k * (scipy.fft.rfft(u * u) * mask)
+
+    v = _reference_ifrk4(scipy.fft.rfft(u0), steps, t / steps, -nu * k**2, nonlin)
+    return scipy.fft.irfft(v, n=n)
+
+
+STEPS = st.one_of(st.none(), st.integers(32, 512))  # None: the CFL step count
+
+
+@given(n=st.sampled_from([16, 64, 128]), amp=st.floats(0.1, 4.0), nu=st.floats(1e-3, 1e-1),
+       steps=STEPS, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_burgers_equals_reference_ifrk4(n, amp, nu, steps, seed):
+    u0 = random_fourier_field(np.random.default_rng(seed), Grid((n,), (1.0,)), amp)
+    want = _reference_burgers(u0, nu, 0.5, steps)
+    try:
+        got = solve_burgers_1d(u0, nu, 0.5, SolverConfig(steps=steps))
+    except StepUnstable:  # too few fixed steps: the reference must blow up too
+        assert not np.all(np.isfinite(want))
+        return
+    assert np.array_equal(got, want)
+
+
+@given(n=st.sampled_from([16, 32]), amp=st.floats(0.1, 4.0), nu=st.floats(1e-3, 1e-2),
+       steps=STEPS, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_ns_vorticity_equals_reference_ifrk4(n, amp, nu, steps, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid((n, n), (1.0, 1.0))
+    omega0 = random_fourier_field(rng, grid, amp)
+    f = random_fourier_field(rng, grid, 0.1 * amp)
+    got = solve_ns_vorticity_2d(omega0, nu, f, 0.25, SolverConfig(steps=steps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_ifrk4", _reference_ifrk4)
+        want = solve_ns_vorticity_2d(omega0, nu, f, 0.25, SolverConfig(steps=steps))
+    assert np.array_equal(got, want)
 
 
 # -- dataset generation ----------------------------------------------------

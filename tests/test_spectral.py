@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from dimino import spectral
@@ -112,8 +116,76 @@ def test_transforms_bit_equal_numpy_on_model_shapes(shape, axes):
 @settings(max_examples=30, deadline=None)
 def test_stacked_transform_equals_per_slice(k, nx, ny, seed):
     w = np.random.default_rng(seed).standard_normal((k, nx, ny))
-    wh = spectral.rfft2(w)
-    back = spectral.irfft2(wh, s=(nx, ny))
+    wh = spectral.rfftn(w, (-2, -1))
+    back = spectral.irfftn(wh, (nx, ny), (-2, -1))
     for i in range(k):
-        assert np.array_equal(wh[i], spectral.rfft2(w[i]))
-        assert np.array_equal(back[i], spectral.irfft2(wh[i], s=(nx, ny)))
+        assert np.array_equal(wh[i], spectral.rfftn(w[i], (-2, -1)))
+        assert np.array_equal(back[i], spectral.irfftn(wh[i], (nx, ny), (-2, -1)))
+
+
+@st.composite
+def _transform_cases(draw):
+    """(array shape, transformed axes) with 0-2 stacked leading axes, rank 1 or
+    2, and an optional trailing channel axis, which makes the transformed axes
+    strided as in the model's (B, *spatial, C) layout."""
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+    spatial = draw(st.lists(st.integers(1, 40), min_size=1, max_size=2))
+    channels = draw(st.lists(st.integers(1, 4), max_size=1))
+    shape = (*lead, *spatial, *channels)
+    axes = tuple(range(len(lead), len(lead) + len(spatial)))
+    if not channels and draw(st.booleans()):
+        axes = tuple(a - len(shape) for a in axes)
+    return shape, axes
+
+
+@given(case=_transform_cases(), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_transforms_bit_equal_public_scipy_fft(case, dtype, seed):
+    shape, axes = case
+    s = tuple(shape[a] for a in axes)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(dtype)
+    xh = spectral.rfftn(x, axes)
+    want = scipy.fft.rfftn(x, axes=axes)
+    assert xh.dtype == want.dtype and np.array_equal(xh, want)
+    # an arbitrary spectrum in the real-FFT layout, not only one rfftn made
+    y = (rng.standard_normal(xh.shape) + 1j * rng.standard_normal(xh.shape)).astype(xh.dtype)
+    back = spectral.irfftn(y, s, axes)
+    want = scipy.fft.irfftn(y, s=s, axes=axes)
+    assert back.dtype == want.dtype == dtype and np.array_equal(back, want)
+
+
+@pytest.mark.parametrize("last_modes", [8, 10], ids=["truncated", "padded"])
+def test_irfftn_refuses_a_spectrum_outside_the_real_fft_layout(last_modes):
+    y = np.ones((16, last_modes), dtype=complex)
+    with pytest.raises(ValueError, match="real-FFT layout"):
+        spectral.irfftn(y, (16, 16), (0, 1))
+    with pytest.raises(ValueError, match="real-FFT layout"):
+        spectral.irfftn(y, (8, 2 * last_modes - 2), (0, 1))
+
+
+def _fft_imports(tree):
+    """Names of every scipy.fft / numpy.fft import or attribute use in a module."""
+    fft_modules = {"scipy.fft", "numpy.fft"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names
+                        if any(a.name.startswith(m) for m in fft_modules))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if any(node.module.startswith(m) for m in fft_modules):
+                yield node.module
+            elif node.module in ("scipy", "numpy"):
+                yield from (f"{node.module}.{a.name}" for a in node.names if a.name == "fft")
+        elif (isinstance(node, ast.Attribute) and node.attr == "fft"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy", "scipy", "sp")):
+            yield f"{node.value.id}.fft"
+
+
+def test_only_spectral_imports_an_fft_module():
+    src = Path(spectral.__file__).parent
+    found = {path.name: sorted(set(_fft_imports(ast.parse(path.read_text()))))
+             for path in sorted(src.glob("*.py"))}
+    assert found.pop("spectral.py"), "the guard no longer sees spectral's own import"
+    assert {name: uses for name, uses in found.items() if uses} == {}
