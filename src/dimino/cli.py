@@ -69,10 +69,11 @@ def cmd_gen_data(args) -> int:
         pts = tuple(int(p) for p in args.grid.split(","))
         grid = Grid(pts, (1.0,) * len(pts))
     t_final = args.t if args.t is not None else DEFAULT_T[args.system]
+    # generate_dataset checks each name and its LO,HI bounds
     ranges = {}
     for spec in args.param or []:
-        name, lo, hi = spec.split(",")
-        ranges[name] = (float(lo), float(hi))
+        name, *bounds = spec.split(",")
+        ranges[name] = bounds
     cfg = SolverConfig(steps=args.solver_steps)
     dataset = generate_dataset(
         args.system, ranges, args.n, args.seed, grid, t_final, cfg
@@ -259,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", help="points per axis, comma separated")
     p.add_argument("--t", type=float, help="prediction interval")
-    p.add_argument("--param", action="append", metavar="NAME,LO,HI")
+    p.add_argument("--param", action="append", metavar="NAME,LO,HI",
+                   help="draw parameter NAME log-uniformly from [LO, HI] (0 < LO <= HI); "
+                        "repeatable")
     p.add_argument("--solver-steps", type=int)
     p.add_argument("--dtype", choices=("float32", "float64"), default="float64")
     p.add_argument("--out")

@@ -62,6 +62,25 @@ def test_gen_data_unknown_system_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--param", "Nu,1e-3,1e-2"], "unknown parameter 'Nu' for burgers1d; its parameters are amp, nu"),
+    (["--param", "nu,1e-2,1e-3"], "0 < LO <= HI"),
+    (["--param", "nu,0,1e-3"], "0 < LO <= HI"),
+    (["--param", "nu,1e-3"], "two numbers LO,HI"),
+    (["--param", "nu"], "two numbers LO,HI"),
+    (["--param", "nu,1e-3,1e-2,1"], "two numbers LO,HI"),
+    (["--grid", "16,16"], "burgers1d needs a 1D grid, got points (16, 16)"),
+], ids=["misspelled-name", "lo-above-hi", "zero-lo", "missing-hi", "no-bounds",
+        "extra-field", "2d-grid"])
+def test_gen_data_bad_param_or_grid_exits_one(tmp_path, capsys, extra, message):
+    argv = ["gen-data", "--system", "burgers1d", "--n", "1", "--t", "0.1",
+            "--out", str(tmp_path / "d"), *extra]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "d" / "manifest.json").exists()
+
+
 def test_train_writes_checkpoint_metrics_history(trained):
     assert (trained / "checkpoint.bin").exists()
     assert (trained / "metrics.json").exists()

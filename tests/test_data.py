@@ -18,7 +18,16 @@ from dimino.data import (
     load_dataset,
     save_dataset,
 )
+from dimino.dims import Quantity, SCALE_DIMS
 from dimino.solvers import generate_dataset
+
+# Each system's input fields, constants and targets, as generate_dataset writes them.
+LAYOUTS = {
+    "advection1d": (1, ("u",), ("beta",), ("u",)),
+    "burgers1d": (1, ("u",), ("nu",), ("u",)),
+    "diffreact2d": (2, ("u", "v"), ("Du", "Dv", "k"), ("u", "v")),
+    "ns-vorticity2d": (2, ("omega", "f"), ("nu",), ("omega",)),
+}
 
 
 def test_grid_validates_power_of_two_points():
@@ -164,3 +173,40 @@ def test_missing_split_raises():
     ds = Dataset("burgers1d", Grid((16,), (1.0,)), {"train": []})
     with pytest.raises(KeyError):
         ds.split("test")
+
+
+@st.composite
+def random_datasets(draw):
+    """A dataset of random values: any system, grid, split sizes and horizon."""
+    system = draw(st.sampled_from(sorted(LAYOUTS)))
+    rank, fields, constants, targets = LAYOUTS[system]
+    grid = Grid(tuple(draw(st.sampled_from([2, 4, 8, 16])) for _ in range(rank)),
+                tuple(draw(st.floats(0.1, 10.0)) for _ in range(rank)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t_final = draw(st.floats(1e-3, 1e3))
+    dims = SCALE_DIMS[system]
+
+    def sample():
+        return Sample(system, grid,
+                      {n: rng.standard_normal(grid.shape) for n in fields},
+                      {n: Quantity(float(rng.uniform(1e-4, 10.0)), dims[n]) for n in constants},
+                      t_final,
+                      {n: rng.standard_normal(grid.shape) for n in targets})
+    splits = {"train": [sample() for _ in range(draw(st.integers(1, 3)))]}
+    n_test = draw(st.integers(0, 2))
+    if n_test:
+        splits["test"] = [sample() for _ in range(n_test)]
+    return Dataset(system, grid, splits, {"seed": draw(st.integers(0, 99)), "t_final": t_final})
+
+
+@given(ds=random_datasets(), dtype=st.sampled_from(["float32", "float64"]))
+@settings(max_examples=60, deadline=None)
+def test_save_load_save_is_byte_identical(ds, dtype):
+    with tempfile.TemporaryDirectory() as tmp:
+        first = save_dataset(ds, Path(tmp) / "a", dtype=dtype)
+        again = save_dataset(load_dataset(first), Path(tmp) / "b", dtype=dtype)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+        assert dataset_hash(first) == dataset_hash(again)

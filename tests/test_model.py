@@ -1,9 +1,12 @@
 import hashlib
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimino import autodiff as ad
 from dimino.model import (
@@ -299,6 +302,26 @@ def test_checkpoint_corruption_detected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCheckpoint):
         load_model(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.bin"
+    save_model(DimINOModel(small_config()), path)
+    return path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_flipped_byte_raises_only_corrupt_checkpoint(checkpoint_bytes, data):
+    raw = bytearray(checkpoint_bytes)
+    at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+    raw[at] ^= data.draw(st.integers(1, 255), label="xor mask")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.bin"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptCheckpoint):
+            load_model(path)
 
 
 def test_checkpoint_bad_magic_detected(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from dimino.data import Grid
 from dimino.solvers import (
     CFL,
     DEALIAS_FRAC,
+    MAX_RETRIES,
     NonZeroMeanInput,
+    SampleStack,
     SolverConfig,
     StepUnstable,
     generate_dataset,
@@ -199,6 +202,14 @@ def _reference_burgers(u0, nu, t, steps):
     return scipy.fft.irfft(v, n=n)
 
 
+def _reference_ifrk4_rows(v, n_steps, dt, lin, nonlin):
+    """``_reference_ifrk4`` on each row of a stack, behind the stacked signature."""
+    lin = np.broadcast_to(lin, v.shape)
+    return np.stack([_reference_ifrk4(v[i], n_steps[i], dt[i], lin[i],
+                                      lambda w: nonlin(w[None])[0])
+                     for i in range(len(v))])
+
+
 STEPS = st.one_of(st.none(), st.integers(32, 512))  # None: the CFL step count
 
 
@@ -227,9 +238,128 @@ def test_ns_vorticity_equals_reference_ifrk4(n, amp, nu, steps, seed):
     f = random_fourier_field(rng, grid, 0.1 * amp)
     got = solve_ns_vorticity_2d(omega0, nu, f, 0.25, SolverConfig(steps=steps))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_ifrk4", _reference_ifrk4)
+        mp.setattr(solvers, "_ifrk4", _reference_ifrk4_rows)
         want = solve_ns_vorticity_2d(omega0, nu, f, 0.25, SolverConfig(steps=steps))
     assert np.array_equal(got, want)
+
+
+# -- stacked burgers solve -------------------------------------------------
+
+@given(n=st.sampled_from([16, 64, 128]),
+       rows=st.lists(st.tuples(st.floats(0.1, 4.0), st.floats(1e-3, 1e-1)),
+                     min_size=1, max_size=8),
+       steps=st.one_of(st.none(), st.integers(16, 256)), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_burgers_stack_equals_per_sample(n, rows, steps, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid((n,), (1.0,))
+    u0 = np.stack([random_fourier_field(rng, grid, amp) for amp, _ in rows])
+    nu = np.array([nu for _, nu in rows])
+    cfg = SolverConfig(steps=steps)
+    got = solve_burgers_1d(u0, nu, 0.5, cfg)
+    assert got.shape == u0.shape
+    for i in range(len(rows)):
+        want = _reference_burgers(u0[i], nu[i], 0.5, steps)
+        if not np.all(np.isfinite(want)):  # too few fixed steps: all three blow up
+            assert not np.all(np.isfinite(got[i]))
+            with pytest.raises(StepUnstable):
+                solve_burgers_1d(u0[i], nu[i], 0.5, cfg)
+            continue
+        assert np.array_equal(got[i], want)
+        assert np.array_equal(solve_burgers_1d(u0[i], nu[i], 0.5, cfg), want)
+
+
+def test_sample_stack_refuses_a_2d_system():
+    s = generate_dataset("ns-vorticity2d", {}, 1, 0, Grid((16, 16), (1.0, 1.0)), 0.1
+                         ).split("train")[0]
+    with pytest.raises(ValueError, match="one at a time"):
+        SampleStack.of([s])
+
+
+def _reference_generate(system, ranges, n_samples, seed, grid, t_final, cfg):
+    """generate_dataset's samples as first written: one sample at a time,
+    each redrawn at once when its solve raises.  Also returns the redraws."""
+    ranges = {**solvers.DEFAULT_PARAM_RANGES[system], **ranges}
+    samples, redraws = [], 0
+    for i in range(n_samples):
+        for attempt in range(MAX_RETRIES + 1):
+            rng = np.random.default_rng([seed, i, attempt])
+            sample = solvers._draw_sample(system, rng, grid, t_final, ranges)
+            try:
+                sample.targets = solve_sample(sample, cfg)
+            except StepUnstable:
+                if attempt == MAX_RETRIES:
+                    raise
+                redraws += 1
+                continue
+            samples.append(sample)
+            break
+    return samples, redraws
+
+
+@pytest.mark.parametrize("ranges, n_samples, seed, points, t_final, steps, redraws", [
+    ({}, 6, 0, 64, 0.5, None, 0),
+    ({"amp": (1.0, 1.0)}, 2, 111, 128, 10.0, None, 0),
+    ({"amp": (0.5, 3.0), "nu": (1e-3, 1e-3)}, 12, 5, 64, 1.0, 32, 15),
+], ids=["default-ranges", "pinned-amp", "retries"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_generate_burgers_equals_per_sample_loop(ranges, n_samples, seed, points,
+                                                 t_final, steps, redraws):
+    grid, cfg = Grid((points,), (1.0,)), SolverConfig(steps=steps)
+    want, seen = _reference_generate("burgers1d", ranges, n_samples, seed, grid, t_final, cfg)
+    assert seen == redraws
+    got = generate_dataset("burgers1d", ranges, n_samples, seed, grid, t_final, cfg
+                           ).split("train")
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.fields["u"], b.fields["u"])
+        assert np.array_equal(a.targets["u"], b.targets["u"])
+        assert a.constants["nu"].value == b.constants["nu"].value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_generate_burgers_raises_when_retries_run_out():
+    args = ("burgers1d", {"amp": (30.0, 40.0)}, 4, 1, Grid((64,), (1.0,)), 1.0,
+            SolverConfig(steps=24))
+    with pytest.raises(StepUnstable):
+        _reference_generate(*args)
+    with pytest.raises(StepUnstable, match="on all 4 draws"):
+        generate_dataset(*args)
+
+
+@pytest.mark.parametrize("ranges, message", [
+    ({"Nu": (1e-3, 1e-2)}, "unknown parameter 'Nu' for burgers1d; its parameters are amp, nu"),
+    ({"nu": (1e-2, 1e-3)}, "0 < LO <= HI"),
+    ({"nu": (0.0, 1e-3)}, "0 < LO <= HI"),
+    ({"nu": (-1.0, 1e-3)}, "0 < LO <= HI"),
+    ({"nu": (1e-3, float("inf"))}, "finite"),
+    ({"nu": ("1e-3",)}, "two numbers LO,HI"),
+    ({"nu": ("1e-3", "1e-2", "1")}, "two numbers LO,HI"),
+    ({"nu": ("1e-3", "x")}, "two numbers LO,HI"),
+    ({"nu": 1e-3}, "two numbers LO,HI"),
+], ids=["unknown-name", "lo-above-hi", "zero-lo", "negative-lo", "infinite-hi",
+        "one-bound", "three-bounds", "not-a-number", "not-a-pair"])
+def test_generate_dataset_rejects_bad_param_ranges(ranges, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_dataset("burgers1d", ranges, 1, 0, Grid((16,), (1.0,)), 0.1)
+
+
+def test_generate_dataset_accepts_string_bounds_and_a_point_range():
+    ds = generate_dataset("burgers1d", {"nu": ("1e-2", "1e-2"), "amp": (1, 1)}, 1, 0,
+                          Grid((16,), (1.0,)), 0.1)
+    assert ds.meta["param_ranges"]["nu"] == [1e-2, 1e-2]
+    assert ds.split("train")[0].constants["nu"].value == pytest.approx(1e-2, rel=1e-15)
+
+
+@pytest.mark.parametrize("system, points", [
+    ("burgers1d", (16, 16)), ("advection1d", (16, 16)), ("ns-vorticity2d", (16,)),
+    ("diffreact2d", (16,)),
+])
+def test_generate_dataset_rejects_a_grid_of_the_wrong_rank(system, points):
+    grid = Grid(points, (1.0,) * len(points))
+    with pytest.raises(ValueError, match=f"{system} needs a"):
+        generate_dataset(system, {}, 1, 0, grid, 0.1)
 
 
 # -- dataset generation ----------------------------------------------------
