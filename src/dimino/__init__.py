@@ -6,7 +6,6 @@ from .dims import (
     CharacteristicScales,
     Dimension,
     DimlessSpec,
-    Quantity,
     REGISTRY,
     characteristic_scales_from_sample,
     compute_dimensionless,

@@ -16,6 +16,7 @@ from .model import DimINOModel, ModelConfig, load_model, save_model
 from .solvers import DEFAULT_GRIDS, Grid, SolverConfig, generate_dataset
 from .sti import solver_sti_oracle, sti_check
 from .training import (
+    METRIC_KINDS,
     TrainConfig,
     evaluate,
     format_metric_table,
@@ -145,11 +146,7 @@ def cmd_train(args) -> int:
     tables = {}
     for name, use_dimnorm in variants:
         model = DimINOModel(_model_config_from_args(args, dataset, use_dimnorm))
-        try:
-            model, history = train(model, dataset, cfg)
-        except Exception as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        model, history = train(model, dataset, cfg)
         ckpt = out / (f"{name}-checkpoint.bin" if args.ablate_gate else "checkpoint.bin")
         save_model(model, ckpt)
         (out / f"{name}-history.jsonl").write_text(history_json(history))
@@ -158,7 +155,7 @@ def cmd_train(args) -> int:
         print(f"{name}: best valid rel-L2 {min(h['valid_rel-l2'] for h in history):.4f} "
               f"({len(history)} epochs), {split} rel-L2 {tables[name]['rel-l2']:.4f}")
     if "ablated" in tables:
-        for k in ("rel-l2", "rel-h1", "rel-l1"):
+        for k in METRIC_KINDS:
             tables["dimino"][f"{k}-gain"] = gain(tables["ablated"][k], tables["dimino"][k])
         print(format_metric_table(tables))
     (out / "metrics.json").write_text(json.dumps(tables, indent=2, sort_keys=True) + "\n")
@@ -222,9 +219,7 @@ def cmd_grad_check(args) -> int:
         print(f"{name:<24}{err:.3e}")
         worst = max(worst, err)
 
-    from .solvers import generate_dataset as gen
-
-    dataset = gen("advection1d", {}, 2, args.seed, Grid((16,), (1.0,)), 1.0)
+    dataset = generate_dataset("advection1d", {}, 2, args.seed, Grid((16,), (1.0,)), 1.0)
     cfg = ModelConfig(
         system="advection1d", in_fields=["u"], target_fields=["u"], rank=1,
         width=6, depth=4, modes=4, init_seed=args.seed,

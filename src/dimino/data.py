@@ -16,7 +16,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .dims import DIMLESS, Dimension, Quantity, SCALE_DIMS
+from .dims import SCALE_DIMS
 
 BLOB_MAGIC = b"DIMINO01"
 
@@ -65,18 +65,11 @@ class Sample:
     system: str
     grid: Grid
     fields: Dict[str, np.ndarray]
-    constants: Dict[str, Quantity]
+    constants: Dict[str, float]
     t_final: float
     targets: Dict[str, np.ndarray] = field(default_factory=dict)
-    field_dims: Dict[str, Dimension] = None
 
     def __post_init__(self):
-        if self.field_dims is None:
-            dims = SCALE_DIMS.get(self.system, {})
-            self.field_dims = {
-                name: dims.get(name, DIMLESS)
-                for name in list(self.fields) + list(self.targets)
-            }
         if self.t_final <= 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         for name, arr in {**self.fields, **self.targets}.items():
@@ -120,10 +113,21 @@ def _write_blob(path: Path, samples: List[Sample], records, dtype) -> None:
                 attr = "fields" if kind == "field" else "targets"
                 block = np.stack([getattr(s, attr)[name] for s in samples])
             elif kind == "constant":
-                block = np.array([s.constants[name].value for s in samples])
+                block = np.array([s.constants[name] for s in samples])
             else:
                 block = np.array([s.t_final for s in samples])
             fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
+
+
+def _manifest_dims(system: str, records) -> dict:
+    """The manifest's ``field_dims`` and ``constant_dims``, read off SCALE_DIMS."""
+    table = SCALE_DIMS[system]
+    dims = {"field_dims": {}, "constant_dims": {}}
+    for kind, name in records:
+        if kind != "time":
+            key = "constant_dims" if kind == "constant" else "field_dims"
+            dims[key][name] = list(table[name].exponents)
+    return dims
 
 
 def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
@@ -140,12 +144,7 @@ def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
         },
         "dtype": dtype,
         "records": [{"kind": k, "name": n} for k, n in records],
-        "field_dims": {
-            name: list(d.exponents) for name, d in first.field_dims.items()
-        },
-        "constant_dims": {
-            name: list(q.dim.exponents) for name, q in first.constants.items()
-        },
+        **_manifest_dims(dataset.system, records),
         "dimless_spec": dataset.system,
         "splits": {name: len(split) for name, split in dataset.splits.items()},
         **dataset.meta,
@@ -184,25 +183,35 @@ def load_dataset(directory) -> Dataset:
         records = [(r["kind"], r["name"]) for r in manifest["records"]]
         if sorted(k for k, _ in records if k not in ("field", "target", "constant")) != ["time"]:
             raise ValueError(f"records need known kinds and one time entry: {records}")
-        field_dims = {
-            name: Dimension(tuple(e)) for name, e in manifest["field_dims"].items()
-        }
-        constant_dims = {
-            name: Dimension(tuple(e)) for name, e in manifest["constant_dims"].items()
-        }
         counts = {name: int(n) for name, n in manifest["splits"].items()}
+        _check_dims(directory, manifest, records)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DatasetFormatError(f"{directory}: malformed manifest: {exc!r}") from exc
     splits = {
         name: _read_blob(directory / f"{name}.bin", manifest["system"], grid, records,
-                         dtype, field_dims, constant_dims, count)
+                         dtype, count)
         for name, count in counts.items()
     }
     meta = {k: v for k, v in manifest.items() if k not in _MANIFEST_KEYS}
     return Dataset(manifest["system"], grid, splits, meta)
 
 
-def _read_blob(path, system, grid, records, dtype, field_dims, constant_dims, count):
+def _check_dims(directory, manifest, records) -> None:
+    """The manifest's system, record names and dims must match SCALE_DIMS."""
+    system = manifest["system"]
+    if system not in SCALE_DIMS:
+        raise DatasetFormatError(f"{directory}: unknown system {system!r}")
+    known = set(SCALE_DIMS[system]) - {"x", "t"}
+    unknown = [name for kind, name in records if kind != "time" and name not in known]
+    if unknown:
+        raise DatasetFormatError(f"{directory}: {system} has no field or constant {unknown}")
+    for key, want in _manifest_dims(system, records).items():
+        if manifest[key] != want:
+            raise DatasetFormatError(
+                f"{directory}: {key} {manifest[key]} differ from {system}'s {want}")
+
+
+def _read_blob(path, system, grid, records, dtype, count):
     raw = Path(path).read_bytes()
     if raw[:8] != BLOB_MAGIC:
         raise DatasetFormatError(f"{path}: bad magic {raw[:8]!r}")
@@ -228,16 +237,18 @@ def _read_blob(path, system, grid, records, dtype, field_dims, constant_dims, co
                                            ).reshape(count, *shape)
         offset += size
     (times,) = blocks["time"].values()
+    if not all(np.isfinite(b).all() for b in blocks["constant"].values()):
+        raise DatasetFormatError(f"{path}: a constant is not finite")
+    if not (np.isfinite(times) & (times > 0)).all():
+        raise DatasetFormatError(f"{path}: t_final must be finite and positive")
     return [
         Sample(
             system=system,
             grid=grid,
             fields={n: np.array(b[i], dtype=np.float64) for n, b in blocks["field"].items()},
-            constants={n: Quantity(float(b[i]), constant_dims[n])
-                       for n, b in blocks["constant"].items()},
+            constants={n: float(b[i]) for n, b in blocks["constant"].items()},
             t_final=float(times[i]),
             targets={n: np.array(b[i], dtype=np.float64) for n, b in blocks["target"].items()},
-            field_dims=dict(field_dims),
         )
         for i in range(count)
     ]

@@ -1,15 +1,18 @@
 """Dimensional-analysis core.
 
-Units are tracked as integer exponent vectors over the base set (M, L, T).
-The module also owns the per-system registries of dimensionless numbers,
-characteristic-scale extraction, nondimensionalization and its inverse, and
-the similarity-transform generator used by the invariance harness.
+A dimension is an integer exponent vector over the base set (M, L, T), and
+each system's SCALE_DIMS table is the only place one is stored: every runtime
+value (a field scale, a constant, a prediction interval) is a plain float
+whose dimension follows from its system and name.  The module also owns the
+per-system registries of dimensionless numbers, characteristic-scale
+extraction, nondimensionalization, and the similarity-transform generator used
+by the invariance harness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -25,14 +28,6 @@ class DimensionError(Exception):
 
 
 class DimensionMismatch(DimensionError):
-    pass
-
-
-class NonIntegerPower(DimensionError):
-    pass
-
-
-class DivisionByZero(DimensionError):
     pass
 
 
@@ -65,25 +60,6 @@ class Dimension:
             )
         object.__setattr__(self, "exponents", tuple(self.exponents))
 
-    def __mul__(self, other: "Dimension") -> "Dimension":
-        return Dimension(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __truediv__(self, other: "Dimension") -> "Dimension":
-        return Dimension(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-    def __pow__(self, k: int) -> "Dimension":
-        if not isinstance(k, int):
-            raise NonIntegerPower(f"dimension power must be an integer, got {k!r}")
-        return Dimension(tuple(a * k for a in self.exponents))
-
-    @property
-    def is_dimensionless(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def __str__(self):
-        parts = [f"{u}{e:+d}" for u, e in zip(BASE_UNITS, self.exponents) if e != 0]
-        return "[" + " ".join(parts) + "]" if parts else "[1]"
-
 
 DIMLESS = Dimension((0, 0, 0))
 
@@ -92,45 +68,11 @@ def dim(m=0, l=0, t=0) -> Dimension:
     return Dimension((m, l, t))
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """A finite scalar tagged with a Dimension."""
-
-    value: float
-    dim: Dimension = DIMLESS
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise DimensionError(f"quantity value must be finite, got {self.value}")
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"cannot add {self.dim} and {other.dim}")
-        return Quantity(self.value + other.value, self.dim)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"cannot subtract {other.dim} from {self.dim}")
-        return Quantity(self.value - other.value, self.dim)
-
-    def __mul__(self, other: "Quantity") -> "Quantity":
-        return Quantity(self.value * other.value, self.dim * other.dim)
-
-    def __truediv__(self, other: "Quantity") -> "Quantity":
-        if other.value == 0:
-            raise DivisionByZero("division by a zero-valued quantity")
-        return Quantity(self.value / other.value, self.dim / other.dim)
-
-    def __pow__(self, k: int) -> "Quantity":
-        if not isinstance(k, int):
-            raise NonIntegerPower(f"quantity power must be an integer, got {k!r}")
-        return Quantity(self.value**k, self.dim**k)
-
-
-# A characteristic-scale table: name -> positive Quantity.  Field names map to
-# their max-abs magnitude, constants to their own magnitude, "x" to the domain
-# extent, and "t" to the prediction interval.
-CharacteristicScales = Dict[str, Quantity]
+# A characteristic-scale table: name -> positive float, whose dimension is
+# SCALE_DIMS[system][name].  Field names map to their max-abs magnitude,
+# constants to their own magnitude, "x" to the domain extent, and "t" to the
+# prediction interval.
+CharacteristicScales = Dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -148,7 +90,7 @@ class DimlessNumber:
         for scale_name, exp in self.monomial.items():
             if scale_name not in scales:
                 raise MissingScale(f"{self.name}: no scale entry named {scale_name!r}")
-            value *= scales[scale_name].value ** float(exp)
+            value *= scales[scale_name] ** float(exp)
         return value
 
     def composite_dimension(self, dims: Mapping[str, Dimension]):
@@ -290,18 +232,15 @@ def characteristic_scales_from_sample(sample) -> CharacteristicScales:
     constants to their own floored magnitudes, "x" to the domain extent, and
     "t" to the prediction interval.
     """
-    dims = SCALE_DIMS[sample.system]
     scales: CharacteristicScales = {}
     for name, arr in sample.fields.items():
         if arr.size == 0:
             raise EmptyField(f"field {name!r} is empty")
-        scales[name] = Quantity(
-            max(float(np.max(np.abs(arr))), EPS_FLOOR), sample.field_dims[name]
-        )
-    for name, q in sample.constants.items():
-        scales[name] = Quantity(max(abs(q.value), EPS_FLOOR), q.dim)
-    scales["x"] = Quantity(float(sample.grid.extent[0]), dims["x"])
-    scales["t"] = Quantity(float(sample.t_final), dims["t"])
+        scales[name] = max(float(np.max(np.abs(arr))), EPS_FLOOR)
+    for name, value in sample.constants.items():
+        scales[name] = max(abs(value), EPS_FLOOR)
+    scales["x"] = float(sample.grid.extent[0])
+    scales["t"] = float(sample.t_final)
     return scales
 
 
@@ -314,9 +253,8 @@ def dataset_scales(samples) -> CharacteristicScales:
     for sample in samples:
         for name, arr in sample.fields.items():
             m = max(float(np.max(np.abs(arr))), EPS_FLOOR)
-            prev = scales.get(name)
-            if prev is None or m > prev.value:
-                scales[name] = Quantity(m, sample.field_dims[name])
+            if m > scales.get(name, 0.0):
+                scales[name] = m
     return scales
 
 
@@ -327,22 +265,18 @@ def nondimensionalize(sample, scales: CharacteristicScales):
     for name, arr in sample.fields.items():
         if name not in scales:
             raise MissingScale(f"no scale for field {name!r}")
-        fields[name] = arr / scales[name].value
+        fields[name] = arr / scales[name]
     targets = {
-        name: arr / scales[name].value for name, arr in sample.targets.items()
+        name: arr / scales[name] for name, arr in sample.targets.items()
     }
     cvec = compute_dimensionless(spec, scales)
-    constants = {
-        number.name: Quantity(float(c), DIMLESS)
-        for number, c in zip(spec.numbers, cvec)
-    }
+    constants = {number.name: float(c) for number, c in zip(spec.numbers, cvec)}
     return replace(
         sample,
         fields=fields,
         targets=targets,
         constants=constants,
-        field_dims={name: DIMLESS for name in sample.field_dims},
-        t_final=sample.t_final / scales["t"].value,
+        t_final=sample.t_final / scales["t"],
     )
 
 
@@ -362,8 +296,8 @@ def similar_transform(sample, p: float):
         name: arr * p ** rule.get(name, 0) for name, arr in sample.targets.items()
     }
     constants = {
-        name: Quantity(q.value * p ** rule.get(name, 0), q.dim)
-        for name, q in sample.constants.items()
+        name: value * p ** rule.get(name, 0)
+        for name, value in sample.constants.items()
     }
     return replace(
         sample,

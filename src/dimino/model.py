@@ -24,7 +24,7 @@ from .autodiff import Tape, Tensor
 from .data import Sample
 
 CKPT_MAGIC = b"DINOCKPT"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 
 
 class ModelError(Exception):
@@ -194,13 +194,13 @@ class DimINOModel:
                 scales = self.sample_scales(s)
                 nd = dims.nondimensionalize(s, scales)
                 inputs.append(np.stack([nd.fields[n] for n in cfg.in_fields], axis=-1))
-                cvecs.append([q.value for q in nd.constants.values()])
-                out_scales.append([scales[n].value for n in cfg.target_fields])
+                cvecs.append(list(nd.constants.values()))
+                out_scales.append([scales[n] for n in cfg.target_fields])
             return (np.stack(inputs).astype(cfg.dtype), np.array(cvecs),
                     np.array(out_scales))
         chans = [np.stack([s.fields[n] for s in samples]) for n in cfg.in_fields]
         shape = chans[0].shape
-        per_sample = [[s.constants[n].value for s in samples] for n in cfg.constant_names]
+        per_sample = [[s.constants[n] for s in samples] for n in cfg.constant_names]
         per_sample.append([s.t_final for s in samples])
         for vals in per_sample:
             vals = np.array(vals).reshape(-1, *[1] * (len(shape) - 1))
@@ -280,12 +280,7 @@ def save_model(model: DimINOModel, path) -> None:
     # the header carries the shared per-dataset scales as well, since they
     # change predictions just as the parameters do
     shared = model.dataset_field_scales
-    header = {
-        "config": asdict(model.config),
-        "dataset_field_scales": None if shared is None else {
-            name: [q.value, list(q.dim.exponents)] for name, q in shared.items()
-        },
-    }
+    header = {"config": asdict(model.config), "dataset_field_scales": shared}
     header_json = json.dumps(header, sort_keys=True).encode()
     blob += struct.pack("<I", len(header_json)) + header_json
     for name, arr in model.params.items():
@@ -360,10 +355,11 @@ def _parse_header(path, raw: bytes):
         config = ModelConfig(**header["config"])
         shared = header["dataset_field_scales"]
         if shared is not None:
-            shared = {
-                name: dims.Quantity(value, dims.Dimension(tuple(exps)))
-                for name, (value, exps) in shared.items()
-            }
-    except (ValueError, TypeError, KeyError, AttributeError, dims.DimensionError) as exc:
+            for name in config.in_fields + config.target_fields:
+                if not (np.isfinite(shared[name]) and shared[name] > 0):
+                    raise CorruptCheckpoint(
+                        f"{path}: dataset scale {name!r} is {shared[name]!r}, "
+                        "not finite and positive")
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
     return config, shared

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .data import Dataset, Grid, Sample
-from .dims import Quantity, SCALE_DIMS
 from .spectral import dealias_mask, irfftn, mode_numbers, rfftn, wavenumbers
 
 
@@ -80,15 +79,9 @@ class SampleStack:
         first = samples[0]
         return cls(first.system, first.grid,
                    {n: np.stack([s.fields[n] for s in samples]) for n in first.fields},
-                   {n: np.array([s.constants[n].value for s in samples])
+                   {n: np.array([s.constants[n] for s in samples])
                     for n in first.constants},
                    first.t_final)
-
-
-def _val(q):
-    """A Quantity's or number's value as a float; a stack's arrays pass through."""
-    q = q.value if isinstance(q, Quantity) else q
-    return q if isinstance(q, np.ndarray) else float(q)
 
 
 def _check_finite(arr, step):
@@ -99,7 +92,7 @@ def _check_finite(arr, step):
 def solve_advection_analytic(u0: np.ndarray, beta, t, extent: float = 1.0) -> np.ndarray:
     """Shift u0 by beta*t with spectral interpolation (exact if band-limited)."""
     k, = wavenumbers(u0.shape, (extent,))
-    shift = np.exp(-1j * k * _val(beta) * _val(t))
+    shift = np.exp(-1j * k * beta * t)
     return irfftn(rfftn(u0, (0,)) * shift, u0.shape, (0,))
 
 
@@ -158,10 +151,9 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
     row is returned non-finite, for the caller to redraw.
     """
     cfg = cfg or SolverConfig()
-    t = _val(t)
     rows = np.atleast_2d(u0)
     b, n = rows.shape
-    nu = np.broadcast_to(np.asarray(_val(nu), dtype=float), (b,))
+    nu = np.broadcast_to(np.asarray(nu, dtype=float), (b,))
     k, = wavenumbers((n,), (extent,))
     mask = dealias_mask((n,), DEALIAS_FRAC)
     if cfg.steps is not None:
@@ -200,7 +192,6 @@ def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
     probe.
     """
     cfg = cfg or SolverConfig()
-    Du, Dv, k_const, t = _val(Du), _val(Dv), _val(k_const), _val(t)
     shape = u0.shape
     kx, ky = wavenumbers(shape, extent)
     n_steps = cfg.steps if cfg.steps is not None else max(int(math.ceil(t / 0.01)), 16)
@@ -240,7 +231,6 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
     term is handled by the integrating factor, so nu=0 is a valid test mode.
     """
     cfg = cfg or SolverConfig()
-    nu, t = _val(nu), _val(t)
     shape = omega0.shape
     kx, ky = wavenumbers(shape, extent)
     k2 = kx**2 + ky**2
@@ -357,27 +347,23 @@ def _log_uniform(rng, lo, hi):
 
 def _draw_sample(system, rng, grid, t_final, ranges) -> Sample:
     """A sample's initial fields and constants; its targets are left to solve."""
-    dims = SCALE_DIMS[system]
     amp = _log_uniform(rng, *ranges["amp"])
 
     def random_field(amplitude):
         return random_fourier_field(rng, grid, amplitude=amplitude)
     if system == "advection1d":
         fields = {"u": random_field(amp)}
-        constants = {"beta": Quantity(_log_uniform(rng, *ranges["beta"]), dims["beta"])}
+        constants = {"beta": _log_uniform(rng, *ranges["beta"])}
     elif system == "burgers1d":
         fields = {"u": random_field(amp)}
-        constants = {"nu": Quantity(_log_uniform(rng, *ranges["nu"]), dims["nu"])}
+        constants = {"nu": _log_uniform(rng, *ranges["nu"])}
     elif system == "diffreact2d":
         fields = {"u": random_field(amp), "v": random_field(amp)}
-        constants = {
-            name: Quantity(_log_uniform(rng, *ranges[name]), dims[name])
-            for name in ("Du", "Dv", "k")
-        }
+        constants = {name: _log_uniform(rng, *ranges[name]) for name in ("Du", "Dv", "k")}
     else:
         f_amp = _log_uniform(rng, *ranges["f_amp"])
         fields = {"omega": random_field(amp), "f": random_field(f_amp)}
-        constants = {"nu": Quantity(_log_uniform(rng, *ranges["nu"]), dims["nu"])}
+        constants = {"nu": _log_uniform(rng, *ranges["nu"])}
     return Sample(system, grid, fields, constants, t_final)
 
 

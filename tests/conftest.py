@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from dimino.data import Grid, Sample
-from dimino.dims import SCALE_DIMS, Quantity
 from dimino.solvers import random_fourier_field
 
 
 def make_sample(system, grid, fields, constants, t_final, targets=None):
-    dims = SCALE_DIMS[system]
     return Sample(
         system=system,
         grid=grid,
         fields=fields,
-        constants={k: Quantity(v, dims[k]) for k, v in constants.items()},
+        constants=dict(constants),
         t_final=t_final,
         targets=targets or {},
     )

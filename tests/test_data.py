@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from dimino.data import (
     load_dataset,
     save_dataset,
 )
-from dimino.dims import Quantity, SCALE_DIMS
 from dimino.solvers import generate_dataset
 
 # Each system's input fields, constants and targets, as generate_dataset writes them.
@@ -60,8 +60,7 @@ def test_dataset_round_trip_bit_exact(tmp_path):
             np.testing.assert_array_equal(sa.fields[name], sb.fields[name])
         for name in sa.targets:
             np.testing.assert_array_equal(sa.targets[name], sb.targets[name])
-        assert sa.constants["nu"].value == sb.constants["nu"].value
-        assert sa.constants["nu"].dim == sb.constants["nu"].dim
+        assert sa.constants["nu"] == sb.constants["nu"]
         assert sa.t_final == sb.t_final
     assert back.meta["seed"] == 5
 
@@ -136,13 +135,62 @@ def _recount(d):
     (d / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _patch_manifest(change):
+    """An edit that applies ``change`` to a copy's parsed manifest."""
+    def edit(d):
+        manifest = json.loads((d / "manifest.json").read_text())
+        change(manifest)
+        (d / "manifest.json").write_text(json.dumps(manifest))
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_recount, "2 samples, manifest says 3"),
     (lambda d: (d / "manifest.json").write_text("{"), "not JSON"),
+    pytest.param(_patch_manifest(lambda m: m.update(system="made-up")),
+                 "unknown system 'made-up'", id="unknown-system"),
+    pytest.param(_patch_manifest(lambda m: m["records"][1].update(name="mu")),
+                 r"no field or constant \['mu'\]", id="renamed-constant"),
+    pytest.param(_patch_manifest(lambda m: m["records"][0].update(name="w")),
+                 r"no field or constant \['w'\]", id="renamed-field"),
+    pytest.param(_patch_manifest(lambda m: m["field_dims"].update(u=[0, 2, -1])),
+                 "field_dims", id="wrong-field-dims"),
+    pytest.param(_patch_manifest(lambda m: m["constant_dims"].update(nu=[0, 1, -1])),
+                 "constant_dims", id="wrong-constant-dims"),
+    pytest.param(_patch_manifest(lambda m: m["field_dims"].update(u=[1, -1])),
+                 "field_dims", id="short-dim-vector"),
 ])
 def test_bad_manifest_raises_format_error(saved_dataset, edit, message):
     with pytest.raises(DatasetFormatError, match=message):
         _load_edited(saved_dataset, edit)
+
+
+# burgers1d blob of 2 samples on 16 points: 24 header bytes, then the u field
+# block (2 x 16 x 8 bytes), the nu block and the t_final block (2 x 8 each).
+_SCALAR_OFFSET = {"constant": 24 + 256, "time": 24 + 256 + 16}
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("constant", float("nan")),
+    ("constant", float("inf")),
+    ("time", float("nan")),
+    ("time", float("inf")),
+    ("time", -1.0),
+    ("time", 0.0),
+])
+def test_bad_scalar_in_blob_raises_format_error(saved_dataset, kind, value):
+    first = load_dataset(saved_dataset).split("train")[0]
+    stored = first.t_final if kind == "time" else first.constants["nu"]
+
+    def patch(d):
+        raw = bytearray((d / "train.bin").read_bytes())
+        at = _SCALAR_OFFSET[kind]
+        assert struct.unpack_from("<d", raw, at) == (stored,), "blob layout moved"
+        raw[at:at + 8] = struct.pack("<d", value)
+        (d / "train.bin").write_bytes(bytes(raw))
+    message = "a constant is not finite" if kind == "constant" else "t_final must be finite"
+    with pytest.raises(DatasetFormatError, match=message):
+        _load_edited(saved_dataset, patch)
 
 
 def test_intact_copy_loads(saved_dataset):
@@ -184,12 +232,11 @@ def random_datasets(draw):
                 tuple(draw(st.floats(0.1, 10.0)) for _ in range(rank)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t_final = draw(st.floats(1e-3, 1e3))
-    dims = SCALE_DIMS[system]
 
     def sample():
         return Sample(system, grid,
                       {n: rng.standard_normal(grid.shape) for n in fields},
-                      {n: Quantity(float(rng.uniform(1e-4, 10.0)), dims[n]) for n in constants},
+                      {n: float(rng.uniform(1e-4, 10.0)) for n in constants},
                       t_final,
                       {n: rng.standard_normal(grid.shape) for n in targets})
     splits = {"train": [sample() for _ in range(draw(st.integers(1, 3)))]}

@@ -100,7 +100,7 @@ def test_gamma_one_model_bit_equals_gate_free_path():
     x = ad.linear(x, tape.leaf(p["head_w1"]), tape.leaf(p["head_b1"]))
     x = ad.gelu(x)
     x = ad.linear(x, tape.leaf(p["head_w2"]), tape.leaf(p["head_b2"]))
-    ungated = x.data * scales["omega"].value
+    ungated = x.data * scales["omega"]
     np.testing.assert_array_equal(gated, ungated)
 
 
@@ -190,17 +190,45 @@ def test_f32_precision_runs_in_single():
     assert out.dtype == np.float32
 
 
-def test_latent_is_bit_invariant_under_similarity_transform():
-    model = DimINOModel(small_config())
-    sample = random_sample("ns-vorticity2d", seed=4)
+# Each system's input and target fields, as generate_dataset writes them.
+FIELDS = {
+    "advection1d": (["u"], ["u"]),
+    "burgers1d": (["u"], ["u"]),
+    "diffreact2d": (["u", "v"], ["u", "v"]),
+    "ns-vorticity2d": (["omega", "f"], ["omega"]),
+}
+
+
+@st.composite
+def sti_cases(draw):
+    """A gated model on random weights, a random sample and a power-of-two p."""
+    system = draw(st.sampled_from(sorted(FIELDS)))
+    sample = random_sample(system, seed=draw(st.integers(0, 2**16)))
+    points = sample.grid.points
+    max_modes = points[0] // 2 if sample.grid.rank == 2 else points[-1] // 2
+    in_fields, target_fields = FIELDS[system]
+    config = ModelConfig(
+        system=system, in_fields=in_fields, target_fields=target_fields,
+        rank=sample.grid.rank,
+        width=draw(st.integers(4, 16)),
+        depth=draw(st.integers(1, 3)),
+        modes=draw(st.integers(1, max_modes)),
+        gamma=draw(st.floats(0.0, 1.0)),
+        init_seed=draw(st.integers(0, 2**16)),
+    )
+    return DimINOModel(config), sample, 2.0 ** draw(st.integers(-3, 3))
+
+
+@given(case=sti_cases())
+@settings(max_examples=40, deadline=None)
+def test_latent_is_bit_invariant_under_similarity_transform(case):
+    model, sample, p = case
     base = model.forward([sample])
-    for p in (0.5, 2.0, 8.0):
-        moved = model.forward([dims.similar_transform(sample, p)])
-        np.testing.assert_array_equal(moved.u_star.data, base.u_star.data)
-        np.testing.assert_array_equal(
-            moved.output.data, base.output.data / p if p != 0.5 else
-            base.output.data * 2.0
-        )
+    moved = model.forward([dims.similar_transform(sample, p)])
+    rule = dims.similarity_exponents(sample.system)
+    ratios = np.array([p ** rule[name] for name in model.config.target_fields])
+    np.testing.assert_array_equal(moved.u_star.data, base.u_star.data)
+    np.testing.assert_array_equal(moved.output.data, ratios * base.output.data)
 
 
 def test_twin_latent_is_not_invariant():
@@ -331,7 +359,7 @@ def test_checkpoint_bad_magic_detected(tmp_path):
         load_model(path)
 
 
-def _rewrite_header(path, version=None, header=None, edit_config=None):
+def _rewrite_header(path, version=None, header=None, edit=None):
     """Rewrite a saved checkpoint's version or header and re-digest it, so
     only the header check can refuse it."""
     body = path.read_bytes()[:-8]
@@ -339,9 +367,9 @@ def _rewrite_header(path, version=None, header=None, edit_config=None):
     (old_version,) = struct.unpack_from("<I", body, off)
     (header_len,) = struct.unpack_from("<I", body, off + 4)
     raw = body[off + 8:off + 8 + header_len]
-    if edit_config is not None:
+    if edit is not None:
         parsed = json.loads(raw)
-        edit_config(parsed["config"])
+        edit(parsed)
         raw = json.dumps(parsed, sort_keys=True).encode()
     if header is not None:
         raw = header
@@ -352,14 +380,22 @@ def _rewrite_header(path, version=None, header=None, edit_config=None):
 
 @pytest.mark.parametrize("fault", [
     dict(version=2),
-    dict(edit_config=lambda c: c.update(gate_ffw=True)),
-    dict(edit_config=lambda c: c.pop("width")),
+    dict(version=3),
+    dict(edit=lambda h: h["config"].update(gate_ffw=True)),
+    dict(edit=lambda h: h["config"].pop("width")),
     dict(header=b"{not json"),
     dict(header=b"[1, 2]"),
-    dict(edit_config=lambda c: c.update(gamma=1.5)),
-    dict(edit_config=lambda c: c.update(depth="four")),
-], ids=["v2-file", "unknown-key", "missing-key", "malformed-json", "not-an-object",
-        "rejected-gamma", "wrong-type"])
+    dict(edit=lambda h: h["config"].update(gamma=1.5)),
+    dict(edit=lambda h: h["config"].update(depth="four")),
+    dict(edit=lambda h: h.update(dataset_field_scales={"omega": 1.0})),
+    dict(edit=lambda h: h.update(dataset_field_scales={"omega": 1.0, "f": float("nan")})),
+    dict(edit=lambda h: h.update(dataset_field_scales={"omega": float("inf"), "f": 1.0})),
+    dict(edit=lambda h: h.update(dataset_field_scales={"omega": 0.0, "f": 1.0})),
+    dict(edit=lambda h: h.update(dataset_field_scales={"omega": -2.0, "f": 1.0})),
+    dict(edit=lambda h: h.update(dataset_field_scales={"omega": [1.0, [0, 0, -1]], "f": 1.0})),
+], ids=["v2-file", "v3-file", "unknown-key", "missing-key", "malformed-json",
+        "not-an-object", "rejected-gamma", "wrong-type", "scale-missing", "scale-nan",
+        "scale-inf", "scale-zero", "scale-negative", "scale-v3-pair"])
 def test_checkpoint_header_faults_are_typed(tmp_path, fault):
     path = tmp_path / "m.bin"
     save_model(DimINOModel(small_config()), path)

@@ -315,7 +315,7 @@ def test_generate_burgers_equals_per_sample_loop(ranges, n_samples, seed, points
     for a, b in zip(got, want):
         assert np.array_equal(a.fields["u"], b.fields["u"])
         assert np.array_equal(a.targets["u"], b.targets["u"])
-        assert a.constants["nu"].value == b.constants["nu"].value
+        assert a.constants["nu"] == b.constants["nu"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -349,7 +349,7 @@ def test_generate_dataset_accepts_string_bounds_and_a_point_range():
     ds = generate_dataset("burgers1d", {"nu": ("1e-2", "1e-2"), "amp": (1, 1)}, 1, 0,
                           Grid((16,), (1.0,)), 0.1)
     assert ds.meta["param_ranges"]["nu"] == [1e-2, 1e-2]
-    assert ds.split("train")[0].constants["nu"].value == pytest.approx(1e-2, rel=1e-15)
+    assert ds.split("train")[0].constants["nu"] == pytest.approx(1e-2, rel=1e-15)
 
 
 @pytest.mark.parametrize("system, points", [
@@ -378,7 +378,7 @@ def test_generate_dataset_is_deterministic():
     for sa, sb in zip(a.split("train"), b.split("train")):
         np.testing.assert_array_equal(sa.fields["u"], sb.fields["u"])
         np.testing.assert_array_equal(sa.targets["u"], sb.targets["u"])
-        assert sa.constants["nu"].value == sb.constants["nu"].value
+        assert sa.constants["nu"] == sb.constants["nu"]
     assert not np.array_equal(
         a.split("train")[0].fields["u"], c.split("train")[0].fields["u"]
     )
