@@ -8,6 +8,7 @@ under the convention of :mod:`dimino.spectral`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, List, Optional, Sequence
 
@@ -238,62 +239,63 @@ def irfftn(y: Tensor, axes, s) -> Tensor:
     return y.tape._emit(x, (y,), backward)
 
 
+def _mode_blocks(sizes, modes):
+    """(spectrum index, stack index) pairs covering the retained modes.
+
+    A full FFT axis (every spectral axis but the last) keeps its low-|k|
+    modes at both ends, [:m] then [K-m:], stacked in that order; the last,
+    real-FFT axis keeps [:m].  The stack's axes are the weight's trailing
+    axes, so rank 2 gives the (2*m1, m2) corner layout.
+    """
+    ends = [((slice(0, m), slice(0, m)), (slice(K - m, K), slice(m, 2 * m)))
+            for K, m in zip(sizes[:-1], modes[:-1])]
+    ends.append(((slice(0, modes[-1]),) * 2,))
+    return [tuple(zip(*block)) for block in itertools.product(*ends)]
+
+
 def mode_mix(xhat: Tensor, w: Tensor, modes) -> Tensor:
     """Complex mode-truncated channel linear (spectral convolution kernel).
 
-    1D: xhat (B, K, Cin), w (Cin, Cout, m).  2D: xhat (B, K1, K2, Cin),
-    w (Cin, Cout, 2*m1, m2) covering the low-|k| corner rows.  Modes outside
-    the retained set map to zero.
+    xhat (B, *K, Cin), w (Cin, Cout, *kept): 1D keeps m modes, 2D keeps the
+    (2*m1, m2) low-|k| corner rows (see `_mode_blocks`).  The retained modes
+    are gathered into a (k, B, Cin) stack, mixed by one batched matmul with
+    the (k, Cin, Cout) weight, and scattered back; every other mode is zero.
     """
     tape = _same_tape(xhat, w)
-    rank = len(modes)
-    if rank == 1:
-        (m,) = modes
-        K = xhat.data.shape[1]
-        if m > K:
-            raise ShapeMismatch(f"mode_mix: {m} modes > spectrum size {K}")
-        out_c = w.data.shape[1]
-        y = np.zeros(xhat.data.shape[:-1] + (out_c,), dtype=xhat.data.dtype)
-        y[:, :m] = np.einsum("bki,iok->bko", xhat.data[:, :m], w.data)
+    b, *sizes, c_in = xhat.data.shape
+    modes = tuple(modes)
+    kept = tuple(2 * m for m in modes[:-1]) + modes[-1:]
+    if len(sizes) != len(modes) or any(k > K for k, K in zip(kept, sizes)):
+        raise ShapeMismatch(f"mode_mix: modes {modes} exceed spectrum {tuple(sizes)}")
+    c_out = w.data.shape[1]
+    if w.data.shape != (c_in, c_out) + kept:
+        raise ShapeMismatch(f"mode_mix: weight {w.data.shape} vs modes {kept}, {c_in} channels")
+    blocks = _mode_blocks(sizes, modes)
+    n_k = math.prod(kept)
 
-        def backward(g):
-            gc = g[:, :m]
-            gx = np.zeros_like(xhat.data)
-            gx[:, :m] = np.einsum("bko,iok->bki", gc, np.conj(w.data))
-            gw = np.einsum("bki,bko->iok", np.conj(xhat.data[:, :m]), gc)
-            return gx, gw.astype(w.data.dtype)
+    def gather(a):
+        stack = np.empty(kept + (b, a.shape[-1]), dtype=a.dtype)
+        for src, dst in blocks:
+            stack[dst] = np.moveaxis(a[(slice(None),) + src], 0, -2)
+        return stack.reshape(n_k, b, a.shape[-1])
 
-        return tape._emit(y, (xhat, w), backward)
+    def scatter(stack, c):
+        stack = stack.reshape(kept + (b, c))
+        out = np.zeros((b, *sizes, c), dtype=xhat.data.dtype)
+        for src, dst in blocks:
+            out[(slice(None),) + src] = np.moveaxis(stack[dst], -2, 0)
+        return out
 
-    m1, m2 = modes
-    _, K1, K2, _ = xhat.data.shape
-    if m2 > K2 or 2 * m1 > K1:
-        raise ShapeMismatch(f"mode_mix: modes {modes} exceed spectrum ({K1},{K2})")
-    out_c = w.data.shape[1]
-    w_lo, w_hi = w.data[:, :, :m1], w.data[:, :, m1:]
-    y = np.zeros(xhat.data.shape[:-1] + (out_c,), dtype=xhat.data.dtype)
-    y[:, :m1, :m2] = np.einsum("bxyi,ioxy->bxyo", xhat.data[:, :m1, :m2], w_lo)
-    y[:, K1 - m1:, :m2] = np.einsum(
-        "bxyi,ioxy->bxyo", xhat.data[:, K1 - m1:, :m2], w_hi
-    )
+    wk = np.moveaxis(w.data.reshape(c_in, c_out, n_k), -1, 0).copy()
+    xk = gather(xhat.data)
 
     def backward(g):
-        g_lo, g_hi = g[:, :m1, :m2], g[:, K1 - m1:, :m2]
-        gx = np.zeros_like(xhat.data)
-        gx[:, :m1, :m2] = np.einsum("bxyo,ioxy->bxyi", g_lo, np.conj(w_lo))
-        gx[:, K1 - m1:, :m2] = np.einsum("bxyo,ioxy->bxyi", g_hi, np.conj(w_hi))
-        gw = np.concatenate(
-            [
-                np.einsum("bxyi,bxyo->ioxy", np.conj(xhat.data[:, :m1, :m2]), g_lo),
-                np.einsum(
-                    "bxyi,bxyo->ioxy", np.conj(xhat.data[:, K1 - m1:, :m2]), g_hi
-                ),
-            ],
-            axis=2,
-        )
-        return gx, gw.astype(w.data.dtype)
+        gk = gather(g)
+        gx = scatter(gk @ np.conj(wk).transpose(0, 2, 1), c_in)
+        gw = np.conj(xk).transpose(0, 2, 1) @ gk
+        return gx, np.moveaxis(gw, 0, -1).reshape(w.data.shape).astype(w.data.dtype)
 
-    return tape._emit(y, (xhat, w), backward)
+    return tape._emit(scatter(xk @ wk, c_out), (xhat, w), backward)
 
 
 def gate_mul(x: Tensor, gate: Tensor) -> Tensor:

@@ -237,8 +237,9 @@ def _read_blob(path, system, grid, records, dtype, count):
                                            ).reshape(count, *shape)
         offset += size
     (times,) = blocks["time"].values()
-    if not all(np.isfinite(b).all() for b in blocks["constant"].values()):
-        raise DatasetFormatError(f"{path}: a constant is not finite")
+    for kind in ("field", "target", "constant"):
+        if not all(np.isfinite(b).all() for b in blocks[kind].values()):
+            raise DatasetFormatError(f"{path}: a {kind} is not finite")
     if not (np.isfinite(times) & (times > 0)).all():
         raise DatasetFormatError(f"{path}: t_final must be finite and positive")
     return [

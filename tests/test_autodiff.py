@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimino import autodiff as ad
 
@@ -152,3 +153,83 @@ def test_grad_check_flags_a_wrong_gradient():
 
     err = ad.grad_check(broken, [np.linspace(1, 2, 5)], n_sample=5, seed=0)
     assert err > 1e-2
+
+
+# -- spectral mode mixing ----------------------------------------------------
+
+def _mode_mix_einsum(xhat, w, modes, g):
+    """The per-corner einsum form of mode_mix: forward y, and the cotangents
+    gx, gw of Re<g, y>."""
+    y, gx = np.zeros(xhat.shape[:-1] + w.shape[1:2], xhat.dtype), np.zeros_like(xhat)
+    if len(modes) == 1:
+        (m,) = modes
+        y[:, :m] = np.einsum("bki,iok->bko", xhat[:, :m], w)
+        gx[:, :m] = np.einsum("bko,iok->bki", g[:, :m], np.conj(w))
+        gw = np.einsum("bki,bko->iok", np.conj(xhat[:, :m]), g[:, :m])
+        return y, gx, gw.astype(w.dtype)
+    m1, m2 = modes
+    gws = []
+    for rows, w_c in ((slice(0, m1), w[:, :, :m1]),
+                      (slice(xhat.shape[1] - m1, None), w[:, :, m1:])):
+        y[:, rows, :m2] = np.einsum("bxyi,ioxy->bxyo", xhat[:, rows, :m2], w_c)
+        gx[:, rows, :m2] = np.einsum("bxyo,ioxy->bxyi", g[:, rows, :m2], np.conj(w_c))
+        gws.append(np.einsum("bxyi,bxyo->ioxy", np.conj(xhat[:, rows, :m2]), g[:, rows, :m2]))
+    return y, gx, np.concatenate(gws, axis=2).astype(w.dtype)
+
+
+@st.composite
+def _mode_mix_case(draw):
+    rank = draw(st.sampled_from([1, 2]), label="rank")
+    b = draw(st.integers(1, 4), label="B")
+    c_in = draw(st.integers(1, 6), label="Cin")
+    c_out = draw(st.integers(1, 6).filter(lambda c: c != c_in), label="Cout")
+    if rank == 1:
+        modes = (draw(st.integers(1, 10), label="m"),)
+        sizes = (modes[0] + draw(st.integers(0, 6), label="extra K"),)
+    else:
+        modes = (draw(st.integers(1, 4), label="m1"), draw(st.integers(1, 5), label="m2"))
+        # 2*m1 plus an odd or even surplus: the first axis is often odd
+        sizes = (2 * modes[0] + draw(st.integers(0, 3), label="extra K1"),
+                 modes[1] + draw(st.integers(0, 3), label="extra K2"))
+    dtype = draw(st.sampled_from([np.complex128, np.complex64]), label="dtype")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    return modes, (b, *sizes, c_in), c_out, dtype, seed
+
+
+@given(case=_mode_mix_case())
+@settings(max_examples=150, deadline=None)
+def test_mode_mix_matches_einsum_form(case):
+    modes, x_shape, c_out, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    rc = lambda *s: (rng.standard_normal(s) + 1j * rng.standard_normal(s)).astype(dtype)
+    kept = tuple(2 * m for m in modes[:-1]) + modes[-1:]
+    xhat, w = rc(*x_shape), rc(x_shape[-1], c_out, *kept)
+    g = rc(*x_shape[:-1], c_out)
+    tape = ad.Tape()
+    xl, wl = tape.leaf(xhat, requires_grad=True), tape.leaf(w, requires_grad=True)
+    y = ad.mode_mix(xl, wl, modes)
+    tape.backward(ad.reduce_sum(ad.const_mul(y, np.conj(g))))  # cotangent of y is g
+
+    rtol = 1e-12 if dtype == np.complex128 else 1e-5
+    for got, want in zip((y.data, xl.grad, wl.grad), _mode_mix_einsum(xhat, w, modes, g)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+    assert wl.grad.dtype == w.dtype
+    retained = np.zeros(x_shape[1:-1], dtype=bool)
+    if len(modes) == 1:
+        retained[:modes[0]] = True
+    else:
+        retained[:modes[0], :modes[1]] = retained[-modes[0]:, :modes[1]] = True
+    assert not y.data[:, ~retained].any()
+    assert not xl.grad[:, ~retained].any()
+
+
+def test_mode_mix_rejects_modes_outside_the_spectrum_and_a_misshapen_weight():
+    tape = ad.Tape()
+    xhat = tape.leaf(np.ones((1, 7, 5, 2), dtype=complex))
+    with pytest.raises(ad.ShapeMismatch, match="exceed spectrum"):
+        ad.mode_mix(xhat, tape.leaf(np.ones((2, 3, 8, 2), dtype=complex)), (4, 2))
+    with pytest.raises(ad.ShapeMismatch, match="exceed spectrum"):
+        ad.mode_mix(xhat, tape.leaf(np.ones((2, 3, 6, 6), dtype=complex)), (3, 6))
+    with pytest.raises(ad.ShapeMismatch, match="weight"):
+        ad.mode_mix(xhat, tape.leaf(np.ones((2, 3, 6, 3), dtype=complex)), (3, 2))

@@ -193,6 +193,27 @@ def test_bad_scalar_in_blob_raises_format_error(saved_dataset, kind, value):
         _load_edited(saved_dataset, patch)
 
 
+# (byte offset, index) of one u value of sample 1: in the field block (after
+# sample 0's 16 values), and in the target block (after u, nu and t_final).
+_VALUE_AT = {"field": (24 + 8 * (16 + 5), 5), "target": (24 + 256 + 32 + 8 * (16 + 9), 9)}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind", ["field", "target"])
+def test_non_finite_value_in_blob_raises_format_error(saved_dataset, kind, value):
+    at, i = _VALUE_AT[kind]
+    second = load_dataset(saved_dataset).split("train")[1]
+    stored = (second.fields if kind == "field" else second.targets)["u"][i]
+
+    def patch(d):
+        raw = bytearray((d / "train.bin").read_bytes())
+        assert struct.unpack_from("<d", raw, at) == (stored,), "blob layout moved"
+        raw[at:at + 8] = struct.pack("<d", value)
+        (d / "train.bin").write_bytes(bytes(raw))
+    with pytest.raises(DatasetFormatError, match=f"a {kind} is not finite"):
+        _load_edited(saved_dataset, patch)
+
+
 def test_intact_copy_loads(saved_dataset):
     back = _load_edited(saved_dataset, lambda d: None)
     assert len(back.split("train")) == 2

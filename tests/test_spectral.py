@@ -189,3 +189,25 @@ def test_only_spectral_imports_an_fft_module():
              for path in sorted(src.glob("*.py"))}
     assert found.pop("spectral.py"), "the guard no longer sees spectral's own import"
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def _einsum_uses(tree):
+    """Line numbers of every einsum name, attribute or import in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any("einsum" in a.name for a in node.names):
+                yield node.lineno
+        elif ((isinstance(node, ast.Name) and "einsum" in node.id)
+              or (isinstance(node, ast.Attribute) and "einsum" in node.attr)):
+            yield node.lineno
+
+
+def test_no_module_calls_einsum():
+    """Spectral mode mixing has one path, a batched matmul; einsum (whose
+    default path does not call BLAS) is only a test oracle."""
+    assert list(_einsum_uses(ast.parse("y = np.einsum('ij->ji', x)"))) == [1]
+    src = Path(spectral.__file__).parent
+    found = {path.name: sorted(set(_einsum_uses(ast.parse(path.read_text()))))
+             for path in sorted(src.glob("*.py"))}
+    assert "autodiff.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
