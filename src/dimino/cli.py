@@ -84,8 +84,6 @@ def cmd_gen_data(args) -> int:
             args.system, ranges, args.n_test, args.seed + 1, grid, t_final, cfg
         )
         dataset.splits["test"] = test.splits["train"]
-    save_dataset(dataset, out, dtype=args.dtype)
-
     spec = dims.REGISTRY[args.system]
     cvals = np.stack(
         [
@@ -98,10 +96,8 @@ def cmd_gen_data(args) -> int:
         name: {"min": float(cvals[:, i].min()), "max": float(cvals[:, i].max())}
         for i, name in enumerate(spec.names)
     }
-    manifest_path = out / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["dimensionless_audit"] = audit
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    dataset.meta["dimensionless_audit"] = audit
+    save_dataset(dataset, out, dtype=args.dtype)
     _write_run_record(out, args, {"dataset_hash": dataset_hash(out)})
 
     n_total = sum(len(s) for s in dataset.splits.values())
@@ -112,18 +108,19 @@ def cmd_gen_data(args) -> int:
 
 
 def _model_config_from_args(args, dataset, use_dimnorm=True) -> ModelConfig:
-    records = json.loads((Path(args.data) / "manifest.json").read_text())["records"]
+    samples = dataset.split("train")
+    if not samples:
+        raise ValueError("dataset too small to split")
     return ModelConfig(
         system=dataset.system,
-        in_fields=[r["name"] for r in records if r["kind"] == "field"],
-        target_fields=[r["name"] for r in records if r["kind"] == "target"],
+        in_fields=list(samples[0].fields),
+        target_fields=list(samples[0].targets),
         rank=dataset.grid.rank,
         width=args.width,
         depth=args.depth,
         modes=args.modes,
         gamma=args.gamma,
         use_dimnorm=use_dimnorm,
-        scale_mode=args.scale_mode,
         precision=args.precision,
         init_seed=args.seed,
     )
@@ -185,13 +182,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sti_check(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     dataset = load_dataset(args.data)
     model = load_model(args.ckpt)
     baseline = load_model(args.baseline_ckpt) if args.baseline_ckpt else None
-    split = args.split if args.split in dataset.splits else "train"
-    samples = dataset.split(split)[: args.n]
+    default = "test" if "test" in dataset.splits else "train"
+    samples = dataset.split(default if args.split is None else args.split)[: args.n]
     p_list = [float(p) for p in args.p.split(",")]
-    cfg = SolverConfig(steps=args.solver_steps) if args.solver_steps else None
+    cfg = SolverConfig(steps=args.solver_steps)
     report = sti_check(model, samples, p_list, baseline, cfg)
     print(report.format_table())
     if args.oracle:
@@ -204,8 +203,9 @@ def cmd_sti_check(args) -> int:
             out, args,
             {"dataset_hash": dataset_hash(args.data), "ckpt_hash": _file_hash(args.ckpt)},
         )
-    worst_latent = max(e.latent_residual for e in report.entries)
-    if args.max_latent is not None and worst_latent > args.max_latent:
+    # np.max propagates NaN, and a NaN residual fails the gate
+    worst_latent = np.max([e.latent_residual for e in report.entries])
+    if args.max_latent is not None and not worst_latent <= args.max_latent:
         print(f"error: latent residual {worst_latent:.3e} > {args.max_latent:.3e}",
               file=sys.stderr)
         return 1
@@ -276,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=12)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--patience", type=int, default=30)
-    p.add_argument("--scale-mode", choices=("per-sample", "per-dataset"),
-                   default="per-sample")
     p.add_argument("--precision", choices=("f64", "f32"), default="f64")
     p.add_argument("--ablate-gate", action="store_true",
                    help="also train the gate-free twin for paired comparison")
@@ -296,11 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--baseline-ckpt")
     p.add_argument("--p", default="1,2,4,8")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--split", default="test")
-    p.add_argument("--solver-steps", type=int)
+    p.add_argument("--n", type=int, default=8, help="check the split's first N >= 1 samples")
+    p.add_argument("--split", help="split to check (default: test if present, else train)")
+    p.add_argument("--solver-steps", type=int,
+                   help="fixed step count of the ground-truth solves (>= 1)")
     p.add_argument("--max-latent", type=float,
-                   help="exit 1 if the latent residual exceeds this")
+                   help="exit 1 if the latent residual exceeds this or is NaN")
     p.add_argument("--oracle", action="store_true",
                    help="also run the solver-only invariance oracle")
     p.add_argument("--out")

@@ -244,20 +244,6 @@ def characteristic_scales_from_sample(sample) -> CharacteristicScales:
     return scales
 
 
-def dataset_scales(samples) -> CharacteristicScales:
-    """Shared field scales for a collection of samples (max over the set).
-
-    Constants stay per-sample; only field entries are returned here.
-    """
-    scales: CharacteristicScales = {}
-    for sample in samples:
-        for name, arr in sample.fields.items():
-            m = max(float(np.max(np.abs(arr))), EPS_FLOOR)
-            if m > scales.get(name, 0.0):
-                scales[name] = m
-    return scales
-
-
 def nondimensionalize(sample, scales: CharacteristicScales):
     """Divide fields by their scales; replace constants with the c-vector."""
     spec = REGISTRY[sample.system]
@@ -286,8 +272,8 @@ def similar_transform(sample, p: float):
     Dimensionless numbers of the result equal those of the original; for p a
     power of two the equality is bit-exact.
     """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0 < p < np.inf:
+        raise ValueError(f"p must be finite and positive, got {p}")
     rule = similarity_exponents(sample.system)
     fields = {
         name: arr * p ** rule.get(name, 0) for name, arr in sample.fields.items()

@@ -14,7 +14,7 @@ import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .autodiff import Tape, Tensor
 from .data import Sample
 
 CKPT_MAGIC = b"DINOCKPT"
-CKPT_VERSION = 4
+CKPT_VERSION = 5
 
 
 class ModelError(Exception):
@@ -43,10 +43,6 @@ class CorruptCheckpoint(ModelError):
     pass
 
 
-class MissingDatasetScales(ModelError):
-    """A per-dataset model has no shared scales yet: it was never trained."""
-
-
 @dataclass
 class ModelConfig:
     system: str
@@ -58,7 +54,6 @@ class ModelConfig:
     modes: int = 12
     gamma: float = 0.5
     use_dimnorm: bool = True
-    scale_mode: str = "per-sample"  # or "per-dataset"
     precision: str = "f64"
     init_seed: int = 0
 
@@ -158,19 +153,6 @@ class DimINOModel:
     def __init__(self, config: ModelConfig, params: Dict[str, np.ndarray] = None):
         self.config = config
         self.params = params if params is not None else init_params(config)
-        # shared field scales, populated when scale_mode == "per-dataset"
-        self.dataset_field_scales: Optional[dict] = None
-
-    # -- characteristic scales -------------------------------------------
-
-    def sample_scales(self, sample: Sample) -> dims.CharacteristicScales:
-        scales = dims.characteristic_scales_from_sample(sample)
-        if self.config.scale_mode == "per-dataset":
-            if self.dataset_field_scales is None:
-                raise MissingDatasetScales(
-                    "scale_mode 'per-dataset' needs dataset_field_scales; train the model first")
-            scales.update(self.dataset_field_scales)
-        return scales
 
     def _prepare(self, samples):
         """Network input, gate inputs and output scales of one batch.
@@ -191,7 +173,7 @@ class DimINOModel:
         if cfg.use_dimnorm:
             inputs, cvecs, out_scales = [], [], []
             for s in samples:
-                scales = self.sample_scales(s)
+                scales = dims.characteristic_scales_from_sample(s)
                 nd = dims.nondimensionalize(s, scales)
                 inputs.append(np.stack([nd.fields[n] for n in cfg.in_fields], axis=-1))
                 cvecs.append(list(nd.constants.values()))
@@ -277,10 +259,7 @@ def save_model(model: DimINOModel, path) -> None:
     blob = bytearray()
     blob += CKPT_MAGIC
     blob += struct.pack("<I", CKPT_VERSION)
-    # the header carries the shared per-dataset scales as well, since they
-    # change predictions just as the parameters do
-    shared = model.dataset_field_scales
-    header = {"config": asdict(model.config), "dataset_field_scales": shared}
+    header = {"config": asdict(model.config)}
     header_json = json.dumps(header, sort_keys=True).encode()
     blob += struct.pack("<I", len(header_json)) + header_json
     for name, arr in model.params.items():
@@ -311,7 +290,7 @@ def load_model(path) -> DimINOModel:
         )
     (header_len,) = struct.unpack_from("<I", body, off)
     off += 4
-    config, shared = _parse_header(path, body[off:off + header_len])
+    config = _parse_header(path, body[off:off + header_len])
     off += header_len
     params = {}
     try:
@@ -332,19 +311,21 @@ def load_model(path) -> DimINOModel:
             off += nbytes
     except (struct.error, KeyError, ValueError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed parameter table") from exc
-    model = DimINOModel(config, params)
-    model.dataset_field_scales = shared
-    return model
+    return DimINOModel(config, params)
 
 
 def _parse_header(path, raw: bytes):
-    """Model config and shared dataset scales of a checkpoint header.
+    """Model config of a checkpoint header, which holds nothing else.
 
-    Every fault (bad JSON, a missing or unknown config key, a config that
-    ``ModelConfig`` rejects, malformed scales) raises ``CorruptCheckpoint``.
+    Every fault (bad JSON, a header key other than ``config``, a missing or
+    unknown config key, a config that ``ModelConfig`` rejects) raises
+    ``CorruptCheckpoint``.
     """
     try:
         header = json.loads(raw.decode())
+        if set(header) != {"config"}:
+            raise CorruptCheckpoint(
+                f"{path}: header keys {sorted(header)}, expected ['config']")
         keys = set(header["config"])
         expected = {f.name for f in fields(ModelConfig)}
         if keys != expected:
@@ -352,14 +333,6 @@ def _parse_header(path, raw: bytes):
                 f"{path}: config keys differ from ModelConfig: "
                 f"unknown {sorted(keys - expected)}, missing {sorted(expected - keys)}"
             )
-        config = ModelConfig(**header["config"])
-        shared = header["dataset_field_scales"]
-        if shared is not None:
-            for name in config.in_fields + config.target_fields:
-                if not (np.isfinite(shared[name]) and shared[name] > 0):
-                    raise CorruptCheckpoint(
-                        f"{path}: dataset scale {name!r} is {shared[name]!r}, "
-                        "not finite and positive")
+        return ModelConfig(**header["config"])
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed header: {exc}") from exc
-    return config, shared

@@ -117,6 +117,8 @@ def sti_check(model: DimINOModel, samples: List[Sample], p_list,
     reported both single-shot and (for integer p) as a p-fold rollout; at
     p = 1 the one-step rollout is the single-shot prediction.
     """
+    if not samples:
+        raise ValueError("sti_check needs at least one sample")
     system = samples[0].system
     rule = dims.similarity_exponents(system)
     if model.config.system != system:

@@ -9,7 +9,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from . import dims, spectral
+from . import spectral
 from .data import Dataset, Sample
 from .model import DimINOModel
 
@@ -146,9 +146,6 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     train_samples = [samples[i] for i in perm[n_valid:]]
     if not train_samples:
         raise ValueError("dataset too small to split")
-
-    if model.config.scale_mode == "per-dataset":
-        model.dataset_field_scales = dims.dataset_scales(train_samples)
 
     names = list(model.params)
     state: dict = {}

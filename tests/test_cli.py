@@ -96,6 +96,25 @@ def test_train_gamma_outside_unit_interval_exits_one(adv_data, tmp_path, capsys)
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_train", [0, 1])
+def test_train_too_small_split_exits_one(tmp_path, capsys, n_train):
+    data = tmp_path / "d"
+    assert run(["gen-data", "--system", "advection1d", "--n", "1", "--n-test", "2",
+                "--grid", "16", "--t", "1", "--out", str(data)]) == 0
+    if n_train == 0:
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["splits"]["train"] = 0
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        blob = data / "train.bin"
+        header = bytearray(blob.read_bytes()[:24])  # magic, count, rank, points, itemsize
+        header[8:12] = (0).to_bytes(4, "little")
+        blob.write_bytes(bytes(header))
+        assert load_dataset(data).splits["train"] == []
+    assert run(["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                "--epochs", "1", "--width", "6", "--depth", "1", "--modes", "4"]) == 1
+    assert capsys.readouterr().err == "error: dataset too small to split\n"
+
+
 def test_train_missing_dataset_exits_one(tmp_path, capsys):
     assert run(["train", "--data", str(tmp_path / "nope"),
                 "--out", str(tmp_path / "o")]) == 1
@@ -136,6 +155,20 @@ def test_sti_check_table_and_report(adv_data, trained, tmp_path, capsys):
     assert all(e["latent_residual"] == 0.0 for e in report["entries"])
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--split", "nope"], "no split 'nope'"),
+    (["--n", "-1"], "--n must be >= 1, got -1"),
+    (["--n", "0"], "--n must be >= 1, got 0"),
+    (["--solver-steps", "0"], "steps must be >= 1"),
+    (["--p", "1,nan"], "p must be finite and positive, got nan"),
+], ids=["missing-split", "negative-n", "zero-n", "zero-solver-steps", "nan-p"])
+def test_sti_check_bad_flag_exits_one(adv_data, trained, capsys, extra, message):
+    assert run(["sti-check", "--data", str(adv_data), "--ckpt",
+                str(trained / "checkpoint.bin"), "--p", "1,2", *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_sti_check_latent_threshold_breach_exits_one(adv_data, trained, capsys):
     # an impossible threshold of exactly 0 passes for phi-last; force a breach
     # by checking the ablated configuration instead
@@ -153,6 +186,15 @@ def test_sti_check_latent_threshold_breach_exits_one(adv_data, trained, capsys):
     ])
     assert code == 1
     assert "latent residual" in capsys.readouterr().err
+
+
+def test_sti_check_nan_latent_residual_breaches_threshold(adv_data, tmp_path, capsys):
+    model = DimINOModel(ModelConfig("advection1d", ["u"], ["u"], 1, width=6, depth=2, modes=4))
+    model.params["head_w2"][:] = np.nan
+    save_model(model, tmp_path / "nan.bin")
+    assert run(["sti-check", "--data", str(adv_data), "--ckpt", str(tmp_path / "nan.bin"),
+                "--p", "1,2", "--n", "2", "--max-latent", "1"]) == 1
+    assert "error: latent residual nan > 1.000e+00" in capsys.readouterr().err
 
 
 def test_sti_check_oracle_is_exact_at_power_of_two_p(tmp_path, capsys):

@@ -134,14 +134,6 @@ def test_nondim_constants_match_registry_order():
     assert list(nd.constants) == ["reynolds", "strouhal", "froude"]
 
 
-def test_dataset_scales_take_max():
-    a = random_sample("burgers1d", seed=1)
-    b = random_sample("burgers1d", seed=2)
-    shared = dims.dataset_scales([a, b])
-    expect = max(np.max(np.abs(a.fields["u"])), np.max(np.abs(b.fields["u"])))
-    assert shared["u"] == expect
-
-
 # -- similarity transforms -------------------------------------------------
 
 @pytest.mark.parametrize("system", sorted(dims.REGISTRY))

@@ -381,21 +381,23 @@ def _rewrite_header(path, version=None, header=None, edit=None):
 @pytest.mark.parametrize("fault", [
     dict(version=2),
     dict(version=3),
+    dict(version=4),
     dict(edit=lambda h: h["config"].update(gate_ffw=True)),
     dict(edit=lambda h: h["config"].pop("width")),
     dict(header=b"{not json"),
     dict(header=b"[1, 2]"),
     dict(edit=lambda h: h["config"].update(gamma=1.5)),
     dict(edit=lambda h: h["config"].update(depth="four")),
-    dict(edit=lambda h: h.update(dataset_field_scales={"omega": 1.0})),
-    dict(edit=lambda h: h.update(dataset_field_scales={"omega": 1.0, "f": float("nan")})),
-    dict(edit=lambda h: h.update(dataset_field_scales={"omega": float("inf"), "f": 1.0})),
-    dict(edit=lambda h: h.update(dataset_field_scales={"omega": 0.0, "f": 1.0})),
-    dict(edit=lambda h: h.update(dataset_field_scales={"omega": -2.0, "f": 1.0})),
-    dict(edit=lambda h: h.update(dataset_field_scales={"omega": [1.0, [0, 0, -1]], "f": 1.0})),
-], ids=["v2-file", "v3-file", "unknown-key", "missing-key", "malformed-json",
-        "not-an-object", "rejected-gamma", "wrong-type", "scale-missing", "scale-nan",
-        "scale-inf", "scale-zero", "scale-negative", "scale-v3-pair"])
+    dict(edit=lambda h: h.update(dataset_field_scales=None)),
+    dict(edit=lambda h: h.update(dataset_field_scales={"omega": 1.0, "f": 1.0})),
+    dict(edit=lambda h: h.update(comment="")),
+    dict(edit=lambda h: h.update(Config=h["config"])),
+    dict(edit=lambda h: h.update({"": None})),
+    dict(edit=lambda h: h.update(config2={})),
+], ids=["v2-file", "v3-file", "v4-file", "unknown-key", "missing-key", "malformed-json",
+        "not-an-object", "rejected-gamma", "wrong-type", "header-null-scales",
+        "header-shared-scales", "header-comment", "header-config-twice", "header-empty-key",
+        "header-extra-object"])
 def test_checkpoint_header_faults_are_typed(tmp_path, fault):
     path = tmp_path / "m.bin"
     save_model(DimINOModel(small_config()), path)

@@ -191,6 +191,24 @@ def test_only_spectral_imports_an_fft_module():
     assert {name: uses for name, uses in found.items() if uses} == {}
 
 
+def _manifest_names(tree):
+    """Line numbers of every string constant that names the manifest file."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "manifest.json" in node.value):
+            yield node.lineno
+
+
+def test_only_data_names_the_manifest_file():
+    """dimino.data alone reads and writes manifest.json; other modules pass
+    extra manifest keys through ``Dataset.meta``."""
+    src = Path(spectral.__file__).parent
+    found = {path.name: sorted(set(_manifest_names(ast.parse(path.read_text()))))
+             for path in sorted(src.glob("*.py"))}
+    assert found.pop("data.py"), "the guard no longer sees data's own manifest I/O"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _einsum_uses(tree):
     """Line numbers of every einsum name, attribute or import in a module."""
     for node in ast.walk(tree):

@@ -84,6 +84,11 @@ def test_system_mismatch_rejected():
         sti_check(model, _ns_samples(), [1.0])
 
 
+def test_no_samples_rejected():
+    with pytest.raises(ValueError, match="at least one sample"):
+        sti_check(_model("ns-vorticity2d"), [], [1.0, 2.0])
+
+
 def test_solver_oracle_taylor_green_p2():
     # Taylor-Green input: the solver itself must obey the similarity rule
     grid = Grid((32, 32), (1.0, 1.0))

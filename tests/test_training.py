@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from dimino.data import Dataset, Grid
-from dimino.model import (
-    DimINOModel, MissingDatasetScales, ModelConfig, load_model, save_model,
-)
+from dimino.model import DimINOModel, ModelConfig, load_model, save_model
 from dimino.solvers import generate_dataset
 from dimino.training import (
     MissingSplit,
@@ -200,41 +198,20 @@ def burgers_dataset():
     return _tiny_dataset("burgers1d", n=10)
 
 
-def test_per_dataset_scale_mode_survives_training(burgers_dataset):
-    # the model config owns the scale mode; training must not reset it
-    model = _tiny_model(system="burgers1d", scale_mode="per-dataset")
-    model, _ = train(model, burgers_dataset, TrainConfig(loss="l2", epochs=1, batch_size=4))
-    assert model.config.scale_mode == "per-dataset"
-    assert set(model.dataset_field_scales) == {"u"}
-
-
-def test_per_dataset_scales_missing_until_trained(burgers_dataset, tmp_path):
-    samples = burgers_dataset.split("train")[:2]
-    model = _tiny_model(system="burgers1d", scale_mode="per-dataset")
-    with pytest.raises(MissingDatasetScales):
-        model.forward(samples)
-    model, _ = train(model, burgers_dataset, TrainConfig(loss="l2", epochs=1, batch_size=4))
-    assert np.all(np.isfinite(model.forward(samples).output.data))
-    save_model(model, tmp_path / "m.bin")
-    assert np.all(np.isfinite(load_model(tmp_path / "m.bin").forward(samples).output.data))
-
-
-@pytest.mark.parametrize("scale_mode,use_dimnorm,precision", [
-    pytest.param(mode, dimnorm, precision,
-                 id=f"{mode}-{dimnorm}" + ("" if precision == "f64" else f"-{precision}"))
+@pytest.mark.parametrize("use_dimnorm,precision", [
+    pytest.param(dimnorm, precision,
+                 id=f"per-sample-{dimnorm}" + ("" if precision == "f64" else f"-{precision}"))
     for precision in ("f64", "f32")
-    for mode in ("per-sample", "per-dataset")
     for dimnorm in (True, False)
 ])
 def test_checkpoint_reload_keeps_predictions_bit_identical(
-        burgers_dataset, tmp_path, scale_mode, use_dimnorm, precision):
-    model = _tiny_model(system="burgers1d", scale_mode=scale_mode,
-                        use_dimnorm=use_dimnorm, precision=precision)
+        burgers_dataset, tmp_path, use_dimnorm, precision):
+    model = _tiny_model(system="burgers1d", use_dimnorm=use_dimnorm, precision=precision)
     cfg = TrainConfig(loss="l2", epochs=2, batch_size=4, patience=0)
     model, _ = train(model, burgers_dataset, cfg)
     save_model(model, tmp_path / "m.bin")
     loaded = load_model(tmp_path / "m.bin")
-    assert loaded.dataset_field_scales == model.dataset_field_scales
+    assert loaded.config == model.config
     samples = burgers_dataset.split("train")
     np.testing.assert_array_equal(loaded.predict(samples), model.predict(samples))
 
