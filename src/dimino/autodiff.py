@@ -51,7 +51,7 @@ class Tensor:
 
 
 class Tape:
-    """Append-only record of primitive applications."""
+    """Append-only record of primitive applications, consumed by one backward."""
 
     def __init__(self):
         self._nodes = []
@@ -73,11 +73,16 @@ class Tape:
         return out
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate gradients into every requires-grad leaf."""
+        """Accumulate gradients into every requires-grad leaf, dropping each node
+        once it has run, so reference counting frees the step's activations."""
         if loss.data.size != 1:
             raise NonScalarLoss(f"loss must be scalar, got shape {loss.data.shape}")
+        if self._leaves is None:
+            raise AutodiffError("tape already replayed")
+        nodes, leaves, self._nodes, self._leaves = self._nodes, self._leaves, [], None
         grads = {loss.nid: np.ones_like(loss.data)}
-        for out, inputs, backward in reversed(self._nodes):
+        while nodes:
+            out, inputs, backward = nodes.pop()
             g = grads.pop(out.nid, None)
             if g is None:
                 continue
@@ -88,7 +93,7 @@ class Tape:
                     grads[t.nid] = grads[t.nid] + gi
                 else:
                     grads[t.nid] = gi
-        for leaf in self._leaves:
+        for leaf in leaves:
             if leaf.requires_grad:
                 g = grads.get(leaf.nid)
                 leaf.grad = np.zeros_like(leaf.data) if g is None else g
@@ -157,7 +162,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     tape = _same_tape(x, w, *( (b,) if b is not None else () ))
     y = x.data @ w.data
     if b is not None:
-        y = y + b.data
+        y += b.data
 
     def backward(g):
         gx = g @ w.data.T
@@ -175,11 +180,17 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = erf(x.data * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
 
     def backward(g):
-        pdf = np.exp(-0.5 * x.data**2) * _INV_SQRT2PI
-        return (g * (cdf + x.data * pdf),)
+        d = x.data * x.data
+        np.exp(np.multiply(d, -0.5, out=d), out=d)
+        d *= _INV_SQRT2PI
+        d *= x.data
+        d += cdf
+        return (np.multiply(d, g, out=d if d.dtype == g.dtype else None),)
 
     return x.tape._emit(x.data * cdf, (x,), backward)
 
@@ -203,6 +214,14 @@ def layernorm(x: Tensor, axes, eps: float = 1e-5) -> Tensor:
     return x.tape._emit(y, (x,), backward)
 
 
+def _real_axis_weights(shape, axis, edge, interior):
+    """Adjoint factor per mode of the real-FFT axis: `edge` at DC and Nyquist,
+    `interior` on the modes between, which stand for conjugate pairs."""
+    w = np.full(shape[axis], interior)
+    w[[0, -1]] = edge
+    return w.reshape((-1,) + (1,) * (len(shape) - 1 - axis % len(shape)))
+
+
 def rfftn(x: Tensor, axes) -> Tensor:
     """Real-to-complex FFT over the given axes (unnormalized)."""
     axes = tuple(axes)
@@ -211,13 +230,10 @@ def rfftn(x: Tensor, axes) -> Tensor:
         raise UnsupportedPrimitive("rfftn requires an even last transform axis")
     n_total = int(np.prod(sizes))
     y = spectral.rfftn(x.data, axes=axes)
-    # interior rfft modes (neither DC nor Nyquist) stand for a conjugate pair
-    interior = (slice(None),) * (axes[-1] % x.data.ndim) + (slice(1, -1),)
+    w = _real_axis_weights(y.shape, axes[-1], n_total, 0.5 * n_total)
 
     def backward(g):
-        d = np.array(g)
-        d[interior] *= 0.5
-        gx = spectral.irfftn(d, s=sizes, axes=axes) * n_total
+        gx = spectral.irfftn(np.multiply(g, w, dtype=g.dtype), s=sizes, axes=axes)
         return (gx.astype(x.data.dtype, copy=False),)
 
     return x.tape._emit(y, (x,), backward)
@@ -229,12 +245,11 @@ def irfftn(y: Tensor, axes, s) -> Tensor:
     s = tuple(s)
     n_total = int(np.prod(s))
     x = spectral.irfftn(y.data, s=s, axes=axes)
-    interior = (slice(None),) * (axes[-1] % y.data.ndim) + (slice(1, -1),)
+    w = _real_axis_weights(y.data.shape, axes[-1], 1.0 / n_total, 2.0 / n_total)
 
     def backward(g):
         gy = spectral.rfftn(g, axes=axes)
-        gy[interior] *= 2.0
-        return ((gy / n_total).astype(y.data.dtype, copy=False),)
+        return (np.multiply(gy, w, dtype=gy.dtype).astype(y.data.dtype, copy=False),)
 
     return y.tape._emit(x, (y,), backward)
 

@@ -58,8 +58,9 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        for name in ("width", "depth", "modes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.precision not in ("f64", "f32"):

@@ -110,10 +110,9 @@ class TrainConfig:
     valid_frac: float = 0.2
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("lr", 0), ("patience", 0)):
+            if not getattr(self, name) >= low:  # NaN fails too
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def _lr_at(cfg: TrainConfig, epoch: int) -> float:

@@ -1,8 +1,18 @@
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from dimino import autodiff as ad
+from dimino import spectral
+from dimino.model import DimINOModel, ModelConfig
+from dimino.training import build_loss
+
+from conftest import random_sample
 
 
 def scalar_loss(t):
@@ -31,6 +41,44 @@ def test_unused_leaf_gets_zero_gradient():
     y = tape.leaf(np.ones(3), requires_grad=True)
     tape.backward(scalar_loss(x))
     np.testing.assert_array_equal(y.grad, np.zeros(3))
+
+
+def test_a_tape_replays_once():
+    tape = ad.Tape()
+    x = tape.leaf(np.array([1.0, 2.0]), requires_grad=True)
+    loss = scalar_loss(x)
+    tape.backward(loss)
+    with pytest.raises(ad.AutodiffError, match="already replayed"):
+        tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_frees_each_step_without_the_cycle_collector():
+    # The tape holds every activation and each Tensor holds its tape; backward
+    # must break that cycle, or each step's arrays wait for gc.collect().
+    samples = [random_sample("advection1d", seed=i, with_targets=True) for i in range(8)]
+    target = np.stack([s.targets["u"] for s in samples])[..., None]
+    model = DimINOModel(ModelConfig("advection1d", ["u"], ["u"], 1, width=16, depth=4,
+                                    modes=8))
+
+    def step():
+        result = model.forward(samples, train=True)
+        result.tape.backward(build_loss("h1", result.output, target, 1))
+
+    step()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        step()
+        baseline = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            step()
+        retained = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert retained < 1_000_000, f"{retained / 1e6:.2f} MB retained by 5 steps"
 
 
 def test_cross_tape_use_is_rejected():
@@ -233,3 +281,94 @@ def test_mode_mix_rejects_modes_outside_the_spectrum_and_a_misshapen_weight():
         ad.mode_mix(xhat, tape.leaf(np.ones((2, 3, 6, 6), dtype=complex)), (3, 6))
     with pytest.raises(ad.ShapeMismatch, match="weight"):
         ad.mode_mix(xhat, tape.leaf(np.ones((2, 3, 6, 3), dtype=complex)), (3, 2))
+
+
+# -- rewritten kernels against the expressions they replace -----------------
+
+def _rfftn_adjoint_copy_and_scale(g, sizes, axes, dtype):
+    d = np.array(g)
+    d[(slice(None),) * axes[-1] + (slice(1, -1),)] *= 0.5
+    return (spectral.irfftn(d, s=sizes, axes=axes) * math.prod(sizes)).astype(dtype, copy=False)
+
+
+def _irfftn_adjoint_copy_and_scale(g, axes, dtype):
+    gy = spectral.rfftn(g, axes=axes)
+    gy[(slice(None),) * axes[-1] + (slice(1, -1),)] *= 2.0
+    n_total = math.prod(g.shape[a] for a in axes)
+    return (gy / n_total).astype(dtype, copy=False)
+
+
+def _gelu_erf_expressions(x, g):
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x**2) * (1.0 / math.sqrt(2.0 * math.pi))
+    return x * cdf, g * (cdf + x * pdf)
+
+
+@st.composite
+def _fft_case(draw, sizes):
+    rank = draw(st.sampled_from([1, 2]), label="rank")
+    shape = (draw(st.integers(1, 4), label="B"),
+             *(draw(st.sampled_from(sizes), label=f"N{a}") for a in range(rank)),
+             draw(st.integers(1, 5), label="C"))
+    real = draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+    # a float32 model's cotangents may arrive in float64 from the loss
+    wide = draw(st.booleans(), label="float64 cotangent")
+    return shape, real, wide, draw(st.integers(0, 2**32 - 1), label="seed")
+
+
+def _fft_adjoints(case):
+    """(new, copy-and-scale) cotangents of rfftn's input and irfftn's input."""
+    shape, real, wide, seed = case
+    rng = np.random.default_rng(seed)
+    axes = tuple(range(1, len(shape) - 1))
+    sizes = shape[1:-1]
+    cplx = np.result_type(real, np.complex64)
+    g_real = np.float64 if wide else real
+    g_cplx = np.result_type(g_real, np.complex64)
+    x = rng.standard_normal(shape).astype(real)
+    spec_shape = spectral.rfftn(x, axes).shape
+    y = (rng.standard_normal(spec_shape) + 1j * rng.standard_normal(spec_shape)).astype(cplx)
+    gy = (rng.standard_normal(spec_shape) + 1j * rng.standard_normal(spec_shape)).astype(g_cplx)
+    gx = rng.standard_normal(shape).astype(g_real)
+
+    # the cotangents of rfftn(x) and irfftn(y) are gy and gx
+    xl = (tape := ad.Tape()).leaf(x, requires_grad=True)
+    tape.backward(ad.reduce_sum(ad.const_mul(ad.rfftn(xl, axes), np.conj(gy))))
+    yl = (tape := ad.Tape()).leaf(y, requires_grad=True)
+    tape.backward(ad.reduce_sum(ad.const_mul(ad.irfftn(yl, axes, sizes), gx)))
+    return ((xl.grad, _rfftn_adjoint_copy_and_scale(gy, sizes, axes, real)),
+            (yl.grad, _irfftn_adjoint_copy_and_scale(gx, axes, cplx)))
+
+
+@given(case=_fft_case([2, 4, 8, 16, 32]))
+@settings(max_examples=150, deadline=None)
+def test_fft_adjoints_bit_equal_copy_and_scale_on_power_of_two_grids(case):
+    for got, want in _fft_adjoints(case):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@given(case=_fft_case([6, 12, 48]))
+@settings(max_examples=100, deadline=None)
+def test_fft_adjoints_match_copy_and_scale_to_rounding_on_other_even_grids(case):
+    rtol = 1e-14 if case[1] == np.float64 and case[2] is False else 1e-6
+    for got, want in _fft_adjoints(case):
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       real=st.sampled_from([np.float64, np.float32]), wide=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_gelu_bit_equals_erf_expressions(shape, real, wide, seed):
+    rng = np.random.default_rng(seed)
+    x = (3 * rng.standard_normal(shape)).astype(real)
+    g = rng.standard_normal(shape).astype(np.float64 if wide else real)
+    tape = ad.Tape()
+    xl = tape.leaf(x, requires_grad=True)
+    y = ad.gelu(xl)
+    tape.backward(ad.reduce_sum(ad.const_mul(y, g)))  # cotangent of y is g
+    for got, want in zip((y.data, xl.grad), _gelu_erf_expressions(x, g)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)

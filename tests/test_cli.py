@@ -141,6 +141,24 @@ def test_eval_missing_split_exits_one(adv_data, trained, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--batch-size", "-4"], "batch_size must be >= 1, got -4"),
+    (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+    (["--lr", "nan"], "lr must be >= 0, got nan"),
+    (["--lr", "-0.1"], "lr must be >= 0, got -0.1"),
+    (["--patience", "-1"], "patience must be >= 0, got -1"),
+    (["--width", "0"], "width must be >= 1, got 0"),
+    (["--modes", "0"], "modes must be >= 1, got 0"),
+], ids=["negative-batch", "zero-batch", "nan-lr", "negative-lr", "negative-patience",
+        "zero-width", "zero-modes"])
+def test_train_bad_flag_exits_one(adv_data, tmp_path, capsys, extra, message):
+    assert run(["train", "--data", str(adv_data), "--out", str(tmp_path / "o"),
+                "--epochs", "1", "--width", "6", "--depth", "1", "--modes", "4",
+                *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_sti_check_table_and_report(adv_data, trained, tmp_path, capsys):
     out = tmp_path / "sti"
     code = run([

@@ -137,6 +137,13 @@ def test_config_validation():
         small_config(precision="f16")
 
 
+@pytest.mark.parametrize("field", ["width", "modes"])
+def test_width_and_modes_below_one_rejected(field):
+    # zero used to reach init_params and fail there as "float division by zero"
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+        small_config(**{field: 0})
+
+
 @pytest.mark.parametrize("gamma", [1.5, -0.5])
 def test_gamma_outside_unit_interval_rejected(gamma):
     # 1.5 would train an all-pass gate, -0.5 would fail later inside forward
@@ -388,6 +395,7 @@ def _rewrite_header(path, version=None, header=None, edit=None):
     dict(header=b"[1, 2]"),
     dict(edit=lambda h: h["config"].update(gamma=1.5)),
     dict(edit=lambda h: h["config"].update(depth="four")),
+    dict(edit=lambda h: h["config"].update(width=0)),
     dict(edit=lambda h: h.update(dataset_field_scales=None)),
     dict(edit=lambda h: h.update(dataset_field_scales={"omega": 1.0, "f": 1.0})),
     dict(edit=lambda h: h.update(comment="")),
@@ -395,7 +403,7 @@ def _rewrite_header(path, version=None, header=None, edit=None):
     dict(edit=lambda h: h.update({"": None})),
     dict(edit=lambda h: h.update(config2={})),
 ], ids=["v2-file", "v3-file", "v4-file", "unknown-key", "missing-key", "malformed-json",
-        "not-an-object", "rejected-gamma", "wrong-type", "header-null-scales",
+        "not-an-object", "rejected-gamma", "wrong-type", "zero-width", "header-null-scales",
         "header-shared-scales", "header-comment", "header-config-twice", "header-empty-key",
         "header-extra-object"])
 def test_checkpoint_header_faults_are_typed(tmp_path, fault):
