@@ -5,10 +5,15 @@ them in exact reverse order, so gradients are bit-deterministic.  Complex
 tensors appear only inside the spectral primitives; their cotangents follow
 the (dL/dRe + i dL/dIm) convention, which makes the FFT adjoints below exact
 under the convention of :mod:`dimino.spectral`.
+
+``rfftn`` and ``irfftn`` have two paths.  Given ``modes``, they map straight
+between a real field and the compact spectrum of the modes an FNO block
+keeps (dense DFT bases, no full transform), and ``mode_mix`` mixes that
+compact spectrum; without ``modes`` they are full pocketfft transforms, which
+the H1 loss needs.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, List, Optional, Sequence
 
@@ -222,12 +227,37 @@ def _real_axis_weights(shape, axis, edge, interior):
     return w.reshape((-1,) + (1,) * (len(shape) - 1 - axis % len(shape)))
 
 
-def rfftn(x: Tensor, axes) -> Tensor:
-    """Real-to-complex FFT over the given axes (unnormalized)."""
+def _kept_shape(name, sizes, modes):
+    """Compact-spectrum shape of ``modes`` on a grid of ``sizes``: 2*m rows on
+    every axis but the last, m real-FFT modes on the last."""
+    modes = tuple(modes)
+    kept = tuple(2 * m for m in modes[:-1]) + modes[-1:]
+    limits = tuple(sizes[:-1]) + (sizes[-1] // 2,)
+    if len(modes) != len(sizes) or not all(1 <= k <= n for k, n in zip(kept, limits)):
+        raise ShapeMismatch(f"{name}: modes {modes} do not fit grid {tuple(sizes)}: "
+                            "need 1 <= 2*m <= N before the last axis, 1 <= m <= N/2 on it")
+    return modes, kept
+
+
+def rfftn(x: Tensor, axes, modes=None) -> Tensor:
+    """Real-to-complex FFT over the given axes (unnormalized).
+
+    With ``modes`` only the kept modes are computed, by dense DFT bases, into
+    the compact spectrum (B, *kept, C) of :func:`spectral.rfftn_kept`: 1D
+    keeps (m,), 2D the (2*m1, m2) low-|k| corner rows.
+    """
     axes = tuple(axes)
     sizes = tuple(x.data.shape[a] for a in axes)
     if sizes[-1] % 2:
         raise UnsupportedPrimitive("rfftn requires an even last transform axis")
+    if modes is not None:
+        modes, _ = _kept_shape("rfftn", sizes, modes)
+
+        def backward_kept(g):
+            gx = spectral.rfftn_kept_adjoint(g, axes, sizes)
+            return (gx.astype(x.data.dtype, copy=False),)
+
+        return x.tape._emit(spectral.rfftn_kept(x.data, axes, modes), (x,), backward_kept)
     n_total = int(np.prod(sizes))
     y = spectral.rfftn(x.data, axes=axes)
     w = _real_axis_weights(y.shape, axes[-1], n_total, 0.5 * n_total)
@@ -239,10 +269,25 @@ def rfftn(x: Tensor, axes) -> Tensor:
     return x.tape._emit(y, (x,), backward)
 
 
-def irfftn(y: Tensor, axes, s) -> Tensor:
-    """Complex-to-real inverse FFT over the given axes (1/N normalized)."""
+def irfftn(y: Tensor, axes, s, modes=None) -> Tensor:
+    """Complex-to-real inverse FFT over the given axes (1/N normalized).
+
+    With ``modes``, ``y`` is a compact spectrum from ``rfftn(..., modes)`` and
+    the result is the inverse of it zero-filled to the full spectrum.
+    """
     axes = tuple(axes)
     s = tuple(s)
+    if modes is not None:
+        modes, kept = _kept_shape("irfftn", s, modes)
+        if tuple(y.data.shape[a] for a in axes) != kept:
+            raise ShapeMismatch(f"irfftn: spectrum {y.data.shape} on axes {axes} "
+                                f"is not the compact layout {kept}")
+
+        def backward_kept(g):
+            gy = spectral.irfftn_kept_adjoint(g, axes, modes)
+            return (gy.astype(y.data.dtype, copy=False),)
+
+        return y.tape._emit(spectral.irfftn_kept(y.data, axes, s), (y,), backward_kept)
     n_total = int(np.prod(s))
     x = spectral.irfftn(y.data, s=s, axes=axes)
     w = _real_axis_weights(y.data.shape, axes[-1], 1.0 / n_total, 2.0 / n_total)
@@ -254,63 +299,36 @@ def irfftn(y: Tensor, axes, s) -> Tensor:
     return y.tape._emit(x, (y,), backward)
 
 
-def _mode_blocks(sizes, modes):
-    """(spectrum index, stack index) pairs covering the retained modes.
+def mode_mix(xk: Tensor, w: Tensor) -> Tensor:
+    """Complex channel linear per kept mode (the spectral convolution kernel).
 
-    A full FFT axis (every spectral axis but the last) keeps its low-|k|
-    modes at both ends, [:m] then [K-m:], stacked in that order; the last,
-    real-FFT axis keeps [:m].  The stack's axes are the weight's trailing
-    axes, so rank 2 gives the (2*m1, m2) corner layout.
+    xk (B, *kept, Cin) is a compact spectrum from ``rfftn(..., modes)`` and
+    w (Cin, Cout, *kept) holds one (Cin, Cout) matrix per mode.  The modes
+    are mixed by one k-major batched matmul, (k, B, Cin) @ (k, Cin, Cout).
     """
-    ends = [((slice(0, m), slice(0, m)), (slice(K - m, K), slice(m, 2 * m)))
-            for K, m in zip(sizes[:-1], modes[:-1])]
-    ends.append(((slice(0, modes[-1]),) * 2,))
-    return [tuple(zip(*block)) for block in itertools.product(*ends)]
-
-
-def mode_mix(xhat: Tensor, w: Tensor, modes) -> Tensor:
-    """Complex mode-truncated channel linear (spectral convolution kernel).
-
-    xhat (B, *K, Cin), w (Cin, Cout, *kept): 1D keeps m modes, 2D keeps the
-    (2*m1, m2) low-|k| corner rows (see `_mode_blocks`).  The retained modes
-    are gathered into a (k, B, Cin) stack, mixed by one batched matmul with
-    the (k, Cin, Cout) weight, and scattered back; every other mode is zero.
-    """
-    tape = _same_tape(xhat, w)
-    b, *sizes, c_in = xhat.data.shape
-    modes = tuple(modes)
-    kept = tuple(2 * m for m in modes[:-1]) + modes[-1:]
-    if len(sizes) != len(modes) or any(k > K for k, K in zip(kept, sizes)):
-        raise ShapeMismatch(f"mode_mix: modes {modes} exceed spectrum {tuple(sizes)}")
+    tape = _same_tape(xk, w)
+    b, *kept, c_in = xk.data.shape
     c_out = w.data.shape[1]
-    if w.data.shape != (c_in, c_out) + kept:
-        raise ShapeMismatch(f"mode_mix: weight {w.data.shape} vs modes {kept}, {c_in} channels")
-    blocks = _mode_blocks(sizes, modes)
+    if w.data.shape != (c_in, c_out, *kept):
+        raise ShapeMismatch(f"mode_mix: weight {w.data.shape} vs spectrum {xk.data.shape}")
     n_k = math.prod(kept)
-
-    def gather(a):
-        stack = np.empty(kept + (b, a.shape[-1]), dtype=a.dtype)
-        for src, dst in blocks:
-            stack[dst] = np.moveaxis(a[(slice(None),) + src], 0, -2)
-        return stack.reshape(n_k, b, a.shape[-1])
-
-    def scatter(stack, c):
-        stack = stack.reshape(kept + (b, c))
-        out = np.zeros((b, *sizes, c), dtype=xhat.data.dtype)
-        for src, dst in blocks:
-            out[(slice(None),) + src] = np.moveaxis(stack[dst], -2, 0)
-        return out
-
     wk = np.moveaxis(w.data.reshape(c_in, c_out, n_k), -1, 0).copy()
-    xk = gather(xhat.data)
+
+    def k_major(a):
+        return np.moveaxis(a.reshape(b, n_k, a.shape[-1]), 1, 0)
+
+    def batch_major(a):
+        return np.moveaxis(a, 0, 1).reshape(b, *kept, a.shape[-1])
+
+    xs = k_major(xk.data)
 
     def backward(g):
-        gk = gather(g)
-        gx = scatter(gk @ np.conj(wk).transpose(0, 2, 1), c_in)
-        gw = np.conj(xk).transpose(0, 2, 1) @ gk
+        gs = k_major(g)
+        gx = batch_major(gs @ np.conj(wk).transpose(0, 2, 1))
+        gw = np.conj(xs).transpose(0, 2, 1) @ gs
         return gx, np.moveaxis(gw, 0, -1).reshape(w.data.shape).astype(w.data.dtype)
 
-    return tape._emit(scatter(xk @ wk, c_out), (xhat, w), backward)
+    return tape._emit(batch_major(xs @ wk), (xk, w), backward)
 
 
 def gate_mul(x: Tensor, gate: Tensor) -> Tensor:
@@ -419,13 +437,13 @@ def standard_primitive_checks(seed: int = 0, n_sample: int = 12) -> dict:
         ),
         "mode-mix-1d": (
             lambda x, w: reduce_sum(
-                power(irfftn(mode_mix(rfftn(x, (1,)), w, (4,)), (1,), (16,)), 2)
+                power(irfftn(mode_mix(rfftn(x, (1,), (4,)), w), (1,), (16,), (4,)), 2)
             ),
             [r((2, 16, 3)), rc(3, 2, 4)],
         ),
         "mode-mix-2d": (
             lambda x, w: reduce_sum(
-                power(irfftn(mode_mix(rfftn(x, (1, 2)), w, (3, 3)), (1, 2), (8, 8)), 2)
+                power(irfftn(mode_mix(rfftn(x, (1, 2), (3, 3)), w), (1, 2), (8, 8), (3, 3)), 2)
             ),
             [r((2, 8, 8, 3)), rc(3, 2, 6, 3)],
         ),

@@ -4,9 +4,11 @@ Pipeline: LayerNorm -> FFW_pre -> DimGate -> spectral block stack -> head,
 with redimensionalization multiplying the dimensionless prediction by the
 target characteristic scales as the last step.  The gate MLP reads the log
 of the registry's dimensionless numbers; the spectral blocks are the FNO
-block of Li et al. (arXiv 2010.08895).  Setting ``use_dimnorm=False`` builds
-the baseline twin: raw field, constant and prediction-interval channels in,
-physical prediction out, no per-sample scaling anywhere.
+block of Li et al. (arXiv 2010.08895), with its Fourier transforms evaluated
+at the kept modes only (``ad.rfftn``/``ad.irfftn`` given ``modes``).  Setting
+``use_dimnorm=False`` builds the baseline twin: raw field, constant and
+prediction-interval channels in, physical prediction out, no per-sample
+scaling anywhere.
 """
 from __future__ import annotations
 
@@ -225,10 +227,11 @@ class DimINOModel:
             gate = ad.gate_expand(cl, cfg.width, cfg.gamma)
             x = ad.gate_mul(x, gate)
 
+        modes = (cfg.modes,) * cfg.rank
         for i in range(cfg.depth):
-            xh = ad.rfftn(x, spatial_axes)
-            y = ad.mode_mix(xh, leaves[f"block{i}_spec"], (cfg.modes,) * cfg.rank)
-            y = ad.irfftn(y, spatial_axes, spatial)
+            xh = ad.rfftn(x, spatial_axes, modes)
+            y = ad.mode_mix(xh, leaves[f"block{i}_spec"])
+            y = ad.irfftn(y, spatial_axes, spatial, modes)
             y = ad.add(y, ad.linear(x, leaves[f"block{i}_byp_w"], leaves[f"block{i}_byp_b"]))
             x = ad.gelu(y) if i < cfg.depth - 1 else y
 

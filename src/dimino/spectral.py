@@ -20,16 +20,28 @@ Spectra use the real-FFT layout: every transformed axis holds its modes in
 non-negative modes.  ``irfftn`` requires exactly that layout (it neither pads
 nor truncates), and the helpers below take the spatial ``shape`` and return
 one array per axis, shaped to broadcast against such a spectrum.
+
+Kept-mode transforms: ``rfftn_kept`` evaluates only the low modes an FNO
+block keeps, as small dense DFT matmuls (direct spectral evaluation, Lingsch
+et al., arXiv 2305.19663), into a compact spectrum.  Its last axis holds the
+real-FFT modes ``[0, m)``; every other transformed axis holds rows ``[0, m)``
+then ``[n - m, n)``, so the compact shape is ``(2*m1, ..., m)``.
+``irfftn_kept`` is the ``irfftn`` of that spectrum zero-filled to the full
+layout.  Each comes with its exact adjoint; all four use the same cached
+bases, and they match pocketfft to float64 rounding, not bit for bit.
 """
 from __future__ import annotations
 
+import functools
+import math
 from typing import List, Sequence
 
 import numpy as np
 from scipy.fft import fftfreq, rfftfreq
 from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 
-__all__ = ["rfftn", "irfftn", "mode_numbers", "wavenumbers", "dealias_mask",
+__all__ = ["rfftn", "irfftn", "rfftn_kept", "rfftn_kept_adjoint", "irfftn_kept",
+           "irfftn_kept_adjoint", "mode_numbers", "wavenumbers", "dealias_mask",
            "derivative_symbols", "gradients"]
 
 
@@ -45,6 +57,93 @@ def irfftn(y: np.ndarray, s, axes) -> np.ndarray:
         raise ValueError(f"irfftn: spectrum shape {y.shape} on axes {tuple(axes)} is not "
                          f"the real-FFT layout of s={tuple(s)}")
     return _c2r(y, axes, last, False, 2, None, 1)
+
+
+def _phases(rows, n):
+    """2*pi*(k*n mod N)/N for each row k and point n, reduced exactly in integers."""
+    return (2 * np.pi / n) * (np.outer(rows, np.arange(n)) % n)
+
+
+@functools.lru_cache(maxsize=64)
+def _real_basis(n: int, m: int, dtype: np.dtype) -> np.ndarray:
+    """(2m, n) rows cos then -sin of real-FFT modes [0, m): one matmul gives
+    [Re; Im] of those modes."""
+    phase = _phases(np.arange(m), n)
+    basis = np.concatenate([np.cos(phase), -np.sin(phase)]).astype(dtype)
+    basis.flags.writeable = False
+    return basis
+
+
+@functools.lru_cache(maxsize=64)
+def _complex_basis(n: int, m: int, dtype: np.dtype) -> np.ndarray:
+    """(2m, n) complex DFT rows k in [0, m) then [n - m, n), in the complex
+    precision of the real ``dtype``."""
+    phase = _phases(np.r_[0:m, n - m:n], n)
+    basis = (np.cos(phase) - 1j * np.sin(phase)).astype(np.result_type(dtype, np.complex64))
+    basis.flags.writeable = False
+    return basis
+
+
+def _along(mat: np.ndarray, a: np.ndarray, axis: int) -> np.ndarray:
+    """``mat`` (k, n) applied to ``axis`` of ``a``: that axis becomes k long."""
+    shape, axis = a.shape, axis % a.ndim
+    out = mat @ a.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
+
+
+def _real_dtype(a: np.ndarray) -> np.dtype:
+    return np.result_type(a.real.dtype, np.float32)
+
+
+def rfftn_kept(x: np.ndarray, axes, modes) -> np.ndarray:
+    """``rfftn(x, axes)`` at the kept modes only, as a compact spectrum.
+
+    ``modes`` has one entry per axis: the last axis keeps real-FFT modes
+    [0, m), every other axis rows [0, m) and [n - m, n).
+    """
+    *full, last = axes
+    real = _real_dtype(x)
+    re, im = np.split(_along(_real_basis(x.shape[last], modes[-1], real), x, last), 2, last)
+    y = np.empty(re.shape, np.result_type(real, np.complex64))
+    y.real, y.imag = re, im
+    for a, m in zip(full, modes):
+        y = _along(_complex_basis(x.shape[a], m, real), y, a)
+    return y
+
+
+def rfftn_kept_adjoint(y: np.ndarray, axes, s) -> np.ndarray:
+    """Adjoint of ``rfftn_kept`` to the real shape ``s`` on ``axes``."""
+    *full, last = axes
+    real = _real_dtype(y)
+    for a, n in zip(full, s):
+        y = _along(_complex_basis(n, y.shape[a] // 2, real).conj().T, y, a)
+    basis = _real_basis(s[-1], y.shape[last], real)
+    return _along(basis.T, np.concatenate([y.real, y.imag], axis=last), last)
+
+
+def _c2r_weights(s, m: int, trailing: int, dtype: np.dtype) -> np.ndarray:
+    """irfftn's weight per kept mode of the last axis: 1/N at DC and 2/N on the
+    modes between, which stand for conjugate pairs; N is the whole grid."""
+    w = np.full(m, 2.0 / math.prod(s))
+    w[0] = 1.0 / math.prod(s)
+    return w.astype(dtype).reshape((m,) + (1,) * trailing)
+
+
+def irfftn_kept(y: np.ndarray, axes, s) -> np.ndarray:
+    """``irfftn`` of the compact spectrum ``y`` zero-filled to the full layout.
+
+    As the c2r kernel does, it ignores the imaginary part of the DC column.
+    """
+    w = _c2r_weights(s, y.shape[axes[-1]], y.ndim - 1 - axes[-1] % y.ndim, _real_dtype(y))
+    return rfftn_kept_adjoint(y * w, axes, s)
+
+
+def irfftn_kept_adjoint(g: np.ndarray, axes, modes) -> np.ndarray:
+    """Adjoint of ``irfftn_kept``, from the real cotangent ``g``."""
+    s = [g.shape[a] for a in axes]
+    gy = rfftn_kept(g, axes, modes)
+    gy *= _c2r_weights(s, modes[-1], g.ndim - 1 - axes[-1] % g.ndim, _real_dtype(g))
+    return gy
 
 
 def _per_axis(arrays) -> List[np.ndarray]:

@@ -67,12 +67,13 @@ def build_loss(kind: str, out: ad.Tensor, target: np.ndarray, rank: int,
         spatial = target.shape[1:1 + rank]
         symbols = spectral.derivative_symbols(spatial, extent)
         for ik, dt in zip(symbols, spectral.gradients(target, extent, spatial_axes)):
-            de = ad.irfftn(ad.const_mul(eh, ik[..., None]), spatial_axes, spatial)
+            ik = ik[..., None].astype(eh.data.dtype, copy=False)
+            de = ad.irfftn(ad.const_mul(eh, ik), spatial_axes, spatial)
             num = ad.add(num, ad.reduce_sum(ad.power(de, 2), axes=reduce_axes))
             den = den + np.sum(dt**2, axis=reduce_axes)
     elif kind != "l2":
         raise ValueError(f"unknown loss kind {kind!r}")
-    inv_den = (1.0 / np.maximum(den, 1e-30)).astype(np.float64)
+    inv_den = (1.0 / np.maximum(den, 1e-30)).astype(out.data.dtype)
     ratio = ad.const_mul(num, inv_den)
     return ad.smul(ad.reduce_sum(ad.sqrt(ratio)), 1.0 / b)
 

@@ -225,62 +225,112 @@ def _mode_mix_einsum(xhat, w, modes, g):
     return y, gx, np.concatenate(gws, axis=2).astype(w.dtype)
 
 
+def _full_spectrum_block(x, w, modes, g):
+    """The FNO block as full pocketfft transforms around a zero-filled,
+    per-corner einsum mix: forward y, and the cotangents gx, gw of <g, y>."""
+    axes = tuple(range(1, x.ndim - 1))
+    sizes = x.shape[1:-1]
+    xhat = spectral.rfftn(x, axes)
+    gyhat = _irfftn_adjoint_copy_and_scale(g, axes, xhat.dtype)
+    yhat, gxhat, gw = _mode_mix_einsum(xhat, w, modes, gyhat)
+    return (spectral.irfftn(yhat, sizes, axes),
+            _rfftn_adjoint_copy_and_scale(gxhat, sizes, axes, x.dtype), gw)
+
+
+def _half_or_less(draw, n, label):
+    """A mode count in [1, n // 2], with the edge n // 2 drawn often."""
+    return draw(st.one_of(st.just(n // 2), st.integers(1, n // 2)), label=label)
+
+
 @st.composite
-def _mode_mix_case(draw):
+def _kept_block_case(draw):
     rank = draw(st.sampled_from([1, 2]), label="rank")
-    b = draw(st.integers(1, 4), label="B")
-    c_in = draw(st.integers(1, 6), label="Cin")
-    c_out = draw(st.integers(1, 6).filter(lambda c: c != c_in), label="Cout")
-    if rank == 1:
-        modes = (draw(st.integers(1, 10), label="m"),)
-        sizes = (modes[0] + draw(st.integers(0, 6), label="extra K"),)
-    else:
-        modes = (draw(st.integers(1, 4), label="m1"), draw(st.integers(1, 5), label="m2"))
-        # 2*m1 plus an odd or even surplus: the first axis is often odd
-        sizes = (2 * modes[0] + draw(st.integers(0, 3), label="extra K1"),
-                 modes[1] + draw(st.integers(0, 3), label="extra K2"))
-    dtype = draw(st.sampled_from([np.complex128, np.complex64]), label="dtype")
+    # power-of-two and other even grids; an axis before the last may be odd
+    even = [2, 4, 8, 16, 32, 6, 10, 12, 18, 24]
+    sizes = tuple(draw(st.sampled_from(even + ([5, 7, 9] if a < rank - 1 else [])),
+                       label=f"N{a}") for a in range(rank))
+    modes = tuple(_half_or_less(draw, n, f"m{a}") for a, n in enumerate(sizes))
+    b = draw(st.integers(1, 3), label="B")
+    c_in, c_out = draw(st.integers(1, 4), label="Cin"), draw(st.integers(1, 4), label="Cout")
+    real = draw(st.sampled_from([np.float64, np.float32]), label="dtype")
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
-    return modes, (b, *sizes, c_in), c_out, dtype, seed
+    return modes, (b, *sizes, c_in), c_out, real, seed
 
 
-@given(case=_mode_mix_case())
+@given(case=_kept_block_case())
 @settings(max_examples=150, deadline=None)
-def test_mode_mix_matches_einsum_form(case):
-    modes, x_shape, c_out, dtype, seed = case
+def test_kept_mode_block_matches_full_fft_and_einsum(case):
+    modes, x_shape, c_out, real, seed = case
     rng = np.random.default_rng(seed)
-    rc = lambda *s: (rng.standard_normal(s) + 1j * rng.standard_normal(s)).astype(dtype)
+    cplx = np.result_type(real, np.complex64)
     kept = tuple(2 * m for m in modes[:-1]) + modes[-1:]
-    xhat, w = rc(*x_shape), rc(x_shape[-1], c_out, *kept)
-    g = rc(*x_shape[:-1], c_out)
+    x = rng.standard_normal(x_shape).astype(real)
+    w = (rng.standard_normal((x_shape[-1], c_out, *kept))
+         + 1j * rng.standard_normal((x_shape[-1], c_out, *kept))).astype(cplx)
+    g = rng.standard_normal(x_shape[:-1] + (c_out,)).astype(real)
+    axes, sizes = tuple(range(1, len(x_shape) - 1)), x_shape[1:-1]
     tape = ad.Tape()
-    xl, wl = tape.leaf(xhat, requires_grad=True), tape.leaf(w, requires_grad=True)
-    y = ad.mode_mix(xl, wl, modes)
-    tape.backward(ad.reduce_sum(ad.const_mul(y, np.conj(g))))  # cotangent of y is g
+    xl, wl = tape.leaf(x, requires_grad=True), tape.leaf(w, requires_grad=True)
+    y = ad.irfftn(ad.mode_mix(ad.rfftn(xl, axes, modes), wl), axes, sizes, modes)
+    tape.backward(ad.reduce_sum(ad.const_mul(y, g)))  # cotangent of y is g
 
-    rtol = 1e-12 if dtype == np.complex128 else 1e-5
-    for got, want in zip((y.data, xl.grad, wl.grad), _mode_mix_einsum(xhat, w, modes, g)):
+    # Each result is bilinear in two operands.  A result that cancels to near
+    # zero (the DC mode alone, m = 1, often does) is judged against the size
+    # of its operands' products, not against its own size.
+    rtol = 1e-13 if real == np.float64 else 1e-5
+    amax = lambda a: float(np.max(np.abs(a)))
+    operands = ((x, w), (g, w), (x, g))
+    for got, want, (a, b) in zip((y.data, xl.grad, wl.grad),
+                                 _full_spectrum_block(x, w, modes, g), operands):
         assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
-    assert wl.grad.dtype == w.dtype
-    retained = np.zeros(x_shape[1:-1], dtype=bool)
-    if len(modes) == 1:
-        retained[:modes[0]] = True
-    else:
-        retained[:modes[0], :modes[1]] = retained[-modes[0]:, :modes[1]] = True
-    assert not y.data[:, ~retained].any()
-    assert not xl.grad[:, ~retained].any()
+        assert amax(got - want) <= rtol * max(amax(want), amax(a) * amax(b))
 
 
-def test_mode_mix_rejects_modes_outside_the_spectrum_and_a_misshapen_weight():
+def test_kept_mode_arguments_are_checked():
     tape = ad.Tape()
-    xhat = tape.leaf(np.ones((1, 7, 5, 2), dtype=complex))
-    with pytest.raises(ad.ShapeMismatch, match="exceed spectrum"):
-        ad.mode_mix(xhat, tape.leaf(np.ones((2, 3, 8, 2), dtype=complex)), (4, 2))
-    with pytest.raises(ad.ShapeMismatch, match="exceed spectrum"):
-        ad.mode_mix(xhat, tape.leaf(np.ones((2, 3, 6, 6), dtype=complex)), (3, 6))
+    x = tape.leaf(np.ones((1, 7, 8, 2)))
+    with pytest.raises(ad.ShapeMismatch, match="do not fit grid"):
+        ad.rfftn(x, (1, 2), (4, 2))  # 2 * 4 rows on a 7-point axis
+    with pytest.raises(ad.ShapeMismatch, match="do not fit grid"):
+        ad.rfftn(x, (1, 2), (3, 5))  # 5 real-FFT modes on 8 points
+    with pytest.raises(ad.ShapeMismatch, match="do not fit grid"):
+        ad.rfftn(x, (1, 2), (3, 0))
+    with pytest.raises(ad.ShapeMismatch, match="do not fit grid"):
+        ad.rfftn(x, (1, 2), (3,))
+    xk = ad.rfftn(x, (1, 2), (3, 2))
+    assert xk.shape == (1, 6, 2, 2)
+    np.testing.assert_array_equal(ad.rfftn(x, (-3, -2), (3, 2)).data, xk.data)
+    np.testing.assert_array_equal(ad.irfftn(xk, (-3, -2), (7, 8), (3, 2)).data,
+                                  ad.irfftn(xk, (1, 2), (7, 8), (3, 2)).data)
     with pytest.raises(ad.ShapeMismatch, match="weight"):
-        ad.mode_mix(xhat, tape.leaf(np.ones((2, 3, 6, 3), dtype=complex)), (3, 2))
+        ad.mode_mix(xk, tape.leaf(np.ones((2, 3, 6, 3), dtype=complex)))
+    with pytest.raises(ad.ShapeMismatch, match="weight"):
+        ad.mode_mix(xk, tape.leaf(np.ones((3, 3, 6, 2), dtype=complex)))
+    with pytest.raises(ad.ShapeMismatch, match="compact layout"):
+        ad.irfftn(xk, (1, 2), (7, 8), (3, 3))
+    with pytest.raises(ad.ShapeMismatch, match="do not fit grid"):
+        ad.irfftn(xk, (1, 2), (5, 8), (3, 2))
+
+
+@pytest.mark.parametrize("system, in_fields, target, rank", [
+    ("advection1d", ["u"], "u", 1), ("ns-vorticity2d", ["omega", "f"], "omega", 2)])
+def test_cold_and_warm_basis_caches_give_equal_results(system, in_fields, target, rank):
+    model = DimINOModel(ModelConfig(system, in_fields, [target], rank, width=8, depth=2, modes=4))
+    samples = [random_sample(system, seed=s, with_targets=True) for s in range(3)]
+    targets = np.stack([s.targets[target] for s in samples])[..., None]
+
+    def step():
+        res = model.forward(samples, train=True)
+        res.tape.backward(build_loss("h1", res.output, targets, rank))
+        return res.output.data, {k: t.grad for k, t in res.leaves.items()}
+
+    spectral._real_basis.cache_clear()
+    spectral._complex_basis.cache_clear()
+    cold = step()
+    warm = step()
+    np.testing.assert_array_equal(cold[0], warm[0])
+    for name in cold[1]:
+        np.testing.assert_array_equal(cold[1][name], warm[1][name])
 
 
 # -- rewritten kernels against the expressions they replace -----------------

@@ -21,6 +21,7 @@ from dimino.model import (
     save_model,
 )
 from dimino import dims
+from dimino.training import _target_array, build_loss
 
 from conftest import random_sample
 
@@ -90,10 +91,11 @@ def test_gamma_one_model_bit_equals_gate_free_path():
     x = ad.linear(x, tape.leaf(p["pre_w1"]), tape.leaf(p["pre_b1"]))
     x = ad.gelu(x)
     x = ad.linear(x, tape.leaf(p["pre_w2"]), tape.leaf(p["pre_b2"]))
+    modes = (cfg.modes,) * 2
     for i in range(cfg.depth):
-        xh = ad.rfftn(x, (1, 2))
-        y = ad.mode_mix(xh, tape.leaf(p[f"block{i}_spec"]), (cfg.modes,) * 2)
-        y = ad.irfftn(y, (1, 2), sample.grid.points)
+        xh = ad.rfftn(x, (1, 2), modes)
+        y = ad.mode_mix(xh, tape.leaf(p[f"block{i}_spec"]))
+        y = ad.irfftn(y, (1, 2), sample.grid.points, modes)
         y = ad.add(y, ad.linear(x, tape.leaf(p[f"block{i}_byp_w"]),
                                 tape.leaf(p[f"block{i}_byp_b"])))
         x = ad.gelu(y) if i < cfg.depth - 1 else y
@@ -246,6 +248,52 @@ def test_twin_latent_is_not_invariant():
     assert not np.allclose(moved, base / 2.0)
 
 
+# -- primitives each model path reaches ------------------------------------
+
+FORWARD_PRIMITIVES = ("rfftn", "irfftn", "mode_mix", "linear", "gelu", "layernorm",
+                      "gate_expand", "gate_mul", "add", "const_mul")
+GATE_PRIMITIVES = ("layernorm", "gate_expand", "gate_mul", "const_mul")
+LOSS_PRIMITIVES = ("sub", "reduce_sum", "power", "sqrt", "smul")
+
+
+def _count_calls(monkeypatch):
+    counts = dict.fromkeys(FORWARD_PRIMITIVES + LOSS_PRIMITIVES + ("Tape.backward",), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in FORWARD_PRIMITIVES + LOSS_PRIMITIVES:
+        monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    monkeypatch.setattr(ad.Tape, "backward", counted("Tape.backward", ad.Tape.backward))
+    return counts
+
+
+@pytest.mark.parametrize("system, in_fields, target, rank, gated", [
+    ("advection1d", ["u"], "u", 1, True),
+    ("advection1d", ["u"], "u", 1, False),
+    ("ns-vorticity2d", ["omega", "f"], "omega", 2, True),
+])
+def test_forward_and_training_step_reach_every_primitive(monkeypatch, system, in_fields,
+                                                         target, rank, gated):
+    """Every block runs rfftn, mode_mix and irfftn as separate tape primitives,
+    and one h1 step reaches the loss primitives and the backward pass: the
+    per-layer self-check of ``perfbench`` expects each of them to be called."""
+    model = DimINOModel(ModelConfig(system, in_fields, [target], rank, width=8, depth=3,
+                                    modes=4, use_dimnorm=gated))
+    samples = [random_sample(system, seed=s, with_targets=True) for s in range(2)]
+    counts = _count_calls(monkeypatch)
+    res = model.forward(samples, train=True)
+    expected = set(FORWARD_PRIMITIVES) - (set() if gated else set(GATE_PRIMITIVES))
+    assert {name for name in expected if not counts[name]} == set()
+    assert [counts[name] for name in ("rfftn", "mode_mix", "irfftn")] == [3, 3, 3]
+
+    res.tape.backward(build_loss("h1", res.output, _target_array(samples, [target]), rank))
+    assert {name for name in LOSS_PRIMITIVES + ("Tape.backward",) if not counts[name]} == set()
+
+
 # -- spectral block oracle -------------------------------------------------
 
 def _spectral_block(x, spec_w, byp_w, byp_b, modes):
@@ -255,9 +303,9 @@ def _spectral_block(x, spec_w, byp_w, byp_b, modes):
     spatial = x.shape[1:1 + rank]
     tape = ad.Tape()
     xl = tape.leaf(x)
-    xh = ad.rfftn(xl, spatial_axes)
-    y = ad.mode_mix(xh, tape.leaf(spec_w), modes)
-    y = ad.irfftn(y, spatial_axes, spatial)
+    xh = ad.rfftn(xl, spatial_axes, modes)
+    y = ad.mode_mix(xh, tape.leaf(spec_w))
+    y = ad.irfftn(y, spatial_axes, spatial, modes)
     return ad.add(y, ad.linear(xl, tape.leaf(byp_w), tape.leaf(byp_b))).data
 
 
@@ -292,13 +340,16 @@ def test_mode_mix_2d_truncates_outside_corners():
     m = 3
     w = np.ones((1, 1, 2 * m, m), dtype=complex)
     tape = ad.Tape()
-    y = ad.mode_mix(ad.rfftn(tape.leaf(x), (1, 2)), tape.leaf(w), (m, m))
-    spec = y.data[0, :, :, 0]
-    kept = np.zeros_like(spec, dtype=bool)
-    kept[:m, :m] = kept[16 - m:, :m] = True
-    assert np.all(spec[~kept] == 0)
+    y = ad.mode_mix(ad.rfftn(tape.leaf(x), (1, 2), (m, m)), tape.leaf(w))
     xh = np.fft.rfftn(x[0, :, :, 0], axes=(0, 1))
-    np.testing.assert_allclose(spec[kept], xh[kept], atol=1e-12)
+    kept = np.zeros_like(xh, dtype=bool)
+    kept[:m, :m] = kept[16 - m:, :m] = True
+    # the compact spectrum holds the corner rows [:m] then [16 - m:]
+    corners = np.concatenate([xh[:m, :m], xh[16 - m:, :m]])
+    np.testing.assert_allclose(y.data[0, :, :, 0], corners, atol=1e-12)
+    back = ad.irfftn(y, (1, 2), (16, 16), (m, m)).data[0, :, :, 0]
+    np.testing.assert_allclose(back, np.fft.irfftn(np.where(kept, xh, 0), s=(16, 16), axes=(0, 1)),
+                               atol=1e-12)
 
 
 # -- checkpoints -----------------------------------------------------------

@@ -14,11 +14,14 @@ from dimino.training import (
     format_metric_table,
     gain,
     grad_check_model,
+    _target_array,
     history_json,
     rel_metric,
     train,
 )
 from dimino import autodiff as ad
+
+from conftest import random_sample
 
 
 # -- metrics ---------------------------------------------------------------
@@ -253,3 +256,17 @@ def test_full_model_grad_check():
     ds = _tiny_dataset(n=2)
     err = grad_check_model(_tiny_model(), ds.split("train"), n_sample=4, seed=0)
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("system, in_fields, target, rank", [
+    ("advection1d", ["u"], "u", 1), ("ns-vorticity2d", ["omega", "f"], "omega", 2)])
+def test_float32_model_trains_with_float32_gradients(system, in_fields, target, rank):
+    model = DimINOModel(ModelConfig(system, in_fields, [target], rank, width=8, depth=2,
+                                    modes=4, precision="f32"))
+    samples = [random_sample(system, seed=s, with_targets=True) for s in range(3)]
+    res = model.forward(samples, train=True)
+    loss = build_loss("h1", res.output, _target_array(samples, [target]), rank)
+    assert loss.data.dtype == np.float32
+    res.tape.backward(loss)
+    for name, leaf in res.leaves.items():
+        assert leaf.grad.dtype == model.params[name].dtype, name
