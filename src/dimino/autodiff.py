@@ -70,11 +70,13 @@ class Tape:
         return t
 
     def _emit(self, data, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
+        """Record ``backward`` if any input needs a gradient.  A node holds ids
+        only, so an activation stays alive only while a closure reads it."""
         needs = any(t._needs for t in inputs)
         out = Tensor(data, self, self._next_id, needs=needs)
         self._next_id += 1
         if needs:
-            self._nodes.append((out, tuple(inputs), backward))
+            self._nodes.append((out.nid, tuple((t.nid, t._needs) for t in inputs), backward))
         return out
 
     def backward(self, loss: Tensor) -> None:
@@ -87,17 +89,17 @@ class Tape:
         nodes, leaves, self._nodes, self._leaves = self._nodes, self._leaves, [], None
         grads = {loss.nid: np.ones_like(loss.data)}
         while nodes:
-            out, inputs, backward = nodes.pop()
-            g = grads.pop(out.nid, None)
+            nid, inputs, backward = nodes.pop()
+            g = grads.pop(nid, None)
             if g is None:
                 continue
-            for t, gi in zip(inputs, backward(g)):
-                if gi is None or not t._needs:
+            for (i, needs), gi in zip(inputs, backward(g)):
+                if gi is None or not needs:
                     continue
-                if t.nid in grads:
-                    grads[t.nid] = grads[t.nid] + gi
+                if i in grads:
+                    grads[i] = grads[i] + gi
                 else:
-                    grads[t.nid] = gi
+                    grads[i] = gi
         for leaf in leaves:
             if leaf.requires_grad:
                 g = grads.get(leaf.nid)
@@ -122,27 +124,31 @@ def _sum_to(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+# Backward closures capture the arrays they read and plain shapes and dtypes,
+# never a Tensor, so forward frees every activation no backward reads.
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
+    sa, sb = a.shape, b.shape
     return tape._emit(
-        a.data + b.data, (a, b),
-        lambda g: (_sum_to(g, a.shape), _sum_to(g, b.shape)),
+        a.data + b.data, (a, b), lambda g: (_sum_to(g, sa), _sum_to(g, sb))
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
+    sa, sb = a.shape, b.shape
     return tape._emit(
-        a.data - b.data, (a, b),
-        lambda g: (_sum_to(g, a.shape), _sum_to(-g, b.shape)),
+        a.data - b.data, (a, b), lambda g: (_sum_to(g, sa), _sum_to(-g, sb))
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
+    av, bv = a.data, b.data
     return tape._emit(
-        a.data * b.data, (a, b),
-        lambda g: (_sum_to(g * b.data, a.shape), _sum_to(g * a.data, b.shape)),
+        av * bv, (a, b),
+        lambda g: (_sum_to(g * bv, av.shape), _sum_to(g * av, bv.shape)),
     )
 
 
@@ -153,9 +159,8 @@ def smul(a: Tensor, s: float) -> Tensor:
 def const_mul(a: Tensor, c: np.ndarray) -> Tensor:
     """Elementwise multiply by a constant (possibly complex) array."""
     c = np.asarray(c)
-    return a.tape._emit(
-        a.data * c, (a,), lambda g: (_sum_to(g * np.conj(c), a.shape),)
-    )
+    shape = a.shape
+    return a.tape._emit(a.data * c, (a,), lambda g: (_sum_to(g * np.conj(c), shape),))
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -165,16 +170,18 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
             f"linear: {x.data.shape[-1]} input channels vs weight {w.data.shape}"
         )
     tape = _same_tape(x, w, *( (b,) if b is not None else () ))
-    y = x.data @ w.data
+    xd, wd = x.data, w.data
+    y = xd @ wd
     if b is not None:
         y += b.data
+    b_shape = None if b is None else b.shape
 
     def backward(g):
-        gx = g @ w.data.T
-        gw = x.data.reshape(-1, w.data.shape[0]).T @ g.reshape(-1, w.data.shape[1])
-        if b is None:
+        gx = g @ wd.T
+        gw = xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1])
+        if b_shape is None:
             return gx, gw
-        return gx, gw, _sum_to(g, b.shape)
+        return gx, gw, _sum_to(g, b_shape)
 
     inputs = (x, w) if b is None else (x, w, b)
     return tape._emit(y, inputs, backward)
@@ -185,19 +192,26 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    cdf = erf(x.data * _INV_SQRT2)
-    cdf += 1.0
-    cdf *= 0.5
-
-    def backward(g):
-        d = x.data * x.data
-        np.exp(np.multiply(d, -0.5, out=d), out=d)
-        d *= _INV_SQRT2PI
-        d *= x.data
-        d += cdf
-        return (np.multiply(d, g, out=d if d.dtype == g.dtype else None),)
-
-    return x.tape._emit(x.data * cdf, (x,), backward)
+    """x * Phi(x).  When x needs a gradient, forward builds the derivative
+    Phi(x) + x * phi(x) and the tape keeps only that array; the output is
+    built in the buffer of Phi(x)."""
+    xd = x.data
+    y = np.multiply(xd, _INV_SQRT2)
+    erf(y, out=y)
+    y += 1.0
+    y *= 0.5
+    if not x._needs:
+        y *= xd
+        return x.tape._emit(y, (x,), None)
+    d = xd * xd
+    np.exp(np.multiply(d, -0.5, out=d), out=d)
+    d *= _INV_SQRT2PI
+    d *= xd
+    d += y
+    y *= xd
+    return x.tape._emit(
+        y, (x,), lambda g: (np.multiply(d, g, out=d if d.dtype == g.dtype else None),)
+    )
 
 
 def layernorm(x: Tensor, axes, eps: float = 1e-5) -> Tensor:
@@ -250,12 +264,13 @@ def rfftn(x: Tensor, axes, modes=None) -> Tensor:
     sizes = tuple(x.data.shape[a] for a in axes)
     if sizes[-1] % 2:
         raise UnsupportedPrimitive("rfftn requires an even last transform axis")
+    dtype = x.data.dtype
     if modes is not None:
         modes, _ = _kept_shape("rfftn", sizes, modes)
 
         def backward_kept(g):
             gx = spectral.rfftn_kept_adjoint(g, axes, sizes)
-            return (gx.astype(x.data.dtype, copy=False),)
+            return (gx.astype(dtype, copy=False),)
 
         return x.tape._emit(spectral.rfftn_kept(x.data, axes, modes), (x,), backward_kept)
     n_total = int(np.prod(sizes))
@@ -264,7 +279,7 @@ def rfftn(x: Tensor, axes, modes=None) -> Tensor:
 
     def backward(g):
         gx = spectral.irfftn(np.multiply(g, w, dtype=g.dtype), s=sizes, axes=axes)
-        return (gx.astype(x.data.dtype, copy=False),)
+        return (gx.astype(dtype, copy=False),)
 
     return x.tape._emit(y, (x,), backward)
 
@@ -277,6 +292,7 @@ def irfftn(y: Tensor, axes, s, modes=None) -> Tensor:
     """
     axes = tuple(axes)
     s = tuple(s)
+    dtype = y.data.dtype
     if modes is not None:
         modes, kept = _kept_shape("irfftn", s, modes)
         if tuple(y.data.shape[a] for a in axes) != kept:
@@ -285,7 +301,7 @@ def irfftn(y: Tensor, axes, s, modes=None) -> Tensor:
 
         def backward_kept(g):
             gy = spectral.irfftn_kept_adjoint(g, axes, modes)
-            return (gy.astype(y.data.dtype, copy=False),)
+            return (gy.astype(dtype, copy=False),)
 
         return y.tape._emit(spectral.irfftn_kept(y.data, axes, s), (y,), backward_kept)
     n_total = int(np.prod(s))
@@ -294,7 +310,7 @@ def irfftn(y: Tensor, axes, s, modes=None) -> Tensor:
 
     def backward(g):
         gy = spectral.rfftn(g, axes=axes)
-        return (np.multiply(gy, w, dtype=gy.dtype).astype(y.data.dtype, copy=False),)
+        return (np.multiply(gy, w, dtype=gy.dtype).astype(dtype, copy=False),)
 
     return y.tape._emit(x, (y,), backward)
 
@@ -312,6 +328,7 @@ def mode_mix(xk: Tensor, w: Tensor) -> Tensor:
     if w.data.shape != (c_in, c_out, *kept):
         raise ShapeMismatch(f"mode_mix: weight {w.data.shape} vs spectrum {xk.data.shape}")
     n_k = math.prod(kept)
+    w_shape, w_dtype = w.data.shape, w.data.dtype
     wk = np.moveaxis(w.data.reshape(c_in, c_out, n_k), -1, 0).copy()
 
     def k_major(a):
@@ -326,7 +343,7 @@ def mode_mix(xk: Tensor, w: Tensor) -> Tensor:
         gs = k_major(g)
         gx = batch_major(gs @ np.conj(wk).transpose(0, 2, 1))
         gw = np.conj(xs).transpose(0, 2, 1) @ gs
-        return gx, np.moveaxis(gw, 0, -1).reshape(w.data.shape).astype(w.data.dtype)
+        return gx, np.moveaxis(gw, 0, -1).reshape(w_shape).astype(w_dtype)
 
     return tape._emit(batch_major(xs @ wk), (xk, w), backward)
 
@@ -334,27 +351,29 @@ def mode_mix(xk: Tensor, w: Tensor) -> Tensor:
 def gate_mul(x: Tensor, gate: Tensor) -> Tensor:
     """Channel-broadcast gate multiply: x (B, *sp, C) times gate (B, C)."""
     tape = _same_tape(x, gate)
-    n_spatial = x.data.ndim - 2
+    xd = x.data
+    n_spatial = xd.ndim - 2
     gexp = gate.data.reshape(gate.data.shape[0], *([1] * n_spatial), -1)
     spatial_axes = tuple(range(1, 1 + n_spatial))
 
     def backward(g):
-        return g * gexp, np.sum(g * x.data, axis=spatial_axes)
+        return g * gexp, np.sum(g * xd, axis=spatial_axes)
 
-    return tape._emit(x.data * gexp, (x, gate), backward)
+    return tape._emit(xd * gexp, (x, gate), backward)
 
 
 def gate_expand(c: Tensor, n: int, gamma: float) -> Tensor:
     """Block-repeat (B, m) gate inputs into (B, n); the tail is ones."""
     b, m = c.data.shape
+    dtype = c.data.dtype
     l = gate_block_length(n, m, gamma)
     idx = np.arange(m * l) // max(l, 1)
-    out = np.ones((b, n), dtype=c.data.dtype)
+    out = np.ones((b, n), dtype=dtype)
     if l > 0:
         out[:, : m * l] = c.data[:, idx]
 
     def backward(g):
-        gc = np.zeros_like(c.data)
+        gc = np.zeros((b, m), dtype=dtype)
         if l > 0:
             np.add.at(gc.T, idx, g[:, : m * l].T)
         return (gc,)
@@ -382,9 +401,8 @@ def reduce_sum(x: Tensor, axes=None) -> Tensor:
 
 
 def power(x: Tensor, k: float) -> Tensor:
-    return x.tape._emit(
-        x.data**k, (x,), lambda g: (g * k * x.data ** (k - 1),)
-    )
+    xd = x.data
+    return x.tape._emit(xd**k, (x,), lambda g: (g * k * xd ** (k - 1),))
 
 
 def sqrt(x: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -145,6 +145,21 @@ def init_params(config: ModelConfig) -> Dict[str, np.ndarray]:
 
 
 @dataclass
+class Inputs:
+    """A prepared batch, in the model dtype: the network input x
+    (B, *grid, Cin), the log gate inputs log_c (B, m) and the output scales
+    (B, *1, Cout).  The twin has neither, so both are None."""
+    x: np.ndarray
+    log_c: Optional[np.ndarray] = None
+    out_scales: Optional[np.ndarray] = None
+
+    def take(self, idx) -> "Inputs":
+        """The rows ``idx`` (an index array or a slice) of every array."""
+        return Inputs(*(None if a is None else a[idx]
+                        for a in (self.x, self.log_c, self.out_scales)))
+
+
+@dataclass
 class ForwardResult:
     tape: Tape
     output: Tensor
@@ -157,8 +172,10 @@ class DimINOModel:
         self.config = config
         self.params = params if params is not None else init_params(config)
 
-    def _prepare(self, samples):
-        """Network input, gate inputs and output scales of one batch.
+    def prepare(self, samples: List[Sample]) -> Inputs:
+        """The model's input stage: network input, gate inputs and output
+        scales of a sample list.  It depends on no parameter, so a batch of
+        prepared samples is a row gather (``Inputs.take``).
 
         The gated model divides each field by its characteristic scale, so
         every channel is dimensionless and exactly invariant under
@@ -181,8 +198,10 @@ class DimINOModel:
                 inputs.append(np.stack([nd.fields[n] for n in cfg.in_fields], axis=-1))
                 cvecs.append(list(nd.constants.values()))
                 out_scales.append([scales[n] for n in cfg.target_fields])
-            return (np.stack(inputs).astype(cfg.dtype), np.array(cvecs),
-                    np.array(out_scales))
+            return Inputs(np.stack(inputs).astype(cfg.dtype),
+                          np.log(np.array(cvecs)).astype(cfg.dtype),
+                          np.array(out_scales).reshape(-1, *[1] * cfg.rank, cfg.out_channels)
+                          .astype(cfg.dtype))
         chans = [np.stack([s.fields[n] for s in samples]) for n in cfg.in_fields]
         shape = chans[0].shape
         per_sample = [[s.constants[n] for s in samples] for n in cfg.constant_names]
@@ -190,28 +209,29 @@ class DimINOModel:
         for vals in per_sample:
             vals = np.array(vals).reshape(-1, *[1] * (len(shape) - 1))
             chans.append(np.broadcast_to(vals, shape))
-        return np.stack(chans, axis=-1).astype(cfg.dtype), None, None
+        return Inputs(np.stack(chans, axis=-1).astype(cfg.dtype))
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, samples: List[Sample], train: bool = False,
+    def forward(self, batch: Union[List[Sample], Inputs], train: bool = False,
                 tape: Tape = None, leaves: Dict[str, Tensor] = None) -> ForwardResult:
+        """Run a sample list, or a batch ``prepare`` already made."""
         cfg = self.config
-        points = samples[0].grid.points
-        if cfg.modes > points[-1] // 2 or (cfg.rank == 2 and 2 * cfg.modes > points[0]):
+        if not isinstance(batch, Inputs):
+            batch = self.prepare(batch)
+        spatial = batch.x.shape[1:-1]
+        if cfg.modes > spatial[-1] // 2 or (cfg.rank == 2 and 2 * cfg.modes > spatial[0]):
             raise ModeOverflow(
-                f"{cfg.modes} retained modes exceed grid {points}"
+                f"{cfg.modes} retained modes exceed grid {spatial}"
             )
         spatial_axes = tuple(range(1, 1 + cfg.rank))
-        spatial = samples[0].grid.points
         if tape is None:
             tape = Tape()
             leaves = {
                 name: tape.leaf(arr, requires_grad=train)
                 for name, arr in self.params.items()
             }
-        x_in, c, out_scales = self._prepare(samples)
-        x = tape.leaf(x_in)
+        x = tape.leaf(batch.x)
 
         if cfg.use_dimnorm:
             x = ad.layernorm(x, spatial_axes)
@@ -220,7 +240,7 @@ class DimINOModel:
         x = ad.linear(x, leaves["pre_w2"], leaves["pre_b2"])
 
         if cfg.m > 0:
-            cl = tape.leaf(np.log(c).astype(cfg.dtype))
+            cl = tape.leaf(batch.log_c)
             cl = ad.linear(cl, leaves["cfw_w1"], leaves["cfw_b1"])
             cl = ad.gelu(cl)
             cl = ad.linear(cl, leaves["cfw_w2"], leaves["cfw_b2"])
@@ -240,17 +260,14 @@ class DimINOModel:
         u_star = ad.linear(x, leaves["head_w2"], leaves["head_b2"])
 
         if cfg.use_dimnorm:
-            sc = out_scales.reshape(
-                len(samples), *[1] * cfg.rank, cfg.out_channels
-            ).astype(cfg.dtype)
-            out = ad.const_mul(u_star, sc)
+            out = ad.const_mul(u_star, batch.out_scales)
         else:
             out = u_star
         return ForwardResult(tape, out, u_star, leaves)
 
-    def predict(self, samples: List[Sample]) -> np.ndarray:
+    def predict(self, batch: Union[List[Sample], Inputs]) -> np.ndarray:
         """Physical-space prediction, shape (B, *grid, out_channels)."""
-        return self.forward(samples).output.data
+        return self.forward(batch).output.data
 
 
 # -- checkpoint I/O -------------------------------------------------------

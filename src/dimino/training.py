@@ -111,9 +111,12 @@ class TrainConfig:
     valid_frac: float = 0.2
 
     def __post_init__(self):
-        for name, low in (("epochs", 1), ("batch_size", 1), ("lr", 0), ("patience", 0)):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("lr", 0), ("patience", 0),
+                          ("warmup_epochs", 0)):
             if not getattr(self, name) >= low:  # NaN fails too
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 < self.valid_frac < 1.0:
+            raise ValueError(f"valid_frac must lie in (0, 1), got {self.valid_frac}")
 
 
 def _lr_at(cfg: TrainConfig, epoch: int) -> float:
@@ -136,7 +139,9 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
           ) -> Tuple[DimINOModel, List[dict]]:
     """Train with Adam; retains the best-valid checkpoint.
 
-    Fully deterministic for a fixed (cfg.seed, single-thread BLAS).
+    Fully deterministic for a fixed (cfg.seed, single-thread BLAS).  The
+    train split is prepared and its targets stacked once; each step gathers
+    its rows.
     """
     samples = dataset.split("train")
     rng = np.random.default_rng(cfg.seed)
@@ -146,6 +151,8 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     train_samples = [samples[i] for i in perm[n_valid:]]
     if not train_samples:
         raise ValueError("dataset too small to split")
+    inputs = model.prepare(train_samples)
+    targets = _target_array(train_samples, model.config.target_fields)
 
     names = list(model.params)
     state: dict = {}
@@ -159,10 +166,9 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(train_samples))
         losses = []
         for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
-            result = model.forward(batch, train=True)
-            target = _target_array(batch, model.config.target_fields)
-            loss = build_loss(cfg.loss, result.output, target, rank, extent)
+            idx = order[start:start + cfg.batch_size]
+            result = model.forward(inputs.take(idx), train=True)
+            loss = build_loss(cfg.loss, result.output, targets[idx], rank, extent)
             if not np.isfinite(loss.data):
                 raise NaNLoss(epoch, step)
             if lr > 0:
@@ -196,10 +202,11 @@ def evaluate_samples(model: DimINOModel, samples, extent,
     """Mean per-sample, per-target-field metrics."""
     sums = {k: 0.0 for k in METRIC_KINDS}
     count = 0
+    inputs = model.prepare(samples)
     for start in range(0, len(samples), batch_size):
-        batch = samples[start:start + batch_size]
-        pred = model.predict(batch)
-        for i, s in enumerate(batch):
+        batch = slice(start, start + batch_size)
+        pred = model.predict(inputs.take(batch))
+        for i, s in enumerate(samples[batch]):
             for j, name in enumerate(model.config.target_fields):
                 for k in METRIC_KINDS:
                     sums[k] += rel_metric(k, pred[i, ..., j], s.targets[name], extent)

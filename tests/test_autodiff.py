@@ -412,13 +412,31 @@ def test_fft_adjoints_match_copy_and_scale_to_rounding_on_other_even_grids(case)
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_gelu_bit_equals_erf_expressions(shape, real, wide, seed):
+    """Forward with and without a gradient, and the derivative that forward
+    builds for backward, against the erf expressions; a float32 input may
+    meet a float64 cotangent."""
     rng = np.random.default_rng(seed)
     x = (3 * rng.standard_normal(shape)).astype(real)
     g = rng.standard_normal(shape).astype(np.float64 if wide else real)
+    want_y, want_gx = _gelu_erf_expressions(x, g)
     tape = ad.Tape()
     xl = tape.leaf(x, requires_grad=True)
     y = ad.gelu(xl)
     tape.backward(ad.reduce_sum(ad.const_mul(y, g)))  # cotangent of y is g
-    for got, want in zip((y.data, xl.grad), _gelu_erf_expressions(x, g)):
+    y_no_grad = ad.gelu(ad.Tape().leaf(x))
+    for got, want in ((y.data, want_y), (y_no_grad.data, want_y), (xl.grad, want_gx)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(x, xl.data)  # the input is never written
+
+
+def test_gelu_without_a_gradient_records_no_node_and_builds_no_derivative(monkeypatch):
+    exps = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda *a, **k: exps.append(1) or exp(*a, **k))
+    tape = ad.Tape()
+    x = np.linspace(-3, 3, 12).reshape(3, 4)
+    ad.gelu(tape.leaf(x))
+    assert tape._nodes == [] and exps == []
+    ad.gelu(tape.leaf(x, requires_grad=True))
+    assert len(tape._nodes) == 1 and len(exps) == 1

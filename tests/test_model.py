@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import json
 import struct
 import tempfile
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +24,11 @@ from dimino.model import (
     save_model,
 )
 from dimino import dims
+from dimino.data import Grid
+from dimino.solvers import random_fourier_field
 from dimino.training import _target_array, build_loss
 
-from conftest import random_sample
+from conftest import make_sample, random_sample
 
 
 def small_config(**kw):
@@ -246,6 +251,124 @@ def test_twin_latent_is_not_invariant():
     base = model.predict([sample])
     moved = model.predict([dims.similar_transform(sample, 2.0)])
     assert not np.allclose(moved, base / 2.0)
+
+
+# -- the input stage --------------------------------------------------------
+
+@st.composite
+def gathered_batches(draw):
+    """A model, a sample list, and row indices into it, repeats allowed."""
+    system = draw(st.sampled_from(sorted(FIELDS)))
+    in_fields, target_fields = FIELDS[system]
+    samples = [random_sample(system, seed=draw(st.integers(0, 2**16)))
+               for _ in range(draw(st.integers(1, 4)))]
+    config = ModelConfig(
+        system=system, in_fields=in_fields, target_fields=target_fields,
+        rank=samples[0].grid.rank, width=draw(st.integers(2, 8)), depth=2, modes=2,
+        use_dimnorm=draw(st.booleans(), label="gated"),
+        precision=draw(st.sampled_from(["f64", "f32"])),
+        init_seed=draw(st.integers(0, 2**16)),
+    )
+    idx = draw(st.lists(st.integers(0, len(samples) - 1), min_size=1, max_size=6))
+    return DimINOModel(config), samples, np.array(idx)
+
+
+@given(case=gathered_batches())
+@settings(max_examples=60, deadline=None)
+def test_gathered_inputs_bit_equal_the_sample_list(case):
+    model, samples, idx = case
+    got = model.forward(model.prepare(samples).take(idx))
+    want = model.forward([samples[i] for i in idx])
+    for a, b in ((got.output, want.output), (got.u_star, want.u_star)):
+        assert a.data.dtype == b.data.dtype == model.config.dtype
+        np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_inputs_of_the_twin_carry_no_gate_or_scales():
+    samples = [random_sample("ns-vorticity2d", seed=s) for s in range(3)]
+    gated = DimINOModel(small_config()).prepare(samples)
+    assert gated.x.shape == (3, 16, 16, 2)
+    assert gated.log_c.shape == (3, len(dims.REGISTRY["ns-vorticity2d"]))
+    assert gated.out_scales.shape == (3, 1, 1, 1)
+    twin = DimINOModel(small_config(use_dimnorm=False)).prepare(samples).take([2, 0])
+    assert twin.x.shape == (2, 16, 16, small_config(use_dimnorm=False).in_channels)
+    assert twin.log_c is None and twin.out_scales is None
+
+
+# -- what a training step keeps ---------------------------------------------
+
+def _closure_contents(fn, seen=None):
+    """Every object a backward closure reaches through its cells, nested
+    closures included."""
+    seen = set() if seen is None else seen
+    out = []
+    for cell in fn.__closure__ or ():
+        obj = cell.cell_contents
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        if callable(obj) and getattr(obj, "__closure__", None):
+            out += _closure_contents(obj, seen)
+    return out
+
+
+def test_a_training_step_keeps_only_what_backward_reads(monkeypatch):
+    """At the end of forward plus the h1 loss, a block's irfftn output and its
+    bypass linear output are already freed, no tape node holds a Tensor, and
+    the step holds at most 16 activations of (B, N, width)."""
+    b, n, width = 8, 256, 16
+    model = DimINOModel(ModelConfig("advection1d", ["u"], ["u"], 1, width=width,
+                                    depth=4, modes=12))
+    grid, rng = Grid((n,), (1.0,)), np.random.default_rng(0)
+    samples = [make_sample("advection1d", grid, {"u": random_fourier_field(rng, grid)},
+                           {"beta": 0.5 + 0.1 * i}, 1.0,
+                           {"u": random_fourier_field(rng, grid)}) for i in range(b)]
+    target = _target_array(samples, ["u"])
+
+    def step():
+        res = model.forward(samples, train=True)
+        return res, build_loss("h1", res.output, target, 1)
+
+    res, loss = step()  # warm the DFT basis caches
+    res.tape.backward(loss)
+    del res, loss
+
+    freed = {"irfftn": [], "byp": []}
+    irfftn, linear = ad.irfftn, ad.linear
+    byp = {id(model.params[f"block{i}_byp_w"]) for i in range(4)}
+
+    def watched_irfftn(y, axes, s, modes=None):
+        out = irfftn(y, axes, s, modes)
+        if modes is not None:
+            freed["irfftn"].append(weakref.ref(out.data))
+        return out
+
+    def watched_linear(x, w, b=None):
+        out = linear(x, w, b)
+        if id(w.data) in byp:
+            freed["byp"].append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(ad, "irfftn", watched_irfftn)
+    monkeypatch.setattr(ad, "linear", watched_linear)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res, loss = step()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert [len(freed[k]) for k in freed] == [4, 4]
+    assert all(ref() is None for refs in freed.values() for ref in refs)
+    for _, _, backward in res.tape._nodes:
+        assert not any(isinstance(o, ad.Tensor) for o in _closure_contents(backward))
+    activation = b * n * width * 8
+    assert held <= 16 * activation, f"{held / activation:.1f} activations held"
+    res.tape.backward(loss)
 
 
 # -- primitives each model path reaches ------------------------------------

@@ -5,6 +5,7 @@ from dimino.data import Dataset, Grid
 from dimino.model import DimINOModel, ModelConfig, load_model, save_model
 from dimino.solvers import generate_dataset
 from dimino.training import (
+    METRIC_KINDS,
     MissingSplit,
     NaNLoss,
     TrainConfig,
@@ -14,6 +15,7 @@ from dimino.training import (
     format_metric_table,
     gain,
     grad_check_model,
+    _lr_at,
     _target_array,
     history_json,
     rel_metric,
@@ -224,6 +226,83 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("valid_frac", float("nan")), ("valid_frac", 1.5), ("valid_frac", 1.0),
+    ("valid_frac", 0.0), ("valid_frac", -0.5), ("warmup_epochs", -3),
+])
+def test_bad_split_fraction_and_warmup_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must .*, got {value}"):
+        TrainConfig(**{field: value})
+
+
+def _train_per_batch(model, dataset, cfg):
+    """``train`` as it was before the input stage ran once per call: each
+    step prepares its own sample list and stacks its own targets, and
+    validation predicts sample lists."""
+    samples = dataset.split("train")
+    perm = np.random.default_rng(cfg.seed).permutation(len(samples))
+    n_valid = max(1, int(round(cfg.valid_frac * len(samples))))
+    valid = [samples[i] for i in perm[:n_valid]]
+    train_samples = [samples[i] for i in perm[n_valid:]]
+    names = list(model.params)
+    state, history = {}, []
+    best = {"rel-l2": np.inf, "params": None, "epoch": -1}
+    extent = dataset.grid.extent
+    for epoch in range(cfg.epochs):
+        lr = _lr_at(cfg, epoch)
+        order = np.random.default_rng([cfg.seed, epoch]).permutation(len(train_samples))
+        losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
+            result = model.forward(batch, train=True)
+            target = _target_array(batch, model.config.target_fields)
+            loss = build_loss(cfg.loss, result.output, target, model.config.rank, extent)
+            result.tape.backward(loss)
+            adam_step([model.params[n] for n in names],
+                      [result.leaves[n].grad for n in names], state, lr)
+            losses.append(float(loss.data))
+        sums, count = dict.fromkeys(METRIC_KINDS, 0.0), 0
+        for start in range(0, len(valid), 32):
+            batch = valid[start:start + 32]
+            pred = model.predict(batch)
+            for i, s in enumerate(batch):
+                for j, name in enumerate(model.config.target_fields):
+                    for k in METRIC_KINDS:
+                        sums[k] += rel_metric(k, pred[i, ..., j], s.targets[name], extent)
+                    count += 1
+        metrics = {k: sums[k] / count for k in METRIC_KINDS}
+        history.append({"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses)),
+                        **{f"valid_{k}": metrics[k] for k in METRIC_KINDS}})
+        if metrics["rel-l2"] < best["rel-l2"]:
+            best = {"rel-l2": metrics["rel-l2"], "epoch": epoch,
+                    "params": {k: v.copy() for k, v in model.params.items()}}
+    model.params = best["params"]
+    return model, history
+
+
+@pytest.mark.parametrize("use_dimnorm", [True, False], ids=["gated", "twin"])
+def test_train_bit_equals_the_per_batch_loop(monkeypatch, use_dimnorm):
+    # 180 samples: 36 validate in two predict batches (32 + 4), and 144 train
+    # in batches of 40, so the last batch of each epoch is short.
+    ds = generate_dataset("advection1d", {"amp": (0.01, 100.0)}, 180, 3,
+                          Grid((32,), (1.0,)), 1.0)
+    cfg = TrainConfig(loss="h1", epochs=3, batch_size=40, lr=5e-3, seed=5,
+                      warmup_epochs=1, patience=0)
+    want, want_history = _train_per_batch(_tiny_model(use_dimnorm=use_dimnorm), ds, cfg)
+    prepared = []
+    prepare = DimINOModel.prepare
+    monkeypatch.setattr(DimINOModel, "prepare",
+                        lambda self, samples: prepared.append(len(samples)) or
+                        prepare(self, samples))
+    got, got_history = train(_tiny_model(use_dimnorm=use_dimnorm), ds, cfg)
+    # the train split once, then the valid split once per epoch
+    assert prepared == [144] + [36] * cfg.epochs
+    assert got_history == want_history
+    assert list(got.params) == list(want.params)
+    for k in got.params:
+        np.testing.assert_array_equal(got.params[k], want.params[k])
 
 
 def test_evaluate_missing_split():
