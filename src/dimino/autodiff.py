@@ -6,11 +6,11 @@ tensors appear only inside the spectral primitives; their cotangents follow
 the (dL/dRe + i dL/dIm) convention, which makes the FFT adjoints below exact
 under the convention of :mod:`dimino.spectral`.
 
-``rfftn`` and ``irfftn`` have two paths.  Given ``modes``, they map straight
-between a real field and the compact spectrum of the modes an FNO block
-keeps (dense DFT bases, no full transform), and ``mode_mix`` mixes that
-compact spectrum; without ``modes`` they are full pocketfft transforms, which
-the H1 loss needs.
+Given ``modes``, ``rfftn`` and ``irfftn`` map straight between a real field
+and the compact spectrum of the modes an FNO block keeps (dense DFT bases, no
+full transform), and ``mode_mix`` mixes that compact spectrum.  Without
+``modes``, ``rfftn`` is the full pocketfft transform, whose ``abs2`` the H1
+loss weights by :func:`spectral.h1_weights`.
 """
 from __future__ import annotations
 
@@ -143,15 +143,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    av, bv = a.data, b.data
-    return tape._emit(
-        av * bv, (a, b),
-        lambda g: (_sum_to(g * bv, av.shape), _sum_to(g * av, bv.shape)),
-    )
-
-
 def smul(a: Tensor, s: float) -> Tensor:
     return a.tape._emit(a.data * s, (a,), lambda g: (g * s,))
 
@@ -233,14 +224,6 @@ def layernorm(x: Tensor, axes, eps: float = 1e-5) -> Tensor:
     return x.tape._emit(y, (x,), backward)
 
 
-def _real_axis_weights(shape, axis, edge, interior):
-    """Adjoint factor per mode of the real-FFT axis: `edge` at DC and Nyquist,
-    `interior` on the modes between, which stand for conjugate pairs."""
-    w = np.full(shape[axis], interior)
-    w[[0, -1]] = edge
-    return w.reshape((-1,) + (1,) * (len(shape) - 1 - axis % len(shape)))
-
-
 def _kept_shape(name, sizes, modes):
     """Compact-spectrum shape of ``modes`` on a grid of ``sizes``: 2*m rows on
     every axis but the last, m real-FFT modes on the last."""
@@ -275,7 +258,11 @@ def rfftn(x: Tensor, axes, modes=None) -> Tensor:
         return x.tape._emit(spectral.rfftn_kept(x.data, axes, modes), (x,), backward_kept)
     n_total = int(np.prod(sizes))
     y = spectral.rfftn(x.data, axes=axes)
-    w = _real_axis_weights(y.shape, axes[-1], n_total, 0.5 * n_total)
+    # adjoint factor per mode of the real-FFT axis: N at DC and Nyquist, N/2
+    # on the modes between, which stand for conjugate pairs
+    w = np.full(y.shape[axes[-1]], 0.5 * n_total)
+    w[[0, -1]] = n_total
+    w = w.reshape((-1,) + (1,) * (y.ndim - 1 - axes[-1] % y.ndim))
 
     def backward(g):
         gx = spectral.irfftn(np.multiply(g, w, dtype=g.dtype), s=sizes, axes=axes)
@@ -284,35 +271,30 @@ def rfftn(x: Tensor, axes, modes=None) -> Tensor:
     return x.tape._emit(y, (x,), backward)
 
 
-def irfftn(y: Tensor, axes, s, modes=None) -> Tensor:
-    """Complex-to-real inverse FFT over the given axes (1/N normalized).
-
-    With ``modes``, ``y`` is a compact spectrum from ``rfftn(..., modes)`` and
-    the result is the inverse of it zero-filled to the full spectrum.
-    """
+def irfftn(y: Tensor, axes, s, modes) -> Tensor:
+    """Complex-to-real inverse FFT (1/N normalized) of a compact spectrum
+    ``y`` from ``rfftn(..., modes)``, zero-filled to the full spectrum, to
+    the real shape ``s`` on ``axes``."""
     axes = tuple(axes)
     s = tuple(s)
     dtype = y.data.dtype
-    if modes is not None:
-        modes, kept = _kept_shape("irfftn", s, modes)
-        if tuple(y.data.shape[a] for a in axes) != kept:
-            raise ShapeMismatch(f"irfftn: spectrum {y.data.shape} on axes {axes} "
-                                f"is not the compact layout {kept}")
-
-        def backward_kept(g):
-            gy = spectral.irfftn_kept_adjoint(g, axes, modes)
-            return (gy.astype(dtype, copy=False),)
-
-        return y.tape._emit(spectral.irfftn_kept(y.data, axes, s), (y,), backward_kept)
-    n_total = int(np.prod(s))
-    x = spectral.irfftn(y.data, s=s, axes=axes)
-    w = _real_axis_weights(y.data.shape, axes[-1], 1.0 / n_total, 2.0 / n_total)
+    modes, kept = _kept_shape("irfftn", s, modes)
+    if tuple(y.data.shape[a] for a in axes) != kept:
+        raise ShapeMismatch(f"irfftn: spectrum {y.data.shape} on axes {axes} "
+                            f"is not the compact layout {kept}")
 
     def backward(g):
-        gy = spectral.rfftn(g, axes=axes)
-        return (np.multiply(gy, w, dtype=gy.dtype).astype(dtype, copy=False),)
+        gy = spectral.irfftn_kept_adjoint(g, axes, modes)
+        return (gy.astype(dtype, copy=False),)
 
-    return y.tape._emit(x, (y,), backward)
+    return y.tape._emit(spectral.irfftn_kept(y.data, axes, s), (y,), backward)
+
+
+def abs2(z: Tensor) -> Tensor:
+    """|z|**2 of a complex tensor, as re**2 + im**2; under the module's
+    cotangent convention its backward is 2 * g * z."""
+    zd = z.data
+    return z.tape._emit(zd.real**2 + zd.imag**2, (z,), lambda g: (zd * (2 * g),))
 
 
 def mode_mix(xk: Tensor, w: Tensor) -> Tensor:
@@ -425,12 +407,11 @@ def standard_primitive_checks(seed: int = 0, n_sample: int = 12) -> dict:
     rng = np.random.default_rng(seed)
     r = rng.standard_normal
     rc = lambda *s: r(s) + 1j * r(s)
-    c1 = rc(2, 9, 3)
-    c2 = rc(2, 8, 5, 3)
+    w1 = np.abs(r((2, 9, 3)))
+    w2 = np.abs(r((2, 8, 5, 3)))
     checks = {
-        "add": (lambda a, b: reduce_sum(mul(add(a, b), add(a, b))), [r((3, 4)), r(4)]),
+        "add": (lambda a, b: reduce_sum(power(add(a, b), 2)), [r((3, 4)), r(4)]),
         "sub": (lambda a, b: reduce_sum(power(sub(a, b), 2)), [r((3, 4)), r((3, 4))]),
-        "mul": (lambda a, b: reduce_sum(mul(a, b)), [r((3, 4)), r((3, 1))]),
         "scalar-mul": (lambda a: reduce_sum(power(smul(a, 1.7), 2)), [r((3, 4))]),
         "linear": (
             lambda x, w, b: reduce_sum(power(linear(x, w, b), 2)),
@@ -445,13 +426,12 @@ def standard_primitive_checks(seed: int = 0, n_sample: int = 12) -> dict:
             lambda x: reduce_sum(power(layernorm(x, (1,), eps=1e-4), 2)),
             [1e-2 * r((2, 6)) + 5.0],
         ),
-        "rfft-irfft-1d": (
-            lambda x: reduce_sum(power(irfftn(const_mul(rfftn(x, (1,)), c1), (1,), (16,)), 2)),
-            [r((2, 16, 3))],
+        "abs2": (lambda z: reduce_sum(const_mul(abs2(z), w1)), [rc(2, 9, 3)]),
+        "rfft-abs2-1d": (
+            lambda x: reduce_sum(const_mul(abs2(rfftn(x, (1,))), w1)), [r((2, 16, 3))],
         ),
-        "rfft-irfft-2d": (
-            lambda x: reduce_sum(power(irfftn(const_mul(rfftn(x, (1, 2)), c2), (1, 2), (8, 8)), 2)),
-            [r((2, 8, 8, 3))],
+        "rfft-abs2-2d": (
+            lambda x: reduce_sum(const_mul(abs2(rfftn(x, (1, 2))), w2)), [r((2, 8, 8, 3))],
         ),
         "mode-mix-1d": (
             lambda x, w: reduce_sum(

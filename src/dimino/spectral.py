@@ -1,4 +1,4 @@
-"""Fourier transforms, wavenumbers, dealiasing and the Fourier derivative.
+"""Fourier transforms, wavenumbers, dealiasing and the H1 seminorm's weights.
 
 Every FFT in dimino goes through ``rfftn`` and ``irfftn`` here.  Both call
 the pocketfft kernel that ``scipy.fft`` dispatches to, with the arguments
@@ -18,8 +18,10 @@ and float64 input keep their precision.
 Spectra use the real-FFT layout: every transformed axis holds its modes in
 ``fftfreq`` order except the last, which holds the ``n // 2 + 1``
 non-negative modes.  ``irfftn`` requires exactly that layout (it neither pads
-nor truncates), and the helpers below take the spatial ``shape`` and return
-one array per axis, shaped to broadcast against such a spectrum.
+nor truncates).  ``mode_numbers`` and ``wavenumbers`` take the spatial
+``shape`` and return one array per axis, shaped to broadcast against such a
+spectrum; ``h1_weights`` returns one array of the spectrum's shape, the
+weights that give the H1 seminorm from one ``rfftn`` by Parseval.
 
 Kept-mode transforms: ``rfftn_kept`` evaluates only the low modes an FNO
 block keeps, as small dense DFT matmuls (direct spectral evaluation, Lingsch
@@ -42,7 +44,7 @@ from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 
 __all__ = ["rfftn", "irfftn", "rfftn_kept", "rfftn_kept_adjoint", "irfftn_kept",
            "irfftn_kept_adjoint", "mode_numbers", "wavenumbers", "dealias_mask",
-           "derivative_symbols", "gradients"]
+           "h1_weights"]
 
 
 def rfftn(x: np.ndarray, axes) -> np.ndarray:
@@ -174,25 +176,26 @@ def dealias_mask(shape: Sequence[int], frac: float) -> np.ndarray:
     return mask
 
 
-def derivative_symbols(shape: Sequence[int], extent: Sequence[float]) -> List[np.ndarray]:
-    """i*k of each axis with the Nyquist mode zeroed, so differentiation stays
-    skew-symmetric."""
-    symbols = []
+@functools.lru_cache(maxsize=64)
+def h1_weights(shape: tuple, extent: tuple) -> np.ndarray:
+    """The H1 seminorm's weight per mode of an ``rfftn`` spectrum, by Parseval.
+
+    For a real field f on ``shape``, sum(w * |rfftn(f)|**2) is
+    sum over x and a of (df/dx_a)**2, where w = mult * sum_a k_a**2 / N:
+    k_a is axis a's wavenumber zeroed at index n // 2 (its Nyquist mode, so
+    differentiation stays skew-symmetric), mult is 1 at the last axis's DC
+    and Nyquist and 2 on the modes between, which stand for conjugate pairs,
+    and N is the whole grid.  Cached per (shape, extent) tuple; read-only.
+    """
+    if len(extent) != len(shape):
+        from .autodiff import ShapeMismatch  # autodiff imports this module
+        raise ShapeMismatch(f"h1_weights: extent {extent} does not match grid {shape}")
+    w = 0.0
     for n, k in zip(shape, wavenumbers(shape, extent)):
         k.flat[n // 2] = 0.0
-        symbols.append(1j * k)
-    return symbols
-
-
-def gradients(arr: np.ndarray, extent: Sequence[float], axes=None) -> List[np.ndarray]:
-    """d(arr)/dx_a on each transformed axis, by the Fourier derivative.
-
-    ``axes`` (default: all) must be consecutive; axes after them, such as a
-    trailing channel axis, are carried along.
-    """
-    axes = tuple(range(arr.ndim)) if axes is None else tuple(axes)
-    shape = tuple(arr.shape[a] for a in axes)
-    trailing = (1,) * (arr.ndim - 1 - axes[-1])
-    ah = rfftn(arr, axes)
-    return [irfftn(ah * ik.reshape(ik.shape + trailing), shape, axes)
-            for ik in derivative_symbols(shape, extent)]
+        w = w + k**2
+    mult = np.ones(shape[-1] // 2 + 1)
+    mult[1:(shape[-1] + 1) // 2] = 2.0
+    w = w * (mult / math.prod(shape))
+    w.flags.writeable = False
+    return w

@@ -11,9 +11,10 @@ import numpy as np
 from . import autodiff as ad
 from . import spectral
 from .data import Dataset, Sample
-from .model import DimINOModel
+from .model import DimINOModel, Inputs
 
 METRIC_KINDS = ("rel-l2", "rel-h1", "rel-l1")
+EVAL_BATCH = 32
 
 
 class NaNLoss(Exception):
@@ -27,24 +28,33 @@ class MissingSplit(Exception):
     pass
 
 
+def _h1_norm2(f: np.ndarray, axes, extent) -> np.ndarray:
+    """Squared H1 norm sum(f**2) + sum(w * |rfftn(f)|**2), with the weights of
+    ``spectral.h1_weights``, summed over the consecutive spatial ``axes`` and
+    every axis after them."""
+    w = spectral.h1_weights(tuple(f.shape[a] for a in axes), extent)
+    w = w.reshape(w.shape + (1,) * (f.ndim - 1 - axes[-1]))
+    fh = spectral.rfftn(f, axes)
+    sum_axes = tuple(range(axes[0], f.ndim))
+    return np.sum(f**2, axis=sum_axes) + np.sum(w * (fh.real**2 + fh.imag**2), axis=sum_axes)
+
+
 def rel_metric(kind: str, pred: np.ndarray, target: np.ndarray,
                extent=None) -> float:
     """Relative error of one field; falls back to the absolute norm when the
     target vanishes."""
     if pred.shape != target.shape:
         raise ad.ShapeMismatch(f"{pred.shape} vs {target.shape}")
-    if extent is None:
-        extent = (1.0,) * pred.ndim
+    extent = (1.0,) * pred.ndim if extent is None else tuple(extent)
     e = pred - target
     if kind == "rel-l2":
         num, den = np.linalg.norm(e.ravel()), np.linalg.norm(target.ravel())
     elif kind == "rel-l1":
         num, den = np.abs(e).sum(), np.abs(target).sum()
     elif kind == "rel-h1":
-        ge = spectral.gradients(e, extent)
-        gt = spectral.gradients(target, extent)
-        num = math.sqrt(np.sum(e**2) + sum(np.sum(g**2) for g in ge))
-        den = math.sqrt(np.sum(target**2) + sum(np.sum(g**2) for g in gt))
+        axes = tuple(range(e.ndim))
+        num = math.sqrt(_h1_norm2(e, axes, extent))
+        den = math.sqrt(_h1_norm2(target, axes, extent))
     else:
         raise ValueError(f"unknown metric kind {kind!r}")
     return float(num) if den == 0 else float(num / den)
@@ -57,21 +67,18 @@ def build_loss(kind: str, out: ad.Tensor, target: np.ndarray, rank: int,
     b = target.shape[0]
     spatial_axes = tuple(range(1, 1 + rank))
     reduce_axes = spatial_axes + (1 + rank,)
-    if extent is None:
-        extent = (1.0,) * rank
+    extent = (1.0,) * rank if extent is None else tuple(extent)
     e = ad.sub(out, tape.leaf(target.astype(out.data.dtype)))
     num = ad.reduce_sum(ad.power(e, 2), axes=reduce_axes)
-    den = np.sum(target**2, axis=reduce_axes)
     if kind == "h1":
-        eh = ad.rfftn(e, spatial_axes)
-        spatial = target.shape[1:1 + rank]
-        symbols = spectral.derivative_symbols(spatial, extent)
-        for ik, dt in zip(symbols, spectral.gradients(target, extent, spatial_axes)):
-            ik = ik[..., None].astype(eh.data.dtype, copy=False)
-            de = ad.irfftn(ad.const_mul(eh, ik), spatial_axes, spatial)
-            num = ad.add(num, ad.reduce_sum(ad.power(de, 2), axes=reduce_axes))
-            den = den + np.sum(dt**2, axis=reduce_axes)
-    elif kind != "l2":
+        w = spectral.h1_weights(target.shape[1:1 + rank], extent)[..., None]
+        eh2 = ad.abs2(ad.rfftn(e, spatial_axes))
+        eh2 = ad.const_mul(eh2, w.astype(out.data.dtype, copy=False))
+        num = ad.add(num, ad.reduce_sum(eh2, axes=reduce_axes))
+        den = _h1_norm2(target, spatial_axes, extent)
+    elif kind == "l2":
+        den = np.sum(target**2, axis=reduce_axes)
+    else:
         raise ValueError(f"unknown loss kind {kind!r}")
     inv_den = (1.0 / np.maximum(den, 1e-30)).astype(out.data.dtype)
     ratio = ad.const_mul(num, inv_den)
@@ -140,8 +147,8 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     """Train with Adam; retains the best-valid checkpoint.
 
     Fully deterministic for a fixed (cfg.seed, single-thread BLAS).  The
-    train split is prepared and its targets stacked once; each step gathers
-    its rows.
+    train and valid splits are prepared and their targets stacked once; each
+    step gathers its rows.
     """
     samples = dataset.split("train")
     rng = np.random.default_rng(cfg.seed)
@@ -153,6 +160,8 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
         raise ValueError("dataset too small to split")
     inputs = model.prepare(train_samples)
     targets = _target_array(train_samples, model.config.target_fields)
+    valid_inputs = model.prepare(valid)
+    valid_targets = _target_array(valid, model.config.target_fields)
 
     names = list(model.params)
     state: dict = {}
@@ -176,7 +185,7 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
                 grads = [result.leaves[n].grad for n in names]
                 adam_step([model.params[n] for n in names], grads, state, lr)
             losses.append(float(loss.data))
-        metrics = evaluate_samples(model, valid, extent)
+        metrics = evaluate_samples(model, valid_inputs, valid_targets, extent)
         record = {
             "epoch": epoch,
             "lr": lr,
@@ -197,21 +206,20 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     return model, history
 
 
-def evaluate_samples(model: DimINOModel, samples, extent,
-                     batch_size: int = 32) -> Dict[str, float]:
-    """Mean per-sample, per-target-field metrics."""
+def evaluate_samples(model: DimINOModel, inputs: Inputs, targets: np.ndarray,
+                     extent) -> Dict[str, float]:
+    """Mean per-sample, per-target-field metrics of prepared ``inputs``
+    against their stacked ``targets`` (B, *grid, C)."""
     sums = {k: 0.0 for k in METRIC_KINDS}
-    count = 0
-    inputs = model.prepare(samples)
-    for start in range(0, len(samples), batch_size):
-        batch = slice(start, start + batch_size)
+    for start in range(0, len(targets), EVAL_BATCH):
+        batch = slice(start, start + EVAL_BATCH)
         pred = model.predict(inputs.take(batch))
-        for i, s in enumerate(samples[batch]):
-            for j, name in enumerate(model.config.target_fields):
+        for p, t in zip(pred, targets[batch]):
+            for j in range(t.shape[-1]):
                 for k in METRIC_KINDS:
-                    sums[k] += rel_metric(k, pred[i, ..., j], s.targets[name], extent)
-                count += 1
-    return {k: sums[k] / max(count, 1) for k in METRIC_KINDS}
+                    sums[k] += rel_metric(k, p[..., j], t[..., j], extent)
+    count = targets.shape[0] * targets.shape[-1]
+    return {k: sums[k] / count for k in METRIC_KINDS}
 
 
 def evaluate(model: DimINOModel, dataset: Dataset, split: str,
@@ -221,7 +229,9 @@ def evaluate(model: DimINOModel, dataset: Dataset, split: str,
         samples = dataset.split(split)
     except KeyError as exc:
         raise MissingSplit(str(exc)) from exc
-    table = evaluate_samples(model, samples, dataset.grid.extent)
+    table = evaluate_samples(model, model.prepare(samples),
+                             _target_array(samples, model.config.target_fields),
+                             dataset.grid.extent)
     table["n"] = len(samples)
     if baseline:
         for k in METRIC_KINDS:

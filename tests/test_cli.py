@@ -232,7 +232,7 @@ def test_sti_check_oracle_is_exact_at_power_of_two_p(tmp_path, capsys):
 def test_grad_check_exits_zero(capsys):
     assert run(["grad-check", "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert "full-model" in out
+    assert "full-model " in out and "full-model-h1 " in out and "abs2 " in out
     assert "worst relative error" in out
 
 

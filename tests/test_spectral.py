@@ -6,7 +6,9 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+from dimino import autodiff as ad
 from dimino import spectral
+from dimino.training import rel_metric
 
 POW2 = st.sampled_from([8, 16, 32, 64])
 EXTENT = st.floats(0.25, 8.0)
@@ -29,40 +31,63 @@ def _trig_polynomial(rng, shape, extent, n_terms=4):
     return f, grads
 
 
+def _seminorm2(f, extent):
+    fh = spectral.rfftn(f, tuple(range(f.ndim)))
+    return np.sum(spectral.h1_weights(f.shape, tuple(extent)) * (fh.real**2 + fh.imag**2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(shape=st.lists(POW2, min_size=1, max_size=2),
        extent=st.lists(EXTENT, min_size=2, max_size=2),
        seed=st.integers(0, 2**32 - 1))
-def test_fourier_derivative_matches_analytic(shape, extent, seed):
+def test_h1_weights_match_analytic_gradient_energy(shape, extent, seed):
     extent = extent[:len(shape)]
-    f, exact = _trig_polynomial(np.random.default_rng(seed), shape, extent)
-    got = spectral.gradients(f, extent)
-    assert len(got) == len(shape)
-    for g, e in zip(got, exact):
-        assert np.max(np.abs(g - e)) <= 1e-10 * max(1.0, np.max(np.abs(e)))
+    f, grads = _trig_polynomial(np.random.default_rng(seed), shape, extent)
+    exact = sum(np.sum(g**2) for g in grads)
+    assert abs(_seminorm2(f, extent) - exact) <= 1e-10 * max(1.0, exact)
 
 
 @given(n=POW2, channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_gradients_carry_batch_and_channel_axes(n, channels, seed):
-    rng = np.random.default_rng(seed)
-    arr = rng.standard_normal((3, n, n, channels))
-    got = spectral.gradients(arr, (1.0, 2.0), axes=(1, 2))
+    """The H1 weights, broadcast over a (batch, *spatial, channel) spectrum as
+    the training loss does, weigh each slice exactly as that slice alone."""
+    arr = np.random.default_rng(seed).standard_normal((3, n, n, channels))
+    w = spectral.h1_weights((n, n), (1.0, 2.0))
+    ah = spectral.rfftn(arr, (1, 2))
+    energy = w[..., None] * (ah.real**2 + ah.imag**2)
     for b in range(3):
         for c in range(channels):
-            ref = spectral.gradients(arr[b, :, :, c], (1.0, 2.0))
-            for axis in range(2):
-                assert np.array_equal(got[axis][b, :, :, c], ref[axis])
+            fh = spectral.rfftn(arr[b, :, :, c], (0, 1))
+            assert np.array_equal(energy[b, :, :, c], w * (fh.real**2 + fh.imag**2))
 
 
 @given(shape=st.lists(POW2, min_size=1, max_size=2), extent=st.lists(EXTENT, min_size=2, max_size=2))
-def test_derivative_symbol_zeroes_nyquist(shape, extent):
-    symbols = spectral.derivative_symbols(shape, extent[:len(shape)])
-    for axis, (n, ik) in enumerate(zip(shape, symbols)):
-        flat = ik.reshape(-1)
-        assert ik.shape[axis] == flat.size
-        assert flat[n // 2] == 0
-        assert np.all(flat[1:n // 2] != 0)
+def test_h1_weights_vanish_only_on_dc_and_nyquist_modes(shape, extent):
+    shape, extent = tuple(shape), tuple(extent[:len(shape)])
+    w = spectral.h1_weights(shape, extent)
+    # a mode with every axis at DC or Nyquist has zero weight, every other a positive one
+    edge = np.ones((), dtype=bool)
+    for n, m in zip(shape, spectral.mode_numbers(shape)):
+        edge = edge & ((m == 0) | (m == n // 2))
+    assert w.shape == edge.shape
+    assert np.all(w[edge] == 0) and np.all(w[~edge] > 0)
+    # so a field holding only Nyquist modes has a zero seminorm
+    idx = np.indices(shape)
+    for axes in ([0], [len(shape) - 1], list(range(len(shape)))):
+        nyquist = (-1.0) ** sum(idx[a] for a in axes)
+        assert _seminorm2(nyquist, extent) <= 1e-20 * nyquist.size
+
+
+def test_h1_weights_check_the_extent():
+    with pytest.raises(ad.ShapeMismatch, match="extent"):
+        spectral.h1_weights((8,), (1.0, 2.0))
+    with pytest.raises(ad.ShapeMismatch, match="extent"):
+        spectral.h1_weights((8, 8), ())
+    with pytest.raises(ad.ShapeMismatch, match="extent"):
+        rel_metric("rel-h1", np.ones(8), np.arange(8.0), (1.0, 2.0))
+    with pytest.raises(ad.ShapeMismatch, match="extent"):
+        rel_metric("rel-h1", np.ones(8), np.arange(8.0), ())
 
 
 @given(shape=st.lists(POW2, min_size=1, max_size=2), extent=st.lists(EXTENT, min_size=2, max_size=2))
