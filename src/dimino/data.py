@@ -1,24 +1,34 @@
-"""Dataset containers and on-disk format.
+"""Dataset containers and dimino's one sealed binary container.
 
-A dataset is a directory with ``manifest.json`` plus one binary blob per
-split.  Blob layout: 8-byte magic ``DIMINO01``, u32 sample count, u32 rank,
-per-axis u32 sizes, u32 item size (4 or 8 bytes), then the records listed in
-the manifest, concatenated in order as row-major little-endian floats.
+Every binary file dimino writes, a dataset blob or a model checkpoint, is a
+sealed container (``write_sealed`` / ``read_sealed``): an 8-byte magic, u32
+version, u32-length JSON header, then one record per named array (u16 name
+length, name, u8 dtype code, u8 ndim, u32 per axis, row-major little-endian
+bytes), then an 8-byte blake2b digest of everything before it.
+
+A dataset is a directory with ``manifest.json`` plus one blob per split.  A
+blob (magic ``DINODATA``, version 2, header ``{}``) holds one array per
+manifest record, in manifest order and the manifest's dtype, named
+``kind/name``: fields and targets as (count, *grid), constants and
+``t_final`` as (count,).
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .dims import SCALE_DIMS
 
-BLOB_MAGIC = b"DIMINO01"
+FORMAT = "dimino-dataset-v2"
+BLOB_MAGIC = b"DINODATA"
+BLOB_VERSION = 2
 
 
 class DatasetFormatError(Exception):
@@ -100,23 +110,68 @@ def _record_order(sample: Sample):
     return records
 
 
-def _write_blob(path: Path, samples: List[Sample], records, dtype) -> None:
-    grid = samples[0].grid
-    itemsize = np.dtype(dtype).itemsize
+_DTYPES = ("float64", "float32", "complex128", "complex64")  # index = dtype code
+
+
+def write_sealed(path, magic: bytes, version: int, header: dict, arrays) -> None:
+    """Write a sealed container of the (name, array) pairs ``arrays`` yields,
+    streaming each record to the file and the digest as it comes."""
+    digest = hashlib.blake2b(digest_size=8)
     with open(path, "wb") as fh:
-        fh.write(BLOB_MAGIC)
-        fh.write(struct.pack("<II", len(samples), grid.rank))
-        fh.write(struct.pack(f"<{grid.rank}I", *grid.points))
-        fh.write(struct.pack("<I", itemsize))
+        def put(*chunks):
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+        head = json.dumps(header, sort_keys=True).encode()
+        put(magic, struct.pack("<II", version, len(head)), head)
+        for name, arr in arrays:
+            arr, nb = np.ascontiguousarray(arr), name.encode()
+            put(struct.pack("<H", len(nb)), nb, struct.pack(
+                f"<BB{arr.ndim}I", _DTYPES.index(arr.dtype.name), arr.ndim, *arr.shape), arr)
+        fh.write(digest.digest())
+
+
+def read_sealed(path, magic: bytes, version: int, error) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Header and named arrays of a sealed container.  A wrong magic, digest
+    or version, or a malformed header or record, raises ``error``."""
+    raw = Path(path).read_bytes()
+    if len(raw) < len(magic) + 16 or raw[:len(magic)] != magic:
+        raise error(f"{path}: bad or truncated magic")
+    body = raw[:-8]
+    if hashlib.blake2b(body, digest_size=8).digest() != raw[-8:]:
+        raise error(f"{path}: content hash mismatch")
+    found, head_len = struct.unpack_from("<II", body, len(magic))
+    if found != version:
+        raise error(f"{path}: format version {found}, expected {version}")
+    off = len(magic) + 8 + head_len
+    arrays = {}
+    try:
+        header = json.loads(body[off - head_len:off])
+        while off < len(body):
+            (nlen,) = struct.unpack_from("<H", body, off)
+            name = body[off + 2:off + 2 + nlen].decode()
+            code, ndim = struct.unpack_from("<BB", body, off + 2 + nlen)
+            shape = struct.unpack_from(f"<{ndim}I", body, off + 4 + nlen)
+            off += 4 + nlen + 4 * ndim
+            dtype, count = np.dtype(_DTYPES[code]), math.prod(shape)
+            if name in arrays:
+                raise ValueError(f"array {name!r} repeats")
+            arrays[name] = np.frombuffer(body, dtype, count, off).reshape(shape).copy()
+            off += count * dtype.itemsize
+    except (struct.error, IndexError, ValueError) as exc:
+        raise error(f"{path}: malformed container: {exc}") from exc
+    return header, arrays
+
+
+def _write_blob(path: Path, samples: List[Sample], records, shape, dtype) -> None:
+    def blocks():
         for kind, name in records:
-            if kind in ("field", "target"):
-                attr = "fields" if kind == "field" else "targets"
-                block = np.stack([getattr(s, attr)[name] for s in samples])
-            elif kind == "constant":
-                block = np.array([s.constants[name] for s in samples])
-            else:
-                block = np.array([s.t_final for s in samples])
-            fh.write(np.ascontiguousarray(block, dtype=dtype).tobytes())
+            # a sample's fields, targets and constants sit in its attribute kind + "s"
+            values = [s.t_final if kind == "time" else getattr(s, kind + "s")[name]
+                      for s in samples]
+            rows = shape if kind in ("field", "target") else ()
+            yield f"{kind}/{name}", np.array(values, dtype).reshape(len(samples), *rows)
+    write_sealed(path, BLOB_MAGIC, BLOB_VERSION, {}, blocks())
 
 
 def _manifest_dims(system: str, records) -> dict:
@@ -131,12 +186,14 @@ def _manifest_dims(system: str, records) -> dict:
 
 
 def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
+    first = next((s for split in dataset.splits.values() for s in split), None)
+    if first is None:
+        raise ValueError("dataset has no samples")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    first = next(s for split in dataset.splits.values() for s in split)
     records = _record_order(first)
     manifest = {
-        "format": "dimino-dataset-v1",
+        "format": FORMAT,
         "system": dataset.system,
         "grid": {
             "points": list(dataset.grid.points),
@@ -153,7 +210,7 @@ def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, split in dataset.splits.items():
-        _write_blob(directory / f"{name}.bin", split, records, dtype)
+        _write_blob(directory / f"{name}.bin", split, records, dataset.grid.shape, dtype)
     return directory
 
 
@@ -170,8 +227,8 @@ def load_dataset(directory) -> Dataset:
             manifest = json.load(fh)
         except ValueError as exc:
             raise DatasetFormatError(f"{directory}: manifest is not JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != "dimino-dataset-v1":
-        raise DatasetFormatError(f"unknown manifest format in {directory}")
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
+        raise DatasetFormatError(f"{directory}: manifest format is not {FORMAT}")
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
     if missing:
         raise DatasetFormatError(f"{directory}: manifest lacks {missing}")
@@ -212,30 +269,20 @@ def _check_dims(directory, manifest, records) -> None:
 
 
 def _read_blob(path, system, grid, records, dtype, count):
-    raw = Path(path).read_bytes()
-    if raw[:8] != BLOB_MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic {raw[:8]!r}")
-    header = struct.Struct(f"<II{grid.rank}II")
-    if len(raw) < 8 + header.size:
-        raise DatasetFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    blob_count, rank, *points, itemsize = header.unpack_from(raw, 8)
-    if blob_count != count:
-        raise DatasetFormatError(f"{path}: {blob_count} samples, manifest says {count}")
-    if rank != grid.rank or tuple(points) != grid.points:
-        raise DatasetFormatError(f"{path}: grid mismatch {(rank, *points)}")
-    if itemsize != dtype.itemsize:
-        raise DatasetFormatError(f"{path}: item size mismatch")
-    shapes = [grid.points if kind in ("field", "target") else () for kind, _ in records]
-    sizes = [count * int(np.prod(shape)) * itemsize for shape in shapes]
-    offset, body = 8 + header.size, len(raw) - 8 - header.size
-    if body != sum(sizes):
-        what = "truncated" if body < sum(sizes) else "has trailing bytes"
-        raise DatasetFormatError(f"{path}: {what}: {body} record bytes, expected {sum(sizes)}")
+    header, arrays = read_sealed(path, BLOB_MAGIC, BLOB_VERSION, DatasetFormatError)
+    names = [f"{kind}/{name}" for kind, name in records]
+    if header != {} or list(arrays) != names:
+        raise DatasetFormatError(
+            f"{path}: header {header} and arrays {list(arrays)}, expected {{}} and {names}")
     blocks = {"field": {}, "target": {}, "constant": {}, "time": {}}
-    for (kind, name), shape, size in zip(records, shapes, sizes):
-        blocks[kind][name] = np.frombuffer(raw, dtype, size // itemsize, offset
-                                           ).reshape(count, *shape)
-        offset += size
+    for (kind, name), key in zip(records, names):
+        arr, rows = arrays[key], grid.shape if kind in ("field", "target") else ()
+        if arr.dtype != dtype or arr.ndim != 1 + len(rows) or arr.shape[1:] != rows:
+            raise DatasetFormatError(
+                f"{path}: {key} is {arr.dtype} {arr.shape}, expected {dtype} (n, *{rows})")
+        if len(arr) != count:
+            raise DatasetFormatError(f"{path}: {len(arr)} samples, manifest says {count}")
+        blocks[kind][name] = arr.astype(np.float64, copy=False)
     (times,) = blocks["time"].values()
     for kind in ("field", "target", "constant"):
         if not all(np.isfinite(b).all() for b in blocks[kind].values()):
@@ -246,10 +293,10 @@ def _read_blob(path, system, grid, records, dtype, count):
         Sample(
             system=system,
             grid=grid,
-            fields={n: np.array(b[i], dtype=np.float64) for n, b in blocks["field"].items()},
+            fields={n: b[i] for n, b in blocks["field"].items()},
             constants={n: float(b[i]) for n, b in blocks["constant"].items()},
             t_final=float(times[i]),
-            targets={n: np.array(b[i], dtype=np.float64) for n, b in blocks["target"].items()},
+            targets={n: b[i] for n, b in blocks["target"].items()},
         )
         for i in range(count)
     ]

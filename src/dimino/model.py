@@ -12,9 +12,6 @@ scaling anywhere.
 """
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Union
 
@@ -23,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import dims
 from .autodiff import Tape, Tensor
-from .data import Sample
+from .data import Sample, read_sealed, write_sealed
 
 CKPT_MAGIC = b"DINOCKPT"
 CKPT_VERSION = 5
@@ -272,78 +269,33 @@ class DimINOModel:
 
 # -- checkpoint I/O -------------------------------------------------------
 
-_DTYPE_CODES = {"float64": 0, "float32": 1, "complex128": 2, "complex64": 3}
-_DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
-
-
 def save_model(model: DimINOModel, path) -> None:
-    blob = bytearray()
-    blob += CKPT_MAGIC
-    blob += struct.pack("<I", CKPT_VERSION)
-    header = {"config": asdict(model.config)}
-    header_json = json.dumps(header, sort_keys=True).encode()
-    blob += struct.pack("<I", len(header_json)) + header_json
-    for name, arr in model.params.items():
-        nb = name.encode()
-        blob += struct.pack("<H", len(nb)) + nb
-        blob += struct.pack("<BB", _DTYPE_CODES[arr.dtype.name], arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        blob += np.ascontiguousarray(arr).tobytes()
-    digest = hashlib.blake2b(bytes(blob), digest_size=8).digest()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob) + digest)
+    write_sealed(path, CKPT_MAGIC, CKPT_VERSION, {"config": asdict(model.config)},
+                 model.params.items())
 
 
 def load_model(path) -> DimINOModel:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(CKPT_MAGIC) + 12 or raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise CorruptCheckpoint(f"{path}: bad or truncated magic")
-    body, digest = raw[:-8], raw[-8:]
-    if hashlib.blake2b(body, digest_size=8).digest() != digest:
-        raise CorruptCheckpoint(f"{path}: content hash mismatch")
-    off = len(CKPT_MAGIC)
-    (version,) = struct.unpack_from("<I", body, off)
-    off += 4
-    if version != CKPT_VERSION:
+    """A saved model; a checkpoint whose parameter names (in order), shapes
+    or dtypes differ from ``init_params`` of its config raises
+    ``CorruptCheckpoint``, as does any fault of the container."""
+    header, params = read_sealed(path, CKPT_MAGIC, CKPT_VERSION, CorruptCheckpoint)
+    config = _parse_header(path, header)
+    table = [(n, a.shape, a.dtype) for n, a in params.items()]
+    want = [(n, a.shape, a.dtype) for n, a in init_params(config).items()]
+    if table != want:
         raise CorruptCheckpoint(
-            f"{path}: checkpoint version {version}, expected {CKPT_VERSION}"
-        )
-    (header_len,) = struct.unpack_from("<I", body, off)
-    off += 4
-    config = _parse_header(path, body[off:off + header_len])
-    off += header_len
-    params = {}
-    try:
-        while off < len(body):
-            (nlen,) = struct.unpack_from("<H", body, off)
-            off += 2
-            name = body[off:off + nlen].decode()
-            off += nlen
-            code, ndim = struct.unpack_from("<BB", body, off)
-            off += 2
-            shape = struct.unpack_from(f"<{ndim}I", body, off)
-            off += 4 * ndim
-            dtype = np.dtype(_DTYPE_NAMES[code])
-            nbytes = int(np.prod(shape)) * dtype.itemsize
-            params[name] = np.frombuffer(
-                body[off:off + nbytes], dtype=dtype
-            ).reshape(shape).copy()
-            off += nbytes
-    except (struct.error, KeyError, ValueError) as exc:
-        raise CorruptCheckpoint(f"{path}: malformed parameter table") from exc
+            f"{path}: parameter table {table} differs from the config's {want}")
     return DimINOModel(config, params)
 
 
-def _parse_header(path, raw: bytes):
+def _parse_header(path, header):
     """Model config of a checkpoint header, which holds nothing else.
 
-    Every fault (bad JSON, a header key other than ``config``, a missing or
-    unknown config key, a config that ``ModelConfig`` rejects) raises
+    Every fault (a header key other than ``config``, a missing or unknown
+    config key, a config that ``ModelConfig`` rejects) raises
     ``CorruptCheckpoint``.
     """
     try:
-        header = json.loads(raw.decode())
         if set(header) != {"config"}:
             raise CorruptCheckpoint(
                 f"{path}: header keys {sorted(header)}, expected ['config']")

@@ -8,7 +8,8 @@ import pytest
 
 from dimino import cli
 from dimino.cli import main
-from dimino.data import dataset_hash, load_dataset
+from dimino.data import FORMAT, dataset_hash, load_dataset, save_dataset
+from dimino.dims import similar_transform
 from dimino.model import DimINOModel, ModelConfig, save_model
 
 
@@ -41,7 +42,7 @@ def trained(adv_data, tmp_path_factory):
 
 def test_gen_data_writes_manifest_audit_and_run_record(adv_data):
     manifest = json.loads((adv_data / "manifest.json").read_text())
-    assert manifest["format"] == "dimino-dataset-v1"
+    assert manifest["format"] == FORMAT == "dimino-dataset-v2"
     assert "advection-number" in manifest["dimensionless_audit"]
     record = json.loads((adv_data / "run.json").read_text())
     assert record["command"] == "gen-data"
@@ -102,13 +103,9 @@ def test_train_too_small_split_exits_one(tmp_path, capsys, n_train):
     assert run(["gen-data", "--system", "advection1d", "--n", "1", "--n-test", "2",
                 "--grid", "16", "--t", "1", "--out", str(data)]) == 0
     if n_train == 0:
-        manifest = json.loads((data / "manifest.json").read_text())
-        manifest["splits"]["train"] = 0
-        (data / "manifest.json").write_text(json.dumps(manifest))
-        blob = data / "train.bin"
-        header = bytearray(blob.read_bytes()[:24])  # magic, count, rank, points, itemsize
-        header[8:12] = (0).to_bytes(4, "little")
-        blob.write_bytes(bytes(header))
+        dataset = load_dataset(data)
+        dataset.splits["train"] = []
+        save_dataset(dataset, data)
         assert load_dataset(data).splits["train"] == []
     assert run(["train", "--data", str(data), "--out", str(tmp_path / "o"),
                 "--epochs", "1", "--width", "6", "--depth", "1", "--modes", "4"]) == 1
@@ -259,6 +256,20 @@ def test_train_determinism_byte_identical(adv_data, tmp_path):
     assert (tmp_path / "a" / "dimino-history.jsonl").read_text() == (
         tmp_path / "b" / "dimino-history.jsonl"
     ).read_text()
+
+
+def test_train_is_byte_identical_on_a_similarity_transform(adv_data, tmp_path):
+    moved = load_dataset(adv_data)
+    moved.splits = {name: [similar_transform(s, 2.0) for s in split]
+                    for name, split in moved.splits.items()}
+    save_dataset(moved, tmp_path / "moved")
+    assert dataset_hash(tmp_path / "moved") != dataset_hash(adv_data)
+    args = ["train", "--loss", "h1", "--epochs", "3", "--batch-size", "4", "--width", "6",
+            "--depth", "2", "--modes", "4", "--seed", "2"]
+    assert run(args + ["--data", str(adv_data), "--out", str(tmp_path / "a")]) == 0
+    assert run(args + ["--data", str(tmp_path / "moved"), "--out", str(tmp_path / "b")]) == 0
+    for name in ("checkpoint.bin", "dimino-history.jsonl"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_every_parsed_option_is_read():

@@ -11,13 +11,17 @@ from hypothesis import given, settings, strategies as st
 from dimino.data import (
     _MANIFEST_KEYS,
     BLOB_MAGIC,
+    BLOB_VERSION,
+    FORMAT,
     Dataset,
     DatasetFormatError,
     Grid,
     Sample,
     dataset_hash,
     load_dataset,
+    read_sealed,
     save_dataset,
+    write_sealed,
 )
 from dimino.solvers import generate_dataset
 
@@ -81,7 +85,7 @@ def test_manifest_format_is_checked(tmp_path):
     ds = generate_dataset("burgers1d", {}, 2, 0, Grid((16,), (1.0,)), 0.5)
     save_dataset(ds, tmp_path / "d")
     manifest = tmp_path / "d" / "manifest.json"
-    manifest.write_text(manifest.read_text().replace("dimino-dataset-v1", "v0"))
+    manifest.write_text(manifest.read_text().replace(FORMAT, "v0"))
     with pytest.raises(DatasetFormatError):
         load_dataset(tmp_path / "d")
 
@@ -115,7 +119,8 @@ def test_truncated_blob_raises_format_error(saved_dataset, cut):
 @settings(max_examples=20, deadline=None)
 def test_trailing_bytes_raise_format_error(saved_dataset, extra):
     blob = (saved_dataset / "train.bin").read_bytes()
-    with pytest.raises(DatasetFormatError, match="trailing bytes"):
+    # the last 8 bytes are read as the digest, so the digest check refuses them
+    with pytest.raises(DatasetFormatError, match="content hash mismatch"):
         _load_edited(saved_dataset, lambda d: (d / "train.bin").write_bytes(blob + extra))
 
 
@@ -165,9 +170,22 @@ def test_bad_manifest_raises_format_error(saved_dataset, edit, message):
         _load_edited(saved_dataset, edit)
 
 
-# burgers1d blob of 2 samples on 16 points: 24 header bytes, then the u field
-# block (2 x 16 x 8 bytes), the nu block and the t_final block (2 x 8 each).
-_SCALAR_OFFSET = {"constant": 24 + 256, "time": 24 + 256 + 16}
+def _reseal(blob, edit):
+    """Apply ``edit`` to a blob's header and arrays and re-seal the blob, so
+    only the checks after the digest can refuse it."""
+    header, arrays = read_sealed(blob, BLOB_MAGIC, BLOB_VERSION, DatasetFormatError)
+    header, arrays = edit(header, arrays) or (header, arrays)
+    write_sealed(blob, BLOB_MAGIC, BLOB_VERSION, header, arrays.items())
+
+
+def _set_value(key, index, stored, value):
+    """An edit that sets entry ``index`` of array ``key``, which must hold ``stored``."""
+    def edit(d):
+        def put(header, arrays):
+            assert arrays[key][index] == stored, "blob layout moved"
+            arrays[key][index] = value
+        _reseal(d / "train.bin", put)
+    return edit
 
 
 @pytest.mark.parametrize("kind, value", [
@@ -181,37 +199,84 @@ _SCALAR_OFFSET = {"constant": 24 + 256, "time": 24 + 256 + 16}
 def test_bad_scalar_in_blob_raises_format_error(saved_dataset, kind, value):
     first = load_dataset(saved_dataset).split("train")[0]
     stored = first.t_final if kind == "time" else first.constants["nu"]
-
-    def patch(d):
-        raw = bytearray((d / "train.bin").read_bytes())
-        at = _SCALAR_OFFSET[kind]
-        assert struct.unpack_from("<d", raw, at) == (stored,), "blob layout moved"
-        raw[at:at + 8] = struct.pack("<d", value)
-        (d / "train.bin").write_bytes(bytes(raw))
+    key = "time/t_final" if kind == "time" else "constant/nu"
     message = "a constant is not finite" if kind == "constant" else "t_final must be finite"
     with pytest.raises(DatasetFormatError, match=message):
-        _load_edited(saved_dataset, patch)
-
-
-# (byte offset, index) of one u value of sample 1: in the field block (after
-# sample 0's 16 values), and in the target block (after u, nu and t_final).
-_VALUE_AT = {"field": (24 + 8 * (16 + 5), 5), "target": (24 + 256 + 32 + 8 * (16 + 9), 9)}
+        _load_edited(saved_dataset, _set_value(key, 0, stored, value))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("kind", ["field", "target"])
 def test_non_finite_value_in_blob_raises_format_error(saved_dataset, kind, value):
-    at, i = _VALUE_AT[kind]
+    i = 5 if kind == "field" else 9
     second = load_dataset(saved_dataset).split("train")[1]
     stored = (second.fields if kind == "field" else second.targets)["u"][i]
-
-    def patch(d):
-        raw = bytearray((d / "train.bin").read_bytes())
-        assert struct.unpack_from("<d", raw, at) == (stored,), "blob layout moved"
-        raw[at:at + 8] = struct.pack("<d", value)
-        (d / "train.bin").write_bytes(bytes(raw))
     with pytest.raises(DatasetFormatError, match=f"a {kind} is not finite"):
-        _load_edited(saved_dataset, patch)
+        _load_edited(saved_dataset, _set_value(f"{kind}/u", (1, i), stored, value))
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda h, a: (h, dict(reversed(a.items()))), "arrays", id="reordered"),
+    pytest.param(lambda h, a: (h, {k.replace("target", "field"): v for k, v in a.items()}),
+                 "arrays", id="renamed"),
+    pytest.param(lambda h, a: (h, {k: v for k, v in a.items() if k != "target/u"}),
+                 "arrays", id="missing-array"),
+    pytest.param(lambda h, a: ({"count": 2}, a), "header {'count': 2}", id="header"),
+    pytest.param(lambda h, a: a.update({"field/u": a["field/u"].astype(np.float32)}),
+                 "field/u is float32", id="dtype"),
+    pytest.param(lambda h, a: a.update({"field/u": a["field/u"][:, :8]}),
+                 r"field/u is float64 \(2, 8\)", id="grid"),
+    pytest.param(lambda h, a: a.update({"constant/nu": a["constant/nu"][:, None]}),
+                 r"constant/nu is float64 \(2, 1\)", id="scalar-rank"),
+    pytest.param(lambda h, a: a.update({"time/t_final": a["time/t_final"][:1]}),
+                 "1 samples, manifest says 2", id="count"),
+])
+def test_blob_that_disagrees_with_its_manifest_raises(saved_dataset, edit, message):
+    with pytest.raises(DatasetFormatError, match=message):
+        _load_edited(saved_dataset, lambda d: _reseal(d / "train.bin", edit))
+
+
+def test_a_repeated_array_name_is_refused(tmp_path):
+    path = tmp_path / "twice.bin"
+    write_sealed(path, BLOB_MAGIC, BLOB_VERSION, {}, [("a", np.zeros(2)), ("a", np.ones(2))])
+    with pytest.raises(DatasetFormatError, match="'a' repeats"):
+        read_sealed(path, BLOB_MAGIC, BLOB_VERSION, DatasetFormatError)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_flipped_byte_raises_only_dataset_format_error(saved_dataset, data):
+    raw = bytearray((saved_dataset / "train.bin").read_bytes())
+    at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+    raw[at] ^= data.draw(st.integers(1, 255), label="xor mask")
+    with pytest.raises(DatasetFormatError):
+        _load_edited(saved_dataset, lambda d: (d / "train.bin").write_bytes(bytes(raw)))
+
+
+def _write_v1(d):
+    """Rewrite a saved float64 dataset in the v1 layout: manifest format
+    ``dimino-dataset-v1``; blob magic ``DIMINO01``, u32 count, rank, points
+    and item size, then the record blocks, and no digest."""
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["format"] = "dimino-dataset-v1"
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    for split, count in manifest["splits"].items():
+        _, arrays = read_sealed(d / f"{split}.bin", BLOB_MAGIC, BLOB_VERSION, DatasetFormatError)
+        points = manifest["grid"]["points"]
+        head = struct.pack(f"<II{len(points)}II", count, len(points), *points, 8)
+        (d / f"{split}.bin").write_bytes(
+            b"DIMINO01" + head + b"".join(a.tobytes() for a in arrays.values()))
+
+
+def test_v1_dataset_is_refused(saved_dataset):
+    with pytest.raises(DatasetFormatError, match="not dimino-dataset-v2"):
+        _load_edited(saved_dataset, _write_v1)
+
+    def v1_blobs_only(d):
+        _write_v1(d)
+        _patch_manifest(lambda m: m.update(format=FORMAT))(d)
+    with pytest.raises(DatasetFormatError, match="bad or truncated magic"):
+        _load_edited(saved_dataset, v1_blobs_only)
 
 
 def test_intact_copy_loads(saved_dataset):
@@ -236,6 +301,19 @@ def test_float32_storage_round_trips(tmp_path):
     orig = ds.split("train")[0].fields["u"]
     got = back.split("train")[0].fields["u"]
     np.testing.assert_allclose(got, orig, atol=1e-6)
+
+
+def test_empty_split_round_trips_and_no_samples_raises(tmp_path):
+    ds = generate_dataset("burgers1d", {}, 2, 0, Grid((16,), (1.0,)), 0.5)
+    ds.splits["test"] = []
+    back = load_dataset(save_dataset(ds, tmp_path / "d"))
+    assert back.splits["test"] == [] and len(back.split("train")) == 2
+    _, arrays = read_sealed(tmp_path / "d" / "test.bin", BLOB_MAGIC, BLOB_VERSION,
+                            DatasetFormatError)
+    assert {k: a.shape for k, a in arrays.items()} == {
+        "field/u": (0, 16), "constant/nu": (0,), "time/t_final": (0,), "target/u": (0, 16)}
+    with pytest.raises(ValueError, match="no samples"):
+        save_dataset(Dataset("burgers1d", ds.grid, {"train": [], "test": []}), tmp_path / "e")
 
 
 def test_missing_split_raises():

@@ -167,6 +167,21 @@ def test_similar_transform_power_of_two_bit_exact():
         assert np.array_equal(moved, base)
 
 
+@pytest.mark.parametrize("system", sorted(dims.REGISTRY))
+def test_dimensionless_numbers_are_bit_invariant_at_power_of_two_p(system):
+    """Every group is bit-identical after the scales move by p = 2^k.  A
+    plain ``scale ** -1.0`` breaks this for about one scale in five thousand,
+    hence the many draws."""
+    spec, rule = dims.REGISTRY[system], dims.similarity_exponents(system)
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        scales = {n: float(s) for n, s in zip(rule, 10.0 ** rng.uniform(-4, 4, len(rule)))}
+        base = dims.compute_dimensionless(spec, scales)
+        for k in (-3, -1, 1, 2):
+            moved = {n: s * 2.0 ** (k * rule[n]) for n, s in scales.items()}
+            assert np.array_equal(dims.compute_dimensionless(spec, moved), base), (scales, k)
+
+
 def test_similar_transform_inverse_pair():
     sample = random_sample("burgers1d", seed=9)
     back = dims.similar_transform(dims.similar_transform(sample, 2.0), 0.5)

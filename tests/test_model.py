@@ -5,6 +5,7 @@ import struct
 import tempfile
 import tracemalloc
 import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from dimino import autodiff as ad
 from dimino.model import (
     CKPT_MAGIC,
+    CKPT_VERSION,
     CorruptCheckpoint,
     DimINOModel,
     FieldSetMismatch,
@@ -24,7 +26,7 @@ from dimino.model import (
     save_model,
 )
 from dimino import dims
-from dimino.data import Grid
+from dimino.data import Grid, write_sealed
 from dimino.solvers import random_fourier_field
 from dimino.training import _target_array, build_loss
 
@@ -584,4 +586,24 @@ def test_checkpoint_header_faults_are_typed(tmp_path, fault):
     save_model(DimINOModel(small_config()), path)
     _rewrite_header(path, **fault)
     with pytest.raises(CorruptCheckpoint):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.pop("head_b2"),
+    lambda p: p.pop("cfw_w1"),
+    lambda p: p.update(head_w2=np.zeros((3, 3))),
+    lambda p: p.update(head_b1=p["head_b1"].astype(np.float32)),
+    lambda p: p.update(block0_spec=p["block0_spec"].real.copy()),
+    lambda p: p.update(extra=np.zeros(2)),
+    lambda p: p.update({"pre_w1": p.pop("pre_w1")}),
+], ids=["missing-head-b2", "missing-gate", "head-w2-shape", "head-b1-dtype", "real-spectrum",
+        "extra-array", "reordered"])
+def test_parameter_table_that_disagrees_with_the_config_is_refused(tmp_path, edit):
+    model = DimINOModel(small_config())
+    params = dict(model.params)
+    edit(params)
+    path = tmp_path / "m.bin"
+    write_sealed(path, CKPT_MAGIC, CKPT_VERSION, {"config": asdict(model.config)}, params.items())
+    with pytest.raises(CorruptCheckpoint, match="parameter table"):
         load_model(path)

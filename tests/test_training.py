@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimino.data import Dataset, Grid
+from dimino.dims import similar_transform
 from dimino.model import DimINOModel, ModelConfig, load_model, save_model
 from dimino.solvers import generate_dataset
 from dimino.training import (
@@ -308,6 +310,41 @@ def test_train_bit_equals_the_per_batch_loop(monkeypatch, use_dimnorm):
     assert list(got.params) == list(want.params)
     for k in got.params:
         np.testing.assert_array_equal(got.params[k], want.params[k])
+
+
+# Each system's input fields, target fields and rank.
+_MODEL_FIELDS = {
+    "advection1d": (["u"], ["u"], 1),
+    "burgers1d": (["u"], ["u"], 1),
+    "diffreact2d": (["u", "v"], ["u", "v"], 2),
+    "ns-vorticity2d": (["omega", "f"], ["omega"], 2),
+}
+
+
+@given(system=st.sampled_from(sorted(_MODEL_FIELDS)), loss=st.sampled_from(["h1", "l2"]),
+       precision=st.sampled_from(["f64", "f32"]), k=st.integers(-3, 3).filter(bool),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_gated_training_is_similarity_invariant(system, loss, precision, k, seed):
+    """Training on the similarity transform T_p(D), p = 2^k, leaves the gated
+    model's parameters and history bit-identical to training on D; the
+    twin's differ.  random_sample's scales stay far above EPS_FLOOR here."""
+    in_fields, target_fields, rank = _MODEL_FIELDS[system]
+    samples = [random_sample(system, seed=seed + i, with_targets=True) for i in range(24)]
+    cfg = TrainConfig(loss=loss, epochs=3, batch_size=8, seed=seed, patience=0)
+
+    def run(use_dimnorm, data):
+        model = DimINOModel(ModelConfig(system, in_fields, target_fields, rank, width=8,
+                                        depth=2, modes=4, use_dimnorm=use_dimnorm,
+                                        precision=precision))
+        model, history = train(model, Dataset(system, data[0].grid, {"train": data}), cfg)
+        return history, model.params
+
+    def same(a, b):
+        return a[0] == b[0] and all(np.array_equal(a[1][n], b[1][n]) for n in a[1])
+    moved = [similar_transform(s, 2.0 ** k) for s in samples]
+    assert same(run(True, samples), run(True, moved))
+    assert not same(run(False, samples), run(False, moved))
 
 
 def test_evaluate_missing_split():
