@@ -11,16 +11,25 @@ and the compact spectrum of the modes an FNO block keeps (dense DFT bases, no
 full transform), and ``mode_mix`` mixes that compact spectrum.  Without
 ``modes``, ``rfftn`` is the full pocketfft transform, whose ``abs2`` the H1
 loss weights by :func:`spectral.h1_weights`.
+
+A tape made inside ``with Workspace():`` writes its activation-sized arrays
+(``add``, ``linear``, ``gelu``, ``gate_mul``, the kept-mode transforms and
+the gradient fan-in of ``Tape.backward``) into buffers that the workspace
+reuses from step to step, so repeated steps of one shape stop allocating and
+faulting fresh pages.  The results are the same bits either way.
 """
 from __future__ import annotations
 
+import contextvars
 import math
-from typing import Callable, List, Optional, Sequence
+import sys
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
 
 from . import spectral
+from .spectral import _out
 
 
 class AutodiffError(Exception):
@@ -37,6 +46,86 @@ class NonScalarLoss(AutodiffError):
 
 class UnsupportedPrimitive(AutodiffError):
     pass
+
+
+def _refs_of_a_free_buffer() -> int:
+    """``sys.getrefcount`` of a pooled buffer that nothing else references,
+    read by the same loop that ``Workspace._take`` runs."""
+    pool = [np.empty(1, np.uint8)]
+    for buf in pool:
+        return sys.getrefcount(buf)
+
+
+_FREE = _refs_of_a_free_buffer()
+_SMALL = 1 << 16
+_ACTIVE: contextvars.ContextVar = contextvars.ContextVar("dimino_workspace", default=None)
+
+
+class Workspace:
+    """Byte buffers that tapes made inside ``with Workspace():`` write into.
+
+    A buffer is handed out only while nothing but the pool references it: an
+    array built on it, or any view of one, holds a reference to it, so an
+    array a caller keeps is never overwritten.  A request takes a free buffer
+    of exactly its byte size, else the smallest larger free one (so a short
+    last batch reuses the full batches' buffers), else a new one, for which
+    free smaller buffers give their memory back (so validation's larger
+    batches do not keep a second set).  Arrays under ``_SMALL`` bytes come
+    from ``np.empty``: malloc serves those from its free lists without page
+    faults, and the lookup would cost more than it saves.  Leaving the
+    ``with`` block drops the pool.  The active workspace is a context
+    variable, so ``forward`` and ``predict`` reach it without a parameter and
+    another thread never sees it.
+    """
+
+    def __init__(self):
+        self._pool: Dict[int, List[np.ndarray]] = {}
+        self._token = None
+
+    def __enter__(self) -> "Workspace":
+        self._token = _ACTIVE.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _ACTIVE.reset(self._token)
+        # drop the pool; an array still in use keeps its own buffer alive
+        self._token, self._pool = None, {}
+
+    def empty(self, shape, dtype) -> np.ndarray:
+        """An uninitialised array of ``shape`` and ``dtype`` on a free buffer
+        (a plain ``np.empty`` once the workspace has been left)."""
+        dtype = np.dtype(dtype)
+        n = math.prod(shape) * dtype.itemsize
+        if n < _SMALL or self._token is None:
+            return np.empty(shape, dtype)
+        return self._take(n)[:n].view(dtype).reshape(shape)
+
+    def _take(self, n: int) -> np.ndarray:
+        for buf in self._pool.get(n, ()):
+            if sys.getrefcount(buf) == _FREE:
+                return buf
+        best = None
+        for size, bufs in self._pool.items():
+            if size > n and (best is None or size < best.nbytes):
+                for buf in bufs:
+                    if sys.getrefcount(buf) == _FREE:
+                        best = buf
+                        break
+        if best is None:
+            # free buffers too small for this request give their memory back
+            dropped = 0
+            for size, bufs in self._pool.items():
+                if size < n:
+                    keep = []
+                    for buf in bufs:
+                        if dropped < n and sys.getrefcount(buf) == _FREE:
+                            dropped += size
+                        else:
+                            keep.append(buf)
+                    bufs[:] = keep
+            best = np.empty(n, np.uint8)
+            self._pool.setdefault(n, []).append(best)
+        return best
 
 
 class Tensor:
@@ -62,6 +151,7 @@ class Tape:
         self._nodes = []
         self._leaves: List[Tensor] = []
         self._next_id = 0
+        self.ws: Optional[Workspace] = _ACTIVE.get()
 
     def leaf(self, data, requires_grad=False) -> Tensor:
         t = Tensor(np.asarray(data), self, self._next_id, requires_grad)
@@ -97,7 +187,10 @@ class Tape:
                 if gi is None or not needs:
                     continue
                 if i in grads:
-                    grads[i] = grads[i] + gi
+                    # not in place: add's backward hands one g to both inputs
+                    acc = grads[i]
+                    grads[i] = np.add(acc, gi, out=_out(self.ws, acc.shape,
+                                                        np.result_type(acc, gi)))
                 else:
                     grads[i] = gi
         for leaf in leaves:
@@ -130,9 +223,9 @@ def _sum_to(g: np.ndarray, shape) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
     sa, sb = a.shape, b.shape
-    return tape._emit(
-        a.data + b.data, (a, b), lambda g: (_sum_to(g, sa), _sum_to(g, sb))
-    )
+    shape = sa if sa == sb else np.broadcast_shapes(sa, sb)
+    y = np.add(a.data, b.data, out=_out(tape.ws, shape, np.result_type(a.data, b.data)))
+    return tape._emit(y, (a, b), lambda g: (_sum_to(g, sa), _sum_to(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -161,14 +254,14 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
             f"linear: {x.data.shape[-1]} input channels vs weight {w.data.shape}"
         )
     tape = _same_tape(x, w, *( (b,) if b is not None else () ))
-    xd, wd = x.data, w.data
-    y = xd @ wd
+    xd, wd, ws = x.data, w.data, tape.ws
+    y = np.matmul(xd, wd, out=_out(ws, xd.shape[:-1] + wd.shape[1:], np.result_type(xd, wd)))
     if b is not None:
         y += b.data
     b_shape = None if b is None else b.shape
 
     def backward(g):
-        gx = g @ wd.T
+        gx = np.matmul(g, wd.T, out=_out(ws, g.shape[:-1] + wd.shape[:1], np.result_type(g, wd)))
         gw = xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1])
         if b_shape is None:
             return gx, gw
@@ -186,15 +279,15 @@ def gelu(x: Tensor) -> Tensor:
     """x * Phi(x).  When x needs a gradient, forward builds the derivative
     Phi(x) + x * phi(x) and the tape keeps only that array; the output is
     built in the buffer of Phi(x)."""
-    xd = x.data
-    y = np.multiply(xd, _INV_SQRT2)
+    xd, ws = x.data, x.tape.ws
+    y = np.multiply(xd, _INV_SQRT2, out=_out(ws, xd.shape, xd.dtype))
     erf(y, out=y)
     y += 1.0
     y *= 0.5
     if not x._needs:
         y *= xd
         return x.tape._emit(y, (x,), None)
-    d = xd * xd
+    d = np.multiply(xd, xd, out=_out(ws, xd.shape, xd.dtype))
     np.exp(np.multiply(d, -0.5, out=d), out=d)
     d *= _INV_SQRT2PI
     d *= xd
@@ -251,11 +344,13 @@ def rfftn(x: Tensor, axes, modes=None) -> Tensor:
     if modes is not None:
         modes, _ = _kept_shape("rfftn", sizes, modes)
 
+        ws = x.tape.ws
+
         def backward_kept(g):
-            gx = spectral.rfftn_kept_adjoint(g, axes, sizes)
+            gx = spectral.rfftn_kept_adjoint(g, axes, sizes, ws)
             return (gx.astype(dtype, copy=False),)
 
-        return x.tape._emit(spectral.rfftn_kept(x.data, axes, modes), (x,), backward_kept)
+        return x.tape._emit(spectral.rfftn_kept(x.data, axes, modes, ws), (x,), backward_kept)
     n_total = int(np.prod(sizes))
     y = spectral.rfftn(x.data, axes=axes)
     # adjoint factor per mode of the real-FFT axis: N at DC and Nyquist, N/2
@@ -283,11 +378,13 @@ def irfftn(y: Tensor, axes, s, modes) -> Tensor:
         raise ShapeMismatch(f"irfftn: spectrum {y.data.shape} on axes {axes} "
                             f"is not the compact layout {kept}")
 
+    ws = y.tape.ws
+
     def backward(g):
-        gy = spectral.irfftn_kept_adjoint(g, axes, modes)
+        gy = spectral.irfftn_kept_adjoint(g, axes, modes, ws)
         return (gy.astype(dtype, copy=False),)
 
-    return y.tape._emit(spectral.irfftn_kept(y.data, axes, s), (y,), backward)
+    return y.tape._emit(spectral.irfftn_kept(y.data, axes, s, ws), (y,), backward)
 
 
 def abs2(z: Tensor) -> Tensor:
@@ -333,15 +430,18 @@ def mode_mix(xk: Tensor, w: Tensor) -> Tensor:
 def gate_mul(x: Tensor, gate: Tensor) -> Tensor:
     """Channel-broadcast gate multiply: x (B, *sp, C) times gate (B, C)."""
     tape = _same_tape(x, gate)
-    xd = x.data
+    xd, ws = x.data, tape.ws
     n_spatial = xd.ndim - 2
     gexp = gate.data.reshape(gate.data.shape[0], *([1] * n_spatial), -1)
     spatial_axes = tuple(range(1, 1 + n_spatial))
 
     def backward(g):
-        return g * gexp, np.sum(g * xd, axis=spatial_axes)
+        gx = np.multiply(g, gexp, out=_out(ws, g.shape, np.result_type(g, gexp)))
+        gxd = np.multiply(g, xd, out=_out(ws, g.shape, np.result_type(g, xd)))
+        return gx, np.sum(gxd, axis=spatial_axes)
 
-    return tape._emit(xd * gexp, (x, gate), backward)
+    y = np.multiply(xd, gexp, out=_out(ws, xd.shape, np.result_type(xd, gexp)))
+    return tape._emit(y, (x, gate), backward)
 
 
 def gate_expand(c: Tensor, n: int, gamma: float) -> Tensor:

@@ -7,10 +7,11 @@ length, name, u8 dtype code, u8 ndim, u32 per axis, row-major little-endian
 bytes), then an 8-byte blake2b digest of everything before it.
 
 A dataset is a directory with ``manifest.json`` plus one blob per split.  A
-blob (magic ``DINODATA``, version 2, header ``{}``) holds one array per
-manifest record, in manifest order and the manifest's dtype, named
-``kind/name``: fields and targets as (count, *grid), constants and
-``t_final`` as (count,).
+blob (magic ``DINODATA``, version 3) holds one array per manifest record, in
+manifest order and the manifest's dtype, named ``kind/name``: fields and
+targets as (count, *grid), constants and ``t_final`` as (count,).  Its header
+``{"manifest_blake2b": ...}`` seals the manifest's exact bytes, so an edited
+manifest (a grid extent, a constant's dimensions, a meta value) does not load.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ import numpy as np
 
 from .dims import SCALE_DIMS
 
-FORMAT = "dimino-dataset-v2"
+FORMAT = "dimino-dataset-v3"
 BLOB_MAGIC = b"DINODATA"
-BLOB_VERSION = 2
+BLOB_VERSION = 3
 
 
 class DatasetFormatError(Exception):
@@ -163,7 +164,11 @@ def read_sealed(path, magic: bytes, version: int, error) -> Tuple[dict, Dict[str
     return header, arrays
 
 
-def _write_blob(path: Path, samples: List[Sample], records, shape, dtype) -> None:
+def _manifest_digest(raw: bytes) -> str:
+    return hashlib.blake2b(raw, digest_size=16).hexdigest()
+
+
+def _write_blob(path: Path, samples: List[Sample], records, shape, dtype, seal: str) -> None:
     def blocks():
         for kind, name in records:
             # a sample's fields, targets and constants sit in its attribute kind + "s"
@@ -171,7 +176,7 @@ def _write_blob(path: Path, samples: List[Sample], records, shape, dtype) -> Non
                       for s in samples]
             rows = shape if kind in ("field", "target") else ()
             yield f"{kind}/{name}", np.array(values, dtype).reshape(len(samples), *rows)
-    write_sealed(path, BLOB_MAGIC, BLOB_VERSION, {}, blocks())
+    write_sealed(path, BLOB_MAGIC, BLOB_VERSION, {"manifest_blake2b": seal}, blocks())
 
 
 def _manifest_dims(system: str, records) -> dict:
@@ -206,11 +211,11 @@ def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
         "splits": {name: len(split) for name, split in dataset.splits.items()},
         **dataset.meta,
     }
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    raw = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    (directory / "manifest.json").write_bytes(raw)
     for name, split in dataset.splits.items():
-        _write_blob(directory / f"{name}.bin", split, records, dataset.grid.shape, dtype)
+        _write_blob(directory / f"{name}.bin", split, records, dataset.grid.shape, dtype,
+                    _manifest_digest(raw))
     return directory
 
 
@@ -220,13 +225,14 @@ _MANIFEST_KEYS = ("format", "system", "grid", "dtype", "records", "field_dims",
 
 
 def load_dataset(directory) -> Dataset:
-    """Read a dataset; a malformed manifest or blob raises DatasetFormatError."""
+    """Read a dataset; a malformed manifest or blob, or a blob sealed for
+    other manifest bytes, raises DatasetFormatError."""
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise DatasetFormatError(f"{directory}: manifest is not JSON: {exc}") from exc
+    raw = (directory / "manifest.json").read_bytes()
+    try:
+        manifest = json.loads(raw)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{directory}: manifest is not JSON: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
         raise DatasetFormatError(f"{directory}: manifest format is not {FORMAT}")
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
@@ -246,7 +252,7 @@ def load_dataset(directory) -> Dataset:
         raise DatasetFormatError(f"{directory}: malformed manifest: {exc!r}") from exc
     splits = {
         name: _read_blob(directory / f"{name}.bin", manifest["system"], grid, records,
-                         dtype, count)
+                         dtype, count, _manifest_digest(raw))
         for name, count in counts.items()
     }
     meta = {k: v for k, v in manifest.items() if k not in _MANIFEST_KEYS}
@@ -268,12 +274,15 @@ def _check_dims(directory, manifest, records) -> None:
                 f"{directory}: {key} {manifest[key]} differ from {system}'s {want}")
 
 
-def _read_blob(path, system, grid, records, dtype, count):
+def _read_blob(path, system, grid, records, dtype, count, seal):
+    """A split's samples.  Disagreements with the manifest are reported as
+    such; a blob that agrees but was sealed for other manifest bytes raises
+    last."""
     header, arrays = read_sealed(path, BLOB_MAGIC, BLOB_VERSION, DatasetFormatError)
     names = [f"{kind}/{name}" for kind, name in records]
-    if header != {} or list(arrays) != names:
-        raise DatasetFormatError(
-            f"{path}: header {header} and arrays {list(arrays)}, expected {{}} and {names}")
+    if list(header) != ["manifest_blake2b"] or list(arrays) != names:
+        raise DatasetFormatError(f"{path}: header {header} and arrays {list(arrays)}, "
+                                 f"expected keys ['manifest_blake2b'] and {names}")
     blocks = {"field": {}, "target": {}, "constant": {}, "time": {}}
     for (kind, name), key in zip(records, names):
         arr, rows = arrays[key], grid.shape if kind in ("field", "target") else ()
@@ -289,6 +298,9 @@ def _read_blob(path, system, grid, records, dtype, count):
             raise DatasetFormatError(f"{path}: a {kind} is not finite")
     if not (np.isfinite(times) & (times > 0)).all():
         raise DatasetFormatError(f"{path}: t_final must be finite and positive")
+    if header["manifest_blake2b"] != seal:
+        raise DatasetFormatError(f"{path}: sealed for another manifest.json (sealed "
+                                 f"blake2b {header['manifest_blake2b']}, manifest's {seal})")
     return [
         Sample(
             system=system,

@@ -13,7 +13,7 @@ scaling anywhere.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -104,40 +104,46 @@ class ModelConfig:
         return np.complex128 if self.precision == "f64" else np.complex64
 
 
-def _fan_in_uniform(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape)
+def param_table(config: ModelConfig) -> List[Tuple[str, tuple, np.dtype, tuple]]:
+    """Every parameter as (name, shape, dtype, init) in declaration
+    (checkpoint) order.  ``init`` is ("uniform", fan_in) for U(+-1/sqrt(fan_in)),
+    ("normal", scale) for scale * (N(0,1) + i N(0,1)), or ("fill", value)."""
+    n, cin, cout, m = config.width, config.in_channels, config.out_channels, config.m
+    real, cplx = np.dtype(config.dtype), np.dtype(config.cdtype)
+
+    def weight(name, fan_in, fan_out):
+        return name, (fan_in, fan_out), real, ("uniform", fan_in)
+
+    def bias(name, size, value=0.0):
+        return name, (size,), real, ("fill", value)
+
+    table = [weight("pre_w1", cin, n), bias("pre_b1", n), weight("pre_w2", n, n), bias("pre_b2", n)]
+    if m > 0:
+        # the last gate bias starts at one, near an all-pass gate
+        table += [weight("cfw_w1", m, m), bias("cfw_b1", m), weight("cfw_w2", m, m),
+                  bias("cfw_b2", m, 1.0)]
+    spec_scale = 1.0 / (n * int(np.prod(config.mode_shape)))
+    for i in range(config.depth):
+        table += [(f"block{i}_spec", (n, n) + config.mode_shape, cplx, ("normal", spec_scale)),
+                  weight(f"block{i}_byp_w", n, n), bias(f"block{i}_byp_b", n)]
+    return table + [weight("head_w1", n, n), bias("head_b1", n), weight("head_w2", n, cout),
+                    bias("head_b2", cout)]
 
 
 def init_params(config: ModelConfig) -> Dict[str, np.ndarray]:
-    """Parameters in declaration (checkpoint) order."""
+    """Parameters in declaration (checkpoint) order, drawn as ``param_table``
+    says, in its order, from one generator seeded by ``config.init_seed``."""
     rng = np.random.default_rng(config.init_seed)
-    n, cin, cout = config.width, config.in_channels, config.out_channels
     p: Dict[str, np.ndarray] = {}
-    p["pre_w1"] = _fan_in_uniform(rng, (cin, n), cin)
-    p["pre_b1"] = np.zeros(n)
-    p["pre_w2"] = _fan_in_uniform(rng, (n, n), n)
-    p["pre_b2"] = np.zeros(n)
-    if config.m > 0:
-        m = config.m
-        p["cfw_w1"] = _fan_in_uniform(rng, (m, m), m)
-        p["cfw_b1"] = np.zeros(m)
-        p["cfw_w2"] = _fan_in_uniform(rng, (m, m), m)
-        p["cfw_b2"] = np.ones(m)  # start near an all-pass gate
-    spec_scale = 1.0 / (n * int(np.prod(config.mode_shape)))
-    for i in range(config.depth):
-        shape = (n, n) + config.mode_shape
-        p[f"block{i}_spec"] = spec_scale * (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        )
-        p[f"block{i}_byp_w"] = _fan_in_uniform(rng, (n, n), n)
-        p[f"block{i}_byp_b"] = np.zeros(n)
-    p["head_w1"] = _fan_in_uniform(rng, (n, n), n)
-    p["head_b1"] = np.zeros(n)
-    p["head_w2"] = _fan_in_uniform(rng, (n, cout), n)
-    p["head_b2"] = np.zeros(cout)
-    for k, v in p.items():
-        p[k] = v.astype(config.cdtype if np.iscomplexobj(v) else config.dtype)
+    for name, shape, dtype, (kind, arg) in param_table(config):
+        if kind == "uniform":
+            bound = 1.0 / np.sqrt(max(arg, 1))
+            v = rng.uniform(-bound, bound, size=shape)
+        elif kind == "normal":
+            v = arg * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        else:
+            v = np.full(shape, arg)
+        p[name] = v.astype(dtype)
     return p
 
 
@@ -276,12 +282,12 @@ def save_model(model: DimINOModel, path) -> None:
 
 def load_model(path) -> DimINOModel:
     """A saved model; a checkpoint whose parameter names (in order), shapes
-    or dtypes differ from ``init_params`` of its config raises
+    or dtypes differ from ``param_table`` of its config raises
     ``CorruptCheckpoint``, as does any fault of the container."""
     header, params = read_sealed(path, CKPT_MAGIC, CKPT_VERSION, CorruptCheckpoint)
     config = _parse_header(path, header)
     table = [(n, a.shape, a.dtype) for n, a in params.items()]
-    want = [(n, a.shape, a.dtype) for n, a in init_params(config).items()]
+    want = [(n, shape, dtype) for n, shape, dtype, _ in param_table(config)]
     if table != want:
         raise CorruptCheckpoint(
             f"{path}: parameter table {table} differs from the config's {want}")

@@ -30,7 +30,9 @@ real-FFT modes ``[0, m)``; every other transformed axis holds rows ``[0, m)``
 then ``[n - m, n)``, so the compact shape is ``(2*m1, ..., m)``.
 ``irfftn_kept`` is the ``irfftn`` of that spectrum zero-filled to the full
 layout.  Each comes with its exact adjoint; all four use the same cached
-bases, and they match pocketfft to float64 rounding, not bit for bit.
+bases, and they match pocketfft to float64 rounding, not bit for bit.  Given
+an ``autodiff.Workspace`` as ``ws``, they write every activation-sized array
+into its buffers.
 """
 from __future__ import annotations
 
@@ -86,10 +88,18 @@ def _complex_basis(n: int, m: int, dtype: np.dtype) -> np.ndarray:
     return basis
 
 
-def _along(mat: np.ndarray, a: np.ndarray, axis: int) -> np.ndarray:
+def _out(ws, shape, dtype):
+    """An ``out=`` array from the ``autodiff.Workspace`` ``ws``; None (numpy
+    allocates) without one."""
+    return None if ws is None else ws.empty(shape, dtype)
+
+
+def _along(mat: np.ndarray, a: np.ndarray, axis: int, ws=None) -> np.ndarray:
     """``mat`` (k, n) applied to ``axis`` of ``a``: that axis becomes k long."""
     shape, axis = a.shape, axis % a.ndim
-    out = mat @ a.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    a = a.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    out = np.matmul(mat, a, out=_out(ws, (a.shape[0], mat.shape[0], a.shape[2]),
+                                     np.result_type(mat, a)))
     return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
 
 
@@ -97,7 +107,7 @@ def _real_dtype(a: np.ndarray) -> np.dtype:
     return np.result_type(a.real.dtype, np.float32)
 
 
-def rfftn_kept(x: np.ndarray, axes, modes) -> np.ndarray:
+def rfftn_kept(x: np.ndarray, axes, modes, ws=None) -> np.ndarray:
     """``rfftn(x, axes)`` at the kept modes only, as a compact spectrum.
 
     ``modes`` has one entry per axis: the last axis keeps real-FFT modes
@@ -105,22 +115,25 @@ def rfftn_kept(x: np.ndarray, axes, modes) -> np.ndarray:
     """
     *full, last = axes
     real = _real_dtype(x)
-    re, im = np.split(_along(_real_basis(x.shape[last], modes[-1], real), x, last), 2, last)
-    y = np.empty(re.shape, np.result_type(real, np.complex64))
+    re, im = np.split(_along(_real_basis(x.shape[last], modes[-1], real), x, last, ws), 2, last)
+    cdtype = np.result_type(real, np.complex64)
+    y = np.empty(re.shape, cdtype) if ws is None else ws.empty(re.shape, cdtype)
     y.real, y.imag = re, im
     for a, m in zip(full, modes):
-        y = _along(_complex_basis(x.shape[a], m, real), y, a)
+        y = _along(_complex_basis(x.shape[a], m, real), y, a, ws)
     return y
 
 
-def rfftn_kept_adjoint(y: np.ndarray, axes, s) -> np.ndarray:
+def rfftn_kept_adjoint(y: np.ndarray, axes, s, ws=None) -> np.ndarray:
     """Adjoint of ``rfftn_kept`` to the real shape ``s`` on ``axes``."""
     *full, last = axes
     real = _real_dtype(y)
     for a, n in zip(full, s):
-        y = _along(_complex_basis(n, y.shape[a] // 2, real).conj().T, y, a)
+        y = _along(_complex_basis(n, y.shape[a] // 2, real).conj().T, y, a, ws)
     basis = _real_basis(s[-1], y.shape[last], real)
-    return _along(basis.T, np.concatenate([y.real, y.imag], axis=last), last)
+    last %= y.ndim
+    stacked = _out(ws, y.shape[:last] + (2 * y.shape[last],) + y.shape[last + 1:], real)
+    return _along(basis.T, np.concatenate([y.real, y.imag], axis=last, out=stacked), last, ws)
 
 
 def _c2r_weights(s, m: int, trailing: int, dtype: np.dtype) -> np.ndarray:
@@ -131,19 +144,20 @@ def _c2r_weights(s, m: int, trailing: int, dtype: np.dtype) -> np.ndarray:
     return w.astype(dtype).reshape((m,) + (1,) * trailing)
 
 
-def irfftn_kept(y: np.ndarray, axes, s) -> np.ndarray:
+def irfftn_kept(y: np.ndarray, axes, s, ws=None) -> np.ndarray:
     """``irfftn`` of the compact spectrum ``y`` zero-filled to the full layout.
 
     As the c2r kernel does, it ignores the imaginary part of the DC column.
     """
     w = _c2r_weights(s, y.shape[axes[-1]], y.ndim - 1 - axes[-1] % y.ndim, _real_dtype(y))
-    return rfftn_kept_adjoint(y * w, axes, s)
+    return rfftn_kept_adjoint(np.multiply(y, w, out=_out(ws, y.shape, np.result_type(y, w))),
+                              axes, s, ws)
 
 
-def irfftn_kept_adjoint(g: np.ndarray, axes, modes) -> np.ndarray:
+def irfftn_kept_adjoint(g: np.ndarray, axes, modes, ws=None) -> np.ndarray:
     """Adjoint of ``irfftn_kept``, from the real cotangent ``g``."""
     s = [g.shape[a] for a in axes]
-    gy = rfftn_kept(g, axes, modes)
+    gy = rfftn_kept(g, axes, modes, ws)
     gy *= _c2r_weights(s, modes[-1], g.ndim - 1 - axes[-1] % g.ndim, _real_dtype(g))
     return gy
 

@@ -87,23 +87,61 @@ def build_loss(kind: str, out: ad.Tensor, target: np.ndarray, rank: int,
 
 def adam_step(params: List[np.ndarray], grads: List[np.ndarray], state: dict,
               lr: float, betas=(0.9, 0.999), eps: float = 1e-8) -> Tuple[list, dict]:
-    """One Adam update with bias correction; arrays are updated in place."""
+    """One Adam update with bias correction; arrays are updated in place.
+
+    Each update is m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*|g|**2, then
+    p -= lr*mhat / (sqrt(vhat) + eps); every operation writes into the
+    moments or into scratch that ``state`` keeps, so a step allocates nothing.
+    """
     if not state:
         state["step"] = 0
         state["m"] = [np.zeros_like(p) for p in params]
         state["v"] = [np.zeros_like(p) for p in params]
+        state["scratch"] = [(np.empty_like(p), np.empty_like(p), np.empty(p.shape, p.real.dtype))
+                            for p in params]
     b1, b2 = betas
     state["step"] += 1
     t = state["step"]
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+    for p, g, m, v, (s, u, r) in zip(params, grads, state["m"], state["v"], state["scratch"]):
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(1 - b1, g, out=s)
         v *= b2
-        v += (1 - b2) * np.abs(g) ** 2
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+        np.square(np.abs(g, out=r), out=r)
+        v += np.multiply(1 - b2, r, out=r)
+        mhat = np.divide(m, 1 - b1**t, out=s)
+        vhat = np.divide(v, 1 - b2**t, out=u)
+        denom = np.add(np.sqrt(vhat, out=u), eps, out=u)
+        p -= np.divide(np.multiply(lr, mhat, out=s), denom, out=s)
     return params, state
+
+
+class _FlatParams:
+    """Parameters packed into one flat array per dtype, in order of first
+    appearance, with a flat gradient buffer for each: ``views`` maps every
+    name, in the original order, to a view of its slice, and ``gather``
+    copies a step's leaf gradients into the gradient buffers.  Adam's
+    operations are elementwise, so one update of the flat arrays gives each
+    parameter the same bits as an update of that parameter alone."""
+
+    def __init__(self, params: Dict[str, np.ndarray]):
+        groups: Dict[np.dtype, List[str]] = {}
+        for name, p in params.items():
+            groups.setdefault(p.dtype, []).append(name)
+        self.groups = list(groups.values())
+        self.flat = [np.concatenate([params[n].ravel() for n in names]) for names in self.groups]
+        self.grads = [np.empty_like(f) for f in self.flat]
+        views = {}
+        for names, flat in zip(self.groups, self.flat):
+            start = 0
+            for n in names:
+                views[n] = flat[start:start + params[n].size].reshape(params[n].shape)
+                start += params[n].size
+        self.views = {n: views[n] for n in params}
+
+    def gather(self, leaves: Dict[str, ad.Tensor]) -> List[np.ndarray]:
+        for names, g in zip(self.groups, self.grads):
+            np.concatenate([leaves[n].grad.ravel() for n in names], out=g)
+        return self.grads
 
 
 @dataclass
@@ -148,7 +186,10 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
 
     Fully deterministic for a fixed (cfg.seed, single-thread BLAS).  The
     train and valid splits are prepared and their targets stacked once; each
-    step gathers its rows.
+    step gathers its rows.  One ``ad.Workspace`` serves every step and every
+    validation pass of the call, and Adam updates the parameters packed into
+    one flat array per dtype (``model.params`` holds views of them until the
+    best checkpoint is restored); both give the bits of the plain loop.
     """
     samples = dataset.split("train")
     rng = np.random.default_rng(cfg.seed)
@@ -163,44 +204,44 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     valid_inputs = model.prepare(valid)
     valid_targets = _target_array(valid, model.config.target_fields)
 
-    names = list(model.params)
+    flat = _FlatParams(model.params)
+    model.params = flat.views
     state: dict = {}
     history: List[dict] = []
     best = {"rel-l2": math.inf, "params": None, "epoch": -1}
     rank = model.config.rank
     extent = dataset.grid.extent
-
-    for epoch in range(cfg.epochs):
-        lr = _lr_at(cfg, epoch)
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(len(train_samples))
-        losses = []
-        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            result = model.forward(inputs.take(idx), train=True)
-            loss = build_loss(cfg.loss, result.output, targets[idx], rank, extent)
-            if not np.isfinite(loss.data):
-                raise NaNLoss(epoch, step)
-            if lr > 0:
-                result.tape.backward(loss)
-                grads = [result.leaves[n].grad for n in names]
-                adam_step([model.params[n] for n in names], grads, state, lr)
-            losses.append(float(loss.data))
-        metrics = evaluate_samples(model, valid_inputs, valid_targets, extent)
-        record = {
-            "epoch": epoch,
-            "lr": lr,
-            "train_loss": float(np.mean(losses)),
-            **{f"valid_{k}": metrics[k] for k in METRIC_KINDS},
-        }
-        history.append(record)
-        if metrics["rel-l2"] < best["rel-l2"]:
-            best = {
-                "rel-l2": metrics["rel-l2"],
-                "params": {k: v.copy() for k, v in model.params.items()},
+    with ad.Workspace():
+        for epoch in range(cfg.epochs):
+            lr = _lr_at(cfg, epoch)
+            order = np.random.default_rng([cfg.seed, epoch]).permutation(len(train_samples))
+            losses = []
+            for step, start in enumerate(range(0, len(order), cfg.batch_size)):
+                idx = order[start:start + cfg.batch_size]
+                result = model.forward(inputs.take(idx), train=True)
+                loss = build_loss(cfg.loss, result.output, targets[idx], rank, extent)
+                if not np.isfinite(loss.data):
+                    raise NaNLoss(epoch, step)
+                if lr > 0:
+                    result.tape.backward(loss)
+                    adam_step(flat.flat, flat.gather(result.leaves), state, lr)
+                losses.append(float(loss.data))
+            metrics = evaluate_samples(model, valid_inputs, valid_targets, extent)
+            record = {
                 "epoch": epoch,
+                "lr": lr,
+                "train_loss": float(np.mean(losses)),
+                **{f"valid_{k}": metrics[k] for k in METRIC_KINDS},
             }
-        if cfg.patience and epoch - best["epoch"] >= cfg.patience:
-            break
+            history.append(record)
+            if metrics["rel-l2"] < best["rel-l2"]:
+                best = {
+                    "rel-l2": metrics["rel-l2"],
+                    "params": {k: v.copy() for k, v in model.params.items()},
+                    "epoch": epoch,
+                }
+            if cfg.patience and epoch - best["epoch"] >= cfg.patience:
+                break
     if best["params"] is not None:
         model.params = best["params"]
     return model, history

@@ -436,3 +436,98 @@ def test_gelu_without_a_gradient_records_no_node_and_builds_no_derivative(monkey
     assert tape._nodes == [] and exps == []
     ad.gelu(tape.leaf(x, requires_grad=True))
     assert len(tape._nodes) == 1 and len(exps) == 1
+
+
+# -- step workspace --------------------------------------------------------
+
+# Each model's system, input fields, target field and rank.
+_WS_MODELS = {1: ("advection1d", ["u"], "u"), 2: ("ns-vorticity2d", ["omega", "f"], "omega")}
+
+
+def _ws_model(rank, gated, precision="f64", width=6):
+    system, fields, target = _WS_MODELS[rank]
+    return DimINOModel(ModelConfig(system, fields, [target], rank, width=width, depth=2,
+                                   modes=4, use_dimnorm=gated, precision=precision))
+
+
+def _ws_step(model, samples):
+    """Forward, h1 loss and backward of one batch: output, loss and leaf grads."""
+    target = model.config.target_fields[0]
+    result = model.forward(samples, train=True)
+    loss = build_loss("h1", result.output,
+                      np.stack([s.targets[target] for s in samples])[..., None],
+                      model.config.rank)
+    result.tape.backward(loss)
+    return result.output.data, loss.data, {n: t.grad for n, t in result.leaves.items()}
+
+
+@pytest.fixture
+def pool_everything(monkeypatch):
+    """Route every array, however small, through the workspace's pool."""
+    monkeypatch.setattr(ad, "_SMALL", 1)
+
+
+@given(rank=st.sampled_from([1, 2]), precision=st.sampled_from(["f64", "f32"]),
+       gated=st.booleans(), sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_a_workspace_tape_equals_the_plain_tape_bit_for_bit(rank, precision, gated, sizes,
+                                                              seed):
+    system = _WS_MODELS[rank][0]
+    model = _ws_model(rank, gated, precision)
+    batches = [[random_sample(system, seed=seed + 10 * i + j, with_targets=True)
+                for j in range(b)] for i, b in enumerate(sizes)]
+    want = [_ws_step(model, batch) for batch in batches]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "_SMALL", 1)
+        with ad.Workspace():
+            got = [_ws_step(model, batch) for batch in batches]
+    for (out, loss, grads), (w_out, w_loss, w_grads) in zip(got, want):
+        assert np.array_equal(out, w_out) and out.dtype == w_out.dtype
+        assert np.array_equal(loss, w_loss)
+        for n in w_grads:
+            assert np.array_equal(grads[n], w_grads[n]) and grads[n].dtype == w_grads[n].dtype, n
+
+
+def test_arrays_a_caller_holds_are_never_overwritten(pool_everything):
+    samples = [random_sample("advection1d", seed=s, with_targets=True) for s in range(60)]
+    twin, gated = _ws_model(1, False), _ws_model(1, True)
+    held = []
+    with ad.Workspace():
+        # batch sizes 16, 12, 32 of distinct samples, so every overwrite shows
+        for batch in (samples[:16], samples[16:28], samples[28:]):
+            b = len(batch)
+            pred = twin.predict(batch)
+            # the twin's output is its head linear's, so it sits on a pooled buffer
+            assert pred.base is not None and pred.base.dtype == np.uint8
+            out, loss, grads = _ws_step(gated, batch)
+            # a leaf read twice gets its gradient by the fan-in sum, also pooled
+            tape = ad.Tape()
+            x = tape.leaf(np.full((b, 64, 6), float(b)), requires_grad=True)
+            w = tape.leaf(np.eye(6))
+            tape.backward(scalar_loss(ad.add(ad.linear(x, w), ad.gelu(x))))
+            assert x.grad.base is not None and x.grad.base.dtype == np.uint8
+            arrays = [pred, out, loss, x.grad, *grads.values()]
+            held.append((arrays, [a.copy() for a in arrays]))
+        for arrays, copies in held:
+            for a, c in zip(arrays, copies):
+                assert np.array_equal(a, c)
+
+
+def test_a_buffer_is_handed_out_only_while_free():
+    ws = ad.Workspace()
+    with ws:
+        a = ws.empty((16, 1024), np.float64)
+        view = a[3:5].view(np.complex128)
+        ids = {id(a.base)}  # ids, not references, so the buffers can come free
+        del a
+        b = ws.empty((16, 1024), np.float64)  # the first buffer is still viewed
+        assert not np.shares_memory(b, view)
+        ids.add(id(b.base))
+        del view, b
+        # both are free again, and smaller requests of any dtype reuse them
+        c = ws.empty((8, 1024), np.float64)
+        d = ws.empty((4, 1024), np.complex128)
+        assert {id(c.base), id(d.base)} == ids
+    # outside the with block the workspace pools nothing
+    assert ws.empty((16, 1024), np.float64).base is None

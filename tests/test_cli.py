@@ -42,7 +42,7 @@ def trained(adv_data, tmp_path_factory):
 
 def test_gen_data_writes_manifest_audit_and_run_record(adv_data):
     manifest = json.loads((adv_data / "manifest.json").read_text())
-    assert manifest["format"] == FORMAT == "dimino-dataset-v2"
+    assert manifest["format"] == FORMAT == "dimino-dataset-v3"
     assert "advection-number" in manifest["dimensionless_audit"]
     record = json.loads((adv_data / "run.json").read_text())
     assert record["command"] == "gen-data"

@@ -269,7 +269,7 @@ def _write_v1(d):
 
 
 def test_v1_dataset_is_refused(saved_dataset):
-    with pytest.raises(DatasetFormatError, match="not dimino-dataset-v2"):
+    with pytest.raises(DatasetFormatError, match="not dimino-dataset-v3"):
         _load_edited(saved_dataset, _write_v1)
 
     def v1_blobs_only(d):
@@ -277,6 +277,56 @@ def test_v1_dataset_is_refused(saved_dataset):
         _patch_manifest(lambda m: m.update(format=FORMAT))(d)
     with pytest.raises(DatasetFormatError, match="bad or truncated magic"):
         _load_edited(saved_dataset, v1_blobs_only)
+
+
+def _manifest_leaves(node, path=()):
+    """(path, value) of every scalar in a parsed manifest."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _manifest_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _manifest_leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+def _edited(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value * 7 if value else 1
+    return value + "x"
+
+
+def test_an_edited_extent_is_refused_by_the_seal(saved_dataset):
+    def stretch(d):
+        text = (d / "manifest.json").read_text()
+        extent = '"extent": [\n      1.0\n    ]'
+        assert text.count(extent) == 1
+        (d / "manifest.json").write_text(text.replace(extent, extent.replace("1.0", "7.0")))
+    with pytest.raises(DatasetFormatError, match="sealed for another manifest.json"):
+        _load_edited(saved_dataset, stretch)
+
+
+def test_every_edited_manifest_value_raises(saved_dataset):
+    manifest = json.loads((saved_dataset / "manifest.json").read_text())
+    leaves = list(_manifest_leaves(manifest))
+    assert len(leaves) > 15 and (("grid", "extent", 0), 1.0) in leaves
+    for path, value in leaves:
+        def edit(d):
+            m = json.loads((d / "manifest.json").read_text())
+            node = m
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = _edited(value)
+            (d / "manifest.json").write_text(json.dumps(m, indent=2, sort_keys=True) + "\n")
+        with pytest.raises(DatasetFormatError):
+            _load_edited(saved_dataset, edit)
+    # a re-indented manifest holds the same values but other bytes
+    with pytest.raises(DatasetFormatError, match="sealed for another manifest.json"):
+        _load_edited(saved_dataset, lambda d: (d / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True)))
 
 
 def test_intact_copy_loads(saved_dataset):
