@@ -9,7 +9,6 @@ from .dims import (
     REGISTRY,
     characteristic_scales_from_sample,
     compute_dimensionless,
-    nondimensionalize,
     similar_transform,
 )
 from .model import DimINOModel, ModelConfig, load_model, save_model

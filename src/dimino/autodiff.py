@@ -156,7 +156,8 @@ class Tape:
     def leaf(self, data, requires_grad=False) -> Tensor:
         t = Tensor(np.asarray(data), self, self._next_id, requires_grad)
         self._next_id += 1
-        self._leaves.append(t)
+        if requires_grad:
+            self._leaves.append(t)
         return t
 
     def _emit(self, data, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
@@ -194,9 +195,8 @@ class Tape:
                 else:
                     grads[i] = gi
         for leaf in leaves:
-            if leaf.requires_grad:
-                g = grads.get(leaf.nid)
-                leaf.grad = np.zeros_like(leaf.data) if g is None else g
+            g = grads.get(leaf.nid)
+            leaf.grad = np.zeros_like(leaf.data) if g is None else g
 
 
 def _same_tape(*tensors) -> Tape:

@@ -5,8 +5,8 @@ each system's SCALE_DIMS table is the only place one is stored: every runtime
 value (a field scale, a constant, a prediction interval) is a plain float
 whose dimension follows from its system and name.  The module also owns the
 per-system registries of dimensionless numbers, characteristic-scale
-extraction, nondimensionalization, and the similarity-transform generator used
-by the invariance harness.
+extraction, and the similarity-transform generator used by the invariance
+harness; ``DimINOModel.prepare`` divides the fields by their scales.
 """
 from __future__ import annotations
 
@@ -242,28 +242,6 @@ def characteristic_scales_from_sample(sample) -> CharacteristicScales:
     scales["x"] = float(sample.grid.extent[0])
     scales["t"] = float(sample.t_final)
     return scales
-
-
-def nondimensionalize(sample, scales: CharacteristicScales):
-    """Divide fields by their scales; replace constants with the c-vector."""
-    spec = REGISTRY[sample.system]
-    fields = {}
-    for name, arr in sample.fields.items():
-        if name not in scales:
-            raise MissingScale(f"no scale for field {name!r}")
-        fields[name] = arr / scales[name]
-    targets = {
-        name: arr / scales[name] for name, arr in sample.targets.items()
-    }
-    cvec = compute_dimensionless(spec, scales)
-    constants = {number.name: float(c) for number, c in zip(spec.numbers, cvec)}
-    return replace(
-        sample,
-        fields=fields,
-        targets=targets,
-        constants=constants,
-        t_final=sample.t_final / scales["t"],
-    )
 
 
 def similar_transform(sample, p: float):

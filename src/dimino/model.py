@@ -162,6 +162,18 @@ class Inputs:
                         for a in (self.x, self.log_c, self.out_scales)))
 
 
+def stack_fields(arrays: List[Dict[str, np.ndarray]], names: List[str],
+                 columns: List[list] = ()) -> np.ndarray:
+    """The arrays ``names`` of each dict in ``arrays`` (the fields or the
+    targets of a sample list), stacked to (B, *grid, len(names)), then one
+    channel per column of ``columns`` (B values each), broadcast over the grid."""
+    chans = [np.stack([a[n] for a in arrays]) for n in names]
+    shape = chans[0].shape
+    chans += [np.broadcast_to(np.reshape(c, (-1,) + (1,) * (len(shape) - 1)), shape)
+              for c in columns]
+    return np.stack(chans, axis=-1)
+
+
 @dataclass
 class ForwardResult:
     tape: Tape
@@ -180,12 +192,14 @@ class DimINOModel:
         scales of a sample list.  It depends on no parameter, so a batch of
         prepared samples is a row gather (``Inputs.take``).
 
-        The gated model divides each field by its characteristic scale, so
-        every channel is dimensionless and exactly invariant under
-        similarity transforms by powers of two; its gate reads the
-        registry's dimensionless numbers, and the same scales restore the
-        output.  The twin sees raw fields plus constant and
-        prediction-interval channels, and gets neither gate nor scales.
+        Both models stack the input fields once.  The gated model divides
+        that stack, in its own dtype, by a (B, *1, Cin) column of the
+        samples' characteristic scales, so every channel is dimensionless
+        and exactly invariant under similarity transforms by powers of two;
+        its gate reads the log of the registry's dimensionless numbers, and
+        the target fields' scales restore the output.  The twin's stack ends
+        in constant and prediction-interval channels, and the twin gets
+        neither gate nor scales.
         """
         cfg = self.config
         for s in samples:
@@ -193,26 +207,23 @@ class DimINOModel:
                 raise FieldSetMismatch(
                     f"sample fields {sorted(s.fields)} != model fields {cfg.in_fields}"
                 )
-        if cfg.use_dimnorm:
-            inputs, cvecs, out_scales = [], [], []
-            for s in samples:
-                scales = dims.characteristic_scales_from_sample(s)
-                nd = dims.nondimensionalize(s, scales)
-                inputs.append(np.stack([nd.fields[n] for n in cfg.in_fields], axis=-1))
-                cvecs.append(list(nd.constants.values()))
-                out_scales.append([scales[n] for n in cfg.target_fields])
-            return Inputs(np.stack(inputs).astype(cfg.dtype),
-                          np.log(np.array(cvecs)).astype(cfg.dtype),
-                          np.array(out_scales).reshape(-1, *[1] * cfg.rank, cfg.out_channels)
-                          .astype(cfg.dtype))
-        chans = [np.stack([s.fields[n] for s in samples]) for n in cfg.in_fields]
-        shape = chans[0].shape
-        per_sample = [[s.constants[n] for s in samples] for n in cfg.constant_names]
-        per_sample.append([s.t_final for s in samples])
-        for vals in per_sample:
-            vals = np.array(vals).reshape(-1, *[1] * (len(shape) - 1))
-            chans.append(np.broadcast_to(vals, shape))
-        return Inputs(np.stack(chans, axis=-1).astype(cfg.dtype))
+        fields = [s.fields for s in samples]
+        if not cfg.use_dimnorm:
+            columns = [[s.constants[n] for s in samples] for n in cfg.constant_names]
+            columns.append([s.t_final for s in samples])
+            return Inputs(stack_fields(fields, cfg.in_fields, columns)
+                          .astype(cfg.dtype, copy=False))
+        x = stack_fields(fields, cfg.in_fields)
+        scales = [dims.characteristic_scales_from_sample(s) for s in samples]
+
+        def column(names):
+            return np.array([[sc[n] for n in names] for sc in scales]).reshape(
+                len(samples), *[1] * (x.ndim - 2), len(names))
+        x /= column(cfg.in_fields).astype(x.dtype)
+        spec = dims.REGISTRY[cfg.system]
+        log_c = np.log([dims.compute_dimensionless(spec, sc) for sc in scales])
+        return Inputs(x.astype(cfg.dtype, copy=False), log_c.astype(cfg.dtype),
+                      column(cfg.target_fields).astype(cfg.dtype))
 
     # -- forward ----------------------------------------------------------
 

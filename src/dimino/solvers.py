@@ -21,10 +21,6 @@ class StepUnstable(Exception):
     """A solve went non-finite (in ``generate_dataset``: on every draw)."""
 
 
-class NonZeroMeanInput(Exception):
-    pass
-
-
 # Courant number of the adaptive step count, and the retained fraction of
 # each axis's modes in nonlinear products (the 2/3 rule).
 CFL = 0.25
@@ -224,7 +220,7 @@ def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
 
 
 def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
-                          extent=(1.0, 1.0), subtract_mean: bool = True):
+                          extent=(1.0, 1.0)):
     """2D incompressible Navier-Stokes in vorticity form on the torus.
 
     Velocity is recovered through the spectral streamfunction; the viscous
@@ -246,8 +242,6 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
 
     scale = max(float(np.max(np.abs(omega0))), 1e-12)
     if abs(float(np.mean(omega0))) > 1e-10 * scale:
-        if not subtract_mean:
-            raise NonZeroMeanInput("omega0 must be mean-zero")
         omega0 = omega0 - np.mean(omega0)
     f = f - np.mean(f)
 
@@ -272,15 +266,13 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
     return irfftn(w_hat, shape, (0, 1))
 
 
-def solve_sample(sample: Sample, cfg: SolverConfig = None, t: float = None
-                 ) -> Dict[str, np.ndarray]:
+def solve_sample(sample: Sample, cfg: SolverConfig = None) -> Dict[str, np.ndarray]:
     """Run the reference solver for a sample; returns target-field dict.
 
     ``sample`` may be a SampleStack: its targets come back stacked, with a
     non-finite row where that row's solve blew up.
     """
-    t = sample.t_final if t is None else t
-    f, c, extent = sample.fields, sample.constants, sample.grid.extent
+    t, f, c, extent = sample.t_final, sample.fields, sample.constants, sample.grid.extent
     if sample.system == "advection1d":
         return {"u": solve_advection_analytic(f["u"], c["beta"], t, extent[0])}
     if sample.system == "burgers1d":

@@ -11,10 +11,11 @@ import numpy as np
 from . import autodiff as ad
 from . import spectral
 from .data import Dataset, Sample
-from .model import DimINOModel, Inputs
+from .model import DimINOModel, Inputs, stack_fields
 
 METRIC_KINDS = ("rel-l2", "rel-h1", "rel-l1")
 EVAL_BATCH = 32
+LOSS_FLOOR = 1e-30  # floor on each sample's loss denominator
 
 
 class NaNLoss(Exception):
@@ -80,7 +81,7 @@ def build_loss(kind: str, out: ad.Tensor, target: np.ndarray, rank: int,
         den = np.sum(target**2, axis=reduce_axes)
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
-    inv_den = (1.0 / np.maximum(den, 1e-30)).astype(out.data.dtype)
+    inv_den = (1.0 / np.maximum(den, LOSS_FLOOR)).astype(out.data.dtype)
     ratio = ad.const_mul(num, inv_den)
     return ad.smul(ad.reduce_sum(ad.sqrt(ratio)), 1.0 / b)
 
@@ -174,12 +175,6 @@ def _lr_at(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr * 0.5 * (1 + math.cos(math.pi * min(frac, 1.0)))
 
 
-def _target_array(samples, target_fields):
-    return np.stack(
-        [np.stack([s.targets[n] for n in target_fields], axis=-1) for s in samples]
-    )
-
-
 def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
           ) -> Tuple[DimINOModel, List[dict]]:
     """Train with Adam; retains the best-valid checkpoint.
@@ -200,9 +195,9 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     if not train_samples:
         raise ValueError("dataset too small to split")
     inputs = model.prepare(train_samples)
-    targets = _target_array(train_samples, model.config.target_fields)
+    targets = stack_fields([s.targets for s in train_samples], model.config.target_fields)
     valid_inputs = model.prepare(valid)
-    valid_targets = _target_array(valid, model.config.target_fields)
+    valid_targets = stack_fields([s.targets for s in valid], model.config.target_fields)
 
     flat = _FlatParams(model.params)
     model.params = flat.views
@@ -271,7 +266,8 @@ def evaluate(model: DimINOModel, dataset: Dataset, split: str,
     except KeyError as exc:
         raise MissingSplit(str(exc)) from exc
     table = evaluate_samples(model, model.prepare(samples),
-                             _target_array(samples, model.config.target_fields),
+                             stack_fields([s.targets for s in samples],
+                                          model.config.target_fields),
                              dataset.grid.extent)
     table["n"] = len(samples)
     if baseline:
@@ -285,7 +281,7 @@ def grad_check_model(model: DimINOModel, samples, loss_kind: str = "l2",
                      step: float = 1e-5, n_sample: int = 4, seed: int = 0) -> float:
     """Finite-difference check of the full forward/backward pipeline."""
     names = list(model.params)
-    target = _target_array(samples, model.config.target_fields)
+    target = stack_fields([s.targets for s in samples], model.config.target_fields)
     rank = model.config.rank
 
     def f(*leaves):

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -79,6 +80,30 @@ def test_backward_frees_each_step_without_the_cycle_collector():
         tracemalloc.stop()
         gc.enable()
     assert retained < 1_000_000, f"{retained / 1e6:.2f} MB retained by 5 steps"
+
+
+def test_a_forward_only_tape_is_freed_without_the_cycle_collector(monkeypatch):
+    # Only a requires-grad leaf is recorded on its tape, so the tape of a
+    # predict refers to none of its tensors and dies with its result.
+    model = DimINOModel(ModelConfig("advection1d", ["u"], ["u"], 1, width=8, depth=2,
+                                    modes=4))
+    samples = [random_sample("advection1d", seed=i) for i in range(2)]
+    tapes = []
+    forward = model.forward
+
+    def recording(*args, **kwargs):
+        result = forward(*args, **kwargs)
+        tapes.append(weakref.ref(result.tape))
+        return result
+
+    monkeypatch.setattr(model, "forward", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        model.predict(samples)
+        assert len(tapes) == 1 and tapes[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_cross_tape_use_is_rejected():

@@ -10,6 +10,7 @@ from dimino.dims import Dimension, DimensionMismatch, UnknownSystemRule, dim
 
 from conftest import make_sample, random_sample
 from dimino.data import Grid
+from dimino.model import DimINOModel, ModelConfig
 
 
 # -- dimensions --------------------------------------------------------------
@@ -112,26 +113,38 @@ def test_scale_floor_on_tiny_fields():
     assert scales["u"] == dims.EPS_FLOOR
 
 
+def _prepared(samples):
+    """The gated input stage of samples, with each one's scales."""
+    s = samples[0]
+    config = ModelConfig(s.system, list(s.fields), list(s.targets), s.grid.rank)
+    scales = [dims.characteristic_scales_from_sample(s) for s in samples]
+    return DimINOModel(config).prepare(samples), scales
+
+
 def test_nondim_redim_round_trip():
+    # prepare divides each field by its scale: every channel's max-abs is at
+    # most 1, and multiplying by the scale column gives the fields back
     for system in dims.REGISTRY:
-        sample = random_sample(system, seed=7, with_targets=True)
-        scales = dims.characteristic_scales_from_sample(sample)
-        nd = dims.nondimensionalize(sample, scales)
-        assert nd.t_final == 1.0
-        for name, arr in nd.fields.items():
-            assert np.max(np.abs(arr)) <= 1.0 + 1e-12
-            back = arr * scales[name]
-            np.testing.assert_allclose(back, sample.fields[name], rtol=1e-12)
-        cvec = dims.compute_dimensionless(dims.REGISTRY[system], scales)
-        assert list(nd.constants.values()) == list(cvec)
+        samples = [random_sample(system, seed=7 + i, t_final=0.5 + i, with_targets=True)
+                   for i in range(3)]
+        inputs, scales = _prepared(samples)
+        for i, (s, sc) in enumerate(zip(samples, scales)):
+            for j, name in enumerate(s.fields):
+                arr = inputs.x[i, ..., j]
+                assert np.max(np.abs(arr)) <= 1.0 + 1e-12
+                np.testing.assert_allclose(arr * sc[name], s.fields[name], rtol=1e-12)
+            assert list(inputs.out_scales[i].ravel()) == [sc[n] for n in s.targets]
+            cvec = dims.compute_dimensionless(dims.REGISTRY[system], sc)
+            assert list(inputs.log_c[i]) == list(np.log(cvec))
 
 
 def test_nondim_constants_match_registry_order():
-    sample = random_sample("ns-vorticity2d", seed=3)
-    nd = dims.nondimensionalize(
-        sample, dims.characteristic_scales_from_sample(sample)
-    )
-    assert list(nd.constants) == ["reynolds", "strouhal", "froude"]
+    sample = random_sample("ns-vorticity2d", seed=3, with_targets=True)
+    inputs, (scales,) = _prepared([sample])
+    spec = dims.REGISTRY["ns-vorticity2d"]
+    assert spec.names == ["reynolds", "strouhal", "froude"]
+    want = [np.log(number.evaluate(scales)) for number in spec.numbers]
+    assert list(inputs.log_c[0]) == want
 
 
 # -- similarity transforms -------------------------------------------------

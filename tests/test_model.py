@@ -24,11 +24,12 @@ from dimino.model import (
     init_params,
     load_model,
     save_model,
+    stack_fields,
 )
 from dimino import dims
 from dimino.data import Grid, write_sealed
 from dimino.solvers import random_fourier_field
-from dimino.training import _target_array, build_loss
+from dimino.training import build_loss
 
 from conftest import make_sample, random_sample
 
@@ -90,10 +91,10 @@ def test_gamma_one_model_bit_equals_gate_free_path():
 
     # replay the pipeline with the gate stage removed entirely
     scales = dims.characteristic_scales_from_sample(sample)
-    nd = dims.nondimensionalize(sample, scales)
     p = model.params
     tape = ad.Tape()
-    x = tape.leaf(np.stack([nd.fields[n] for n in cfg.in_fields], axis=-1)[None])
+    x = tape.leaf(np.stack([sample.fields[n] / scales[n] for n in cfg.in_fields],
+                           axis=-1)[None])
     x = ad.layernorm(x, (1, 2))
     x = ad.linear(x, tape.leaf(p["pre_w1"]), tape.leaf(p["pre_b1"]))
     x = ad.gelu(x)
@@ -286,6 +287,71 @@ def test_gathered_inputs_bit_equal_the_sample_list(case):
         np.testing.assert_array_equal(a.data, b.data)
 
 
+def _divide_then_stack(config, samples):
+    """The input stage as (x, log_c, out_scales), built one sample at a
+    time: the gated model divides each field by its own scale and stacks the
+    quotients; the twin stacks fields, constants and t_final."""
+    cast = [1] * config.rank
+    if config.use_dimnorm:
+        spec = dims.REGISTRY[config.system]
+        xs, cvecs, outs = [], [], []
+        for s in samples:
+            sc = dims.characteristic_scales_from_sample(s)
+            xs.append(np.stack([s.fields[n] / sc[n] for n in config.in_fields], axis=-1))
+            cvecs.append([float(c) for c in dims.compute_dimensionless(spec, sc)])
+            outs.append([sc[n] for n in config.target_fields])
+        return (np.stack(xs).astype(config.dtype),
+                np.log(np.array(cvecs)).astype(config.dtype),
+                np.array(outs).reshape(-1, *cast, config.out_channels).astype(config.dtype))
+    chans = [np.stack([s.fields[n] for s in samples]) for n in config.in_fields]
+    per_sample = [[s.constants[n] for s in samples] for n in config.constant_names]
+    per_sample.append([s.t_final for s in samples])
+    for vals in per_sample:
+        chans.append(np.broadcast_to(np.array(vals).reshape(-1, *cast), chans[0].shape))
+    return np.stack(chans, axis=-1).astype(config.dtype), None, None
+
+
+@st.composite
+def input_stage_cases(draw):
+    """A model and 1-6 samples with mixed t_final, all fields float64 or all
+    float32, and optionally one field whose scale is floored at EPS_FLOOR."""
+    system = draw(st.sampled_from(sorted(FIELDS)))
+    in_fields, target_fields = FIELDS[system]
+    field_dtype = draw(st.sampled_from([np.float64, np.float32]))
+    samples = [random_sample(system, seed=draw(st.integers(0, 2**16)),
+                             t_final=draw(st.floats(1e-3, 1e3)))
+               for _ in range(draw(st.integers(1, 6)))]
+    for s in samples:
+        s.fields = {n: a.astype(field_dtype) for n, a in s.fields.items()}
+    if draw(st.booleans(), label="floored"):
+        s = samples[draw(st.integers(0, len(samples) - 1))]
+        name = draw(st.sampled_from(in_fields))
+        peak = draw(st.sampled_from([0.0, 1e-3, 1.0])) * dims.EPS_FLOOR
+        s.fields[name] = (s.fields[name] / np.max(np.abs(s.fields[name])) * peak
+                          ).astype(field_dtype)
+    config = ModelConfig(
+        system=system, in_fields=in_fields, target_fields=target_fields,
+        rank=samples[0].grid.rank, width=4, depth=1, modes=2,
+        use_dimnorm=draw(st.booleans(), label="gated"),
+        precision=draw(st.sampled_from(["f64", "f32"])),
+    )
+    return config, samples
+
+
+@given(case=input_stage_cases())
+@settings(max_examples=80, deadline=None)
+def test_prepare_bit_equals_divide_then_stack(case):
+    config, samples = case
+    got = DimINOModel(config).prepare(samples)
+    want = _divide_then_stack(config, samples)
+    for a, b in zip((got.x, got.log_c, got.out_scales), want):
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype == config.dtype
+            np.testing.assert_array_equal(a, b)
+
+
 def test_inputs_of_the_twin_carry_no_gate_or_scales():
     samples = [random_sample("ns-vorticity2d", seed=s) for s in range(3)]
     gated = DimINOModel(small_config()).prepare(samples)
@@ -326,7 +392,7 @@ def test_a_training_step_keeps_only_what_backward_reads(monkeypatch):
     samples = [make_sample("advection1d", grid, {"u": random_fourier_field(rng, grid)},
                            {"beta": 0.5 + 0.1 * i}, 1.0,
                            {"u": random_fourier_field(rng, grid)}) for i in range(b)]
-    target = _target_array(samples, ["u"])
+    target = stack_fields([s.targets for s in samples], ["u"])
 
     def step():
         res = model.forward(samples, train=True)
@@ -414,7 +480,8 @@ def test_forward_and_training_step_reach_every_primitive(monkeypatch, system, in
     assert {name for name in expected if not counts[name]} == set()
     assert [counts[name] for name in ("rfftn", "mode_mix", "irfftn")] == [3, 3, 3]
 
-    res.tape.backward(build_loss("h1", res.output, _target_array(samples, [target]), rank))
+    targets = stack_fields([s.targets for s in samples], [target])
+    res.tape.backward(build_loss("h1", res.output, targets, rank))
     assert {name for name in LOSS_PRIMITIVES + ("Tape.backward",) if not counts[name]} == set()
 
 

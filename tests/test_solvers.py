@@ -13,7 +13,6 @@ from dimino.solvers import (
     CFL,
     DEALIAS_FRAC,
     MAX_RETRIES,
-    NonZeroMeanInput,
     SampleStack,
     SolverConfig,
     StepUnstable,
@@ -153,13 +152,10 @@ def test_ns_mean_zero_is_preserved():
     f = random_fourier_field(rng, grid, amplitude=0.1)
     got = solve_ns_vorticity_2d(omega0, 5e-3, f, 1.0, SolverConfig(steps=128))
     assert abs(got.mean()) < 1e-10
-
-
-def test_ns_rejects_nonzero_mean_when_asked():
-    omega0 = np.ones((16, 16))
-    with pytest.raises(NonZeroMeanInput):
-        solve_ns_vorticity_2d(omega0, 1e-3, np.zeros_like(omega0), 0.1,
-                              SolverConfig(steps=4), subtract_mean=False)
+    # a non-zero mean is subtracted before the solve
+    shifted = solve_ns_vorticity_2d(omega0 + 0.25, 5e-3, f, 1.0, SolverConfig(steps=128))
+    assert abs(shifted.mean()) < 1e-10
+    np.testing.assert_allclose(shifted, got, rtol=0, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from dimino.data import Dataset, Grid
 from dimino import training
 from dimino.dims import EPS_FLOOR, similar_transform
-from dimino.model import DimINOModel, ModelConfig, load_model, save_model
+from dimino.model import DimINOModel, ModelConfig, load_model, save_model, stack_fields
 from dimino.solvers import generate_dataset
 from dimino.training import (
+    LOSS_FLOOR,
     METRIC_KINDS,
     MissingSplit,
     NaNLoss,
@@ -24,7 +25,6 @@ from dimino.training import (
     grad_check_model,
     _FlatParams,
     _lr_at,
-    _target_array,
     history_json,
     rel_metric,
     train,
@@ -329,7 +329,7 @@ def _train_per_batch(model, dataset, cfg):
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
             result = model.forward(batch, train=True)
-            target = _target_array(batch, model.config.target_fields)
+            target = stack_fields([s.targets for s in batch], model.config.target_fields)
             loss = build_loss(cfg.loss, result.output, target, model.config.rank, extent)
             result.tape.backward(loss)
             adam_step([model.params[n] for n in names],
@@ -442,6 +442,53 @@ def test_training_invariance_ends_where_a_field_scale_crosses_eps_floor(ulps, in
     assert same == invariant
 
 
+def _floor_case(edge_target, split):
+    """burgers1d samples whose first sample of ``split`` has, under T_8, a
+    target with sum of squares exactly ``edge_target``, zero but for two
+    entries; every input field stays far above EPS_FLOOR."""
+    p = 8.0  # burgers1d's u is a velocity, so T_p divides it by p
+    samples = [random_sample("burgers1d", seed=s, with_targets=True) for s in range(12)]
+    cfg = TrainConfig(loss="l2", epochs=2, batch_size=4, seed=3, patience=0)
+    perm = np.random.default_rng(cfg.seed).permutation(len(samples))
+    n_valid = max(1, int(round(cfg.valid_frac * len(samples))))
+    k = perm[0] if split == "valid" else perm[n_valid]
+    a = np.sqrt(edge_target)
+    while a * a > edge_target:
+        a = np.nextafter(a, 0.0)
+    moved_target = np.zeros_like(samples[k].targets["u"])
+    moved_target[:2] = a, np.sqrt(edge_target - a * a)
+    samples[k].targets["u"] = p * moved_target
+    moved = [similar_transform(s, p) for s in samples]
+    assert np.sum(moved[k].targets["u"] ** 2) == edge_target
+    assert min(np.max(np.abs(s.fields["u"])) for s in moved) > 1e3 * EPS_FLOOR
+
+    def run(data):
+        model = _tiny_model(system="burgers1d")
+        model, history = train(model, Dataset("burgers1d", data[0].grid, {"train": data}), cfg)
+        return history, model.params
+
+    (h, params), (h_moved, params_moved) = run(samples), run(moved)
+    return h == h_moved and all(np.array_equal(params[n], params_moved[n]) for n in params)
+
+
+@pytest.mark.parametrize("ulps, invariant", [(-1, False), (0, True), (1, True)],
+                         ids=["below-floor", "at-floor", "above-floor"])
+def test_training_invariance_ends_where_a_target_norm_crosses_the_loss_floor(ulps, invariant):
+    """Gated l2 training on T_p(D) stays bit-identical to training on D until
+    a training target's sum of squares under T_p falls below LOSS_FLOOR, where
+    build_loss floors its denominator: one ulp below breaks it, the floor
+    itself and one ulp above it do not."""
+    assert _floor_case(LOSS_FLOOR + ulps * np.spacing(LOSS_FLOOR), "train") == invariant
+
+
+@pytest.mark.parametrize("split", ["train", "valid"])
+def test_a_zero_target_breaks_training_invariance(split):
+    """A zero target has no relative error: build_loss floors its
+    denominator, and rel_metric (den == 0) falls back to the absolute norm,
+    which T_p rescales."""
+    assert not _floor_case(0.0, split)
+
+
 def test_evaluate_missing_split():
     ds = _tiny_dataset()
     with pytest.raises(MissingSplit):
@@ -490,7 +537,8 @@ def test_float32_model_trains_with_float32_gradients(system, in_fields, target, 
                                     modes=4, precision="f32"))
     samples = [random_sample(system, seed=s, with_targets=True) for s in range(3)]
     res = model.forward(samples, train=True)
-    loss = build_loss("h1", res.output, _target_array(samples, [target]), rank)
+    targets = stack_fields([s.targets for s in samples], [target])
+    loss = build_loss("h1", res.output, targets, rank)
     assert loss.data.dtype == np.float32
     res.tape.backward(loss)
     for name, leaf in res.leaves.items():
