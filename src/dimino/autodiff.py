@@ -6,11 +6,10 @@ tensors appear only inside the spectral primitives; their cotangents follow
 the (dL/dRe + i dL/dIm) convention, which makes the FFT adjoints below exact
 under the convention of :mod:`dimino.spectral`.
 
-Given ``modes``, ``rfftn`` and ``irfftn`` map straight between a real field
-and the compact spectrum of the modes an FNO block keeps (dense DFT bases, no
-full transform), and ``mode_mix`` mixes that compact spectrum.  Without
-``modes``, ``rfftn`` is the full pocketfft transform, whose ``abs2`` the H1
-loss weights by :func:`spectral.h1_weights`.
+``rfftn`` and ``irfftn`` map straight between a real field and the compact
+spectrum of the modes an FNO block keeps (dense DFT bases, no full
+transform), and ``mode_mix`` mixes that compact spectrum.  ``h1_seminorm2``
+is the H1 loss's seminorm, :func:`spectral.h1_seminorm2` on the tape.
 
 A tape made inside ``with Workspace():`` writes its activation-sized arrays
 (``add``, ``linear``, ``gelu``, ``gate_mul``, the kept-mode transforms and
@@ -129,15 +128,14 @@ class Workspace:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "tape", "nid", "_needs")
+    __slots__ = ("data", "grad", "tape", "nid", "_needs")
 
-    def __init__(self, data, tape, nid, requires_grad=False, needs=None):
+    def __init__(self, data, tape, nid, needs=False):
         self.data = data
         self.grad = None
-        self.requires_grad = requires_grad
         self.tape = tape
         self.nid = nid
-        self._needs = requires_grad if needs is None else needs
+        self._needs = needs
 
     @property
     def shape(self):
@@ -164,7 +162,7 @@ class Tape:
         """Record ``backward`` if any input needs a gradient.  A node holds ids
         only, so an activation stays alive only while a closure reads it."""
         needs = any(t._needs for t in inputs)
-        out = Tensor(data, self, self._next_id, needs=needs)
+        out = Tensor(data, self, self._next_id, needs)
         self._next_id += 1
         if needs:
             self._nodes.append((out.nid, tuple((t.nid, t._needs) for t in inputs), backward))
@@ -241,10 +239,10 @@ def smul(a: Tensor, s: float) -> Tensor:
 
 
 def const_mul(a: Tensor, c: np.ndarray) -> Tensor:
-    """Elementwise multiply by a constant (possibly complex) array."""
+    """Elementwise multiply by a constant real array."""
     c = np.asarray(c)
     shape = a.shape
-    return a.tape._emit(a.data * c, (a,), lambda g: (_sum_to(g * np.conj(c), shape),))
+    return a.tape._emit(a.data * c, (a,), lambda g: (_sum_to(g * c, shape),))
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -329,41 +327,22 @@ def _kept_shape(name, sizes, modes):
     return modes, kept
 
 
-def rfftn(x: Tensor, axes, modes=None) -> Tensor:
-    """Real-to-complex FFT over the given axes (unnormalized).
-
-    With ``modes`` only the kept modes are computed, by dense DFT bases, into
-    the compact spectrum (B, *kept, C) of :func:`spectral.rfftn_kept`: 1D
-    keeps (m,), 2D the (2*m1, m2) low-|k| corner rows.
-    """
+def rfftn(x: Tensor, axes, modes) -> Tensor:
+    """Real-to-complex FFT over the given axes (unnormalized) at the kept
+    ``modes`` only, by dense DFT bases, into the compact spectrum
+    (B, *kept, C) of :func:`spectral.rfftn_kept`: 1D keeps (m,), 2D the
+    (2*m1, m2) low-|k| corner rows."""
     axes = tuple(axes)
     sizes = tuple(x.data.shape[a] for a in axes)
-    if sizes[-1] % 2:
-        raise UnsupportedPrimitive("rfftn requires an even last transform axis")
     dtype = x.data.dtype
-    if modes is not None:
-        modes, _ = _kept_shape("rfftn", sizes, modes)
-
-        ws = x.tape.ws
-
-        def backward_kept(g):
-            gx = spectral.rfftn_kept_adjoint(g, axes, sizes, ws)
-            return (gx.astype(dtype, copy=False),)
-
-        return x.tape._emit(spectral.rfftn_kept(x.data, axes, modes, ws), (x,), backward_kept)
-    n_total = int(np.prod(sizes))
-    y = spectral.rfftn(x.data, axes=axes)
-    # adjoint factor per mode of the real-FFT axis: N at DC and Nyquist, N/2
-    # on the modes between, which stand for conjugate pairs
-    w = np.full(y.shape[axes[-1]], 0.5 * n_total)
-    w[[0, -1]] = n_total
-    w = w.reshape((-1,) + (1,) * (y.ndim - 1 - axes[-1] % y.ndim))
+    modes, _ = _kept_shape("rfftn", sizes, modes)
+    ws = x.tape.ws
 
     def backward(g):
-        gx = spectral.irfftn(np.multiply(g, w, dtype=g.dtype), s=sizes, axes=axes)
+        gx = spectral.rfftn_kept_adjoint(g, axes, sizes, ws)
         return (gx.astype(dtype, copy=False),)
 
-    return x.tape._emit(y, (x,), backward)
+    return x.tape._emit(spectral.rfftn_kept(x.data, axes, modes, ws), (x,), backward)
 
 
 def irfftn(y: Tensor, axes, s, modes) -> Tensor:
@@ -387,11 +366,25 @@ def irfftn(y: Tensor, axes, s, modes) -> Tensor:
     return y.tape._emit(spectral.irfftn_kept(y.data, axes, s, ws), (y,), backward)
 
 
-def abs2(z: Tensor) -> Tensor:
-    """|z|**2 of a complex tensor, as re**2 + im**2; under the module's
-    cotangent convention its backward is 2 * g * z."""
-    zd = z.data
-    return z.tape._emit(zd.real**2 + zd.imag**2, (z,), lambda g: (zd * (2 * g),))
+def h1_seminorm2(x: Tensor, axes, extent) -> Tensor:
+    """The squared H1 seminorm of ``x`` per row, summed over the consecutive
+    ``axes`` and every axis after them: :func:`spectral.h1_seminorm2` with
+    the weights in x's dtype.  Its backward is 2 * g * (-Laplace x), computed
+    from the forward's spectrum X as irfftn(X * (2 * (g * k2))) with k2 the
+    :func:`spectral.k_squared` of the grid."""
+    axes, xd = tuple(axes), x.data
+    sizes = tuple(xd.shape[a] for a in axes)
+    if sizes[-1] % 2:  # k_squared zeroes index n // 2 as an even axis's Nyquist mode
+        raise UnsupportedPrimitive("h1_seminorm2 requires an even last transform axis")
+    y, xh = spectral.h1_seminorm2(xd, axes, extent, xd.dtype)
+    k2 = spectral.k_squared(sizes, tuple(extent)).astype(xd.dtype)
+    k2 = k2.reshape(k2.shape + (1,) * (xd.ndim - 1 - axes[-1]))
+
+    def backward(g):
+        gx = spectral.irfftn(xh * (2 * np.multiply.outer(g, k2)), sizes, axes)
+        return (gx.astype(xd.dtype, copy=False),)
+
+    return x.tape._emit(y, (x,), backward)
 
 
 def mode_mix(xk: Tensor, w: Tensor) -> Tensor:
@@ -474,10 +467,7 @@ def reduce_sum(x: Tensor, axes=None) -> Tensor:
     shape = x.data.shape
 
     def backward(g):
-        if axes is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, shape).copy(),)
+        return (np.broadcast_to(g if axes is None else np.expand_dims(g, axes), shape).copy(),)
 
     return x.tape._emit(x.data.sum(axis=axes), (x,), backward)
 
@@ -494,12 +484,8 @@ def sqrt(x: Tensor) -> Tensor:
 
 def _perturbable(arr):
     """Coordinate list: (index, component) with component in {re, im}."""
-    coords = []
-    for idx in np.ndindex(arr.shape):
-        coords.append((idx, "re"))
-        if np.iscomplexobj(arr):
-            coords.append((idx, "im"))
-    return coords
+    comps = ("re", "im") if np.iscomplexobj(arr) else ("re",)
+    return [(idx, comp) for idx in np.ndindex(arr.shape) for comp in comps]
 
 
 def standard_primitive_checks(seed: int = 0, n_sample: int = 12) -> dict:
@@ -507,8 +493,6 @@ def standard_primitive_checks(seed: int = 0, n_sample: int = 12) -> dict:
     rng = np.random.default_rng(seed)
     r = rng.standard_normal
     rc = lambda *s: r(s) + 1j * r(s)
-    w1 = np.abs(r((2, 9, 3)))
-    w2 = np.abs(r((2, 8, 5, 3)))
     checks = {
         "add": (lambda a, b: reduce_sum(power(add(a, b), 2)), [r((3, 4)), r(4)]),
         "sub": (lambda a, b: reduce_sum(power(sub(a, b), 2)), [r((3, 4)), r((3, 4))]),
@@ -526,12 +510,11 @@ def standard_primitive_checks(seed: int = 0, n_sample: int = 12) -> dict:
             lambda x: reduce_sum(power(layernorm(x, (1,), eps=1e-4), 2)),
             [1e-2 * r((2, 6)) + 5.0],
         ),
-        "abs2": (lambda z: reduce_sum(const_mul(abs2(z), w1)), [rc(2, 9, 3)]),
-        "rfft-abs2-1d": (
-            lambda x: reduce_sum(const_mul(abs2(rfftn(x, (1,))), w1)), [r((2, 16, 3))],
+        "h1-seminorm-1d": (
+            lambda x: reduce_sum(h1_seminorm2(x, (1,), (3.0,))), [r((2, 16, 3))],
         ),
-        "rfft-abs2-2d": (
-            lambda x: reduce_sum(const_mul(abs2(rfftn(x, (1, 2))), w2)), [r((2, 8, 8, 3))],
+        "h1-seminorm-2d": (
+            lambda x: reduce_sum(h1_seminorm2(x, (1, 2), (1.0, 2.0))), [r((2, 8, 8, 3))],
         ),
         "mode-mix-1d": (
             lambda x, w: reduce_sum(

@@ -61,13 +61,6 @@ class Grid:
     def shape(self) -> tuple:
         return self.points
 
-    def axes(self):
-        """Cell coordinates per axis, periodic convention (endpoint excluded)."""
-        return [
-            np.linspace(0.0, ext, n, endpoint=False)
-            for n, ext in zip(self.points, self.extent)
-        ]
-
 
 @dataclass
 class Sample:

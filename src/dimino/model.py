@@ -64,6 +64,12 @@ class ModelConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.precision not in ("f64", "f32"):
             raise ValueError(f"bad precision {self.precision!r}")
+        if self.system not in dims.SCALE_DIMS:
+            raise ValueError(f"unknown system {self.system!r}")
+        names = set(dims.SCALE_DIMS[self.system]) - {"x", "t"}
+        unknown = sorted({*self.in_fields, *self.target_fields} - names)
+        if unknown:
+            raise ValueError(f"{self.system} has no field named {unknown}")
 
     @property
     def m(self) -> int:
@@ -203,6 +209,9 @@ class DimINOModel:
         """
         cfg = self.config
         for s in samples:
+            if s.system != cfg.system:
+                raise FieldSetMismatch(
+                    f"samples of {s.system!r} given to a model of {cfg.system!r}")
             if set(cfg.in_fields) - set(s.fields):
                 raise FieldSetMismatch(
                     f"sample fields {sorted(s.fields)} != model fields {cfg.in_fields}"

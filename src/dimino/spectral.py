@@ -20,8 +20,8 @@ Spectra use the real-FFT layout: every transformed axis holds its modes in
 non-negative modes.  ``irfftn`` requires exactly that layout (it neither pads
 nor truncates).  ``mode_numbers`` and ``wavenumbers`` take the spatial
 ``shape`` and return one array per axis, shaped to broadcast against such a
-spectrum; ``h1_weights`` returns one array of the spectrum's shape, the
-weights that give the H1 seminorm from one ``rfftn`` by Parseval.
+spectrum; ``k_squared`` and ``h1_weights`` return one array of its shape,
+and ``h1_seminorm2`` weighs one ``rfftn`` by ``h1_weights`` (Parseval).
 
 Kept-mode transforms: ``rfftn_kept`` evaluates only the low modes an FNO
 block keeps, as small dense DFT matmuls (direct spectral evaluation, Lingsch
@@ -46,7 +46,7 @@ from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 
 __all__ = ["rfftn", "irfftn", "rfftn_kept", "rfftn_kept_adjoint", "irfftn_kept",
            "irfftn_kept_adjoint", "mode_numbers", "wavenumbers", "dealias_mask",
-           "h1_weights"]
+           "k_squared", "h1_weights", "h1_seminorm2"]
 
 
 def rfftn(x: np.ndarray, axes) -> np.ndarray:
@@ -191,25 +191,44 @@ def dealias_mask(shape: Sequence[int], frac: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
+def k_squared(shape: tuple, extent: tuple) -> np.ndarray:
+    """sum_a k_a**2 per mode of an ``rfftn`` spectrum, the symbol of -Laplace:
+    k_a is axis a's wavenumber zeroed at index n // 2 (its Nyquist mode, so
+    differentiation stays skew-symmetric).  Cached; read-only."""
+    if len(extent) != len(shape):
+        from .autodiff import ShapeMismatch  # autodiff imports this module
+        raise ShapeMismatch(f"k_squared: extent {extent} does not match grid {shape}")
+    k2 = 0.0
+    for n, k in zip(shape, wavenumbers(shape, extent)):
+        k.flat[n // 2] = 0.0
+        k2 = k2 + k**2
+    k2.flags.writeable = False
+    return k2
+
+
+@functools.lru_cache(maxsize=64)
 def h1_weights(shape: tuple, extent: tuple) -> np.ndarray:
     """The H1 seminorm's weight per mode of an ``rfftn`` spectrum, by Parseval.
 
     For a real field f on ``shape``, sum(w * |rfftn(f)|**2) is
-    sum over x and a of (df/dx_a)**2, where w = mult * sum_a k_a**2 / N:
-    k_a is axis a's wavenumber zeroed at index n // 2 (its Nyquist mode, so
-    differentiation stays skew-symmetric), mult is 1 at the last axis's DC
-    and Nyquist and 2 on the modes between, which stand for conjugate pairs,
-    and N is the whole grid.  Cached per (shape, extent) tuple; read-only.
+    sum over x and a of (df/dx_a)**2, where w = mult * k_squared / N: mult
+    is 1 at the last axis's DC and Nyquist and 2 on the modes between, which
+    stand for conjugate pairs, and N is the whole grid.  Cached per
+    (shape, extent) tuple; read-only.
     """
-    if len(extent) != len(shape):
-        from .autodiff import ShapeMismatch  # autodiff imports this module
-        raise ShapeMismatch(f"h1_weights: extent {extent} does not match grid {shape}")
-    w = 0.0
-    for n, k in zip(shape, wavenumbers(shape, extent)):
-        k.flat[n // 2] = 0.0
-        w = w + k**2
     mult = np.ones(shape[-1] // 2 + 1)
     mult[1:(shape[-1] + 1) // 2] = 2.0
-    w = w * (mult / math.prod(shape))
+    w = k_squared(shape, extent) * (mult / math.prod(shape))
     w.flags.writeable = False
     return w
+
+
+def h1_seminorm2(f: np.ndarray, axes, extent, dtype=np.float64):
+    """The squared H1 seminorm of the real field ``f`` per row, with the
+    spectrum it is computed from: sum((re**2 + im**2) * w) over the
+    consecutive ``axes`` and every axis after them, where re + i im is
+    ``rfftn(f, axes)`` and w is ``h1_weights`` in ``dtype``."""
+    w = h1_weights(tuple(f.shape[a] for a in axes), tuple(extent)).astype(dtype, copy=False)
+    w = w.reshape(w.shape + (1,) * (f.ndim - 1 - axes[-1]))
+    fh = rfftn(f, axes)
+    return np.sum((fh.real**2 + fh.imag**2) * w, axis=tuple(range(axes[0], f.ndim))), fh

@@ -30,14 +30,10 @@ class MissingSplit(Exception):
 
 
 def _h1_norm2(f: np.ndarray, axes, extent) -> np.ndarray:
-    """Squared H1 norm sum(f**2) + sum(w * |rfftn(f)|**2), with the weights of
-    ``spectral.h1_weights``, summed over the consecutive spatial ``axes`` and
-    every axis after them."""
-    w = spectral.h1_weights(tuple(f.shape[a] for a in axes), extent)
-    w = w.reshape(w.shape + (1,) * (f.ndim - 1 - axes[-1]))
-    fh = spectral.rfftn(f, axes)
+    """Squared H1 norm sum(f**2) + ``spectral.h1_seminorm2``, summed over the
+    consecutive spatial ``axes`` and every axis after them."""
     sum_axes = tuple(range(axes[0], f.ndim))
-    return np.sum(f**2, axis=sum_axes) + np.sum(w * (fh.real**2 + fh.imag**2), axis=sum_axes)
+    return np.sum(f**2, axis=sum_axes) + spectral.h1_seminorm2(f, axes, extent)[0]
 
 
 def rel_metric(kind: str, pred: np.ndarray, target: np.ndarray,
@@ -72,10 +68,7 @@ def build_loss(kind: str, out: ad.Tensor, target: np.ndarray, rank: int,
     e = ad.sub(out, tape.leaf(target.astype(out.data.dtype)))
     num = ad.reduce_sum(ad.power(e, 2), axes=reduce_axes)
     if kind == "h1":
-        w = spectral.h1_weights(target.shape[1:1 + rank], extent)[..., None]
-        eh2 = ad.abs2(ad.rfftn(e, spatial_axes))
-        eh2 = ad.const_mul(eh2, w.astype(out.data.dtype, copy=False))
-        num = ad.add(num, ad.reduce_sum(eh2, axes=reduce_axes))
+        num = ad.add(num, ad.h1_seminorm2(e, spatial_axes, extent))
         den = _h1_norm2(target, spatial_axes, extent)
     elif kind == "l2":
         den = np.sum(target**2, axis=reduce_axes)

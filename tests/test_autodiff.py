@@ -135,11 +135,11 @@ def test_linear_shape_mismatch():
         ad.linear(x, w)
 
 
-def test_rfftn_requires_even_axis():
+def test_h1_seminorm2_requires_even_axis():
     tape = ad.Tape()
     x = tape.leaf(np.ones((2, 15)))
     with pytest.raises(ad.UnsupportedPrimitive):
-        ad.rfftn(x, (1,))
+        ad.h1_seminorm2(x, (1,), (1.0,))
 
 
 def test_layernorm_requires_positive_eps():
@@ -170,19 +170,6 @@ def test_parseval_identity():
     # unnormalized forward: sum|x|^2 == (|X0|^2 + 2 sum_int |Xk|^2 + |XN|^2)/N
     spec = np.abs(xh[0]) ** 2 + 2 * np.sum(np.abs(xh[1:-1]) ** 2) + np.abs(xh[-1]) ** 2
     assert abs(np.sum(x**2) - spec / 64) < 1e-10
-
-
-def test_fft_adjoint_linear_functional():
-    # loss(x) = Re<y, F x> is linear, so its gradient is the exact adjoint of
-    # y; the finite-difference check is then exact up to rounding
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((1, 16, 1))
-    y = rng.standard_normal((1, 9, 1)) + 1j * rng.standard_normal((1, 9, 1))
-    err = ad.grad_check(
-        lambda t: ad.reduce_sum(ad.const_mul(ad.rfftn(t, (1,)), np.conj(y))),
-        [x], n_sample=16, seed=0,
-    )
-    assert err < 1e-8
 
 
 def test_layernorm_gradient_annihilates_constants():
@@ -382,50 +369,46 @@ def _gelu_erf_expressions(x, g):
     return x * cdf, g * (cdf + x * pdf)
 
 
-@st.composite
-def _fft_case(draw, sizes):
-    rank = draw(st.sampled_from([1, 2]), label="rank")
-    shape = (draw(st.integers(1, 4), label="B"),
-             *(draw(st.sampled_from(sizes), label=f"N{a}") for a in range(rank)),
-             draw(st.integers(1, 5), label="C"))
-    real = draw(st.sampled_from([np.float64, np.float32]), label="dtype")
-    # a float32 model's cotangents may arrive in float64 from the loss
-    wide = draw(st.booleans(), label="float64 cotangent")
-    return shape, real, wide, draw(st.integers(0, 2**32 - 1), label="seed")
+def _h1_seminorm_chain(x, extent, g):
+    """The H1 seminorm as the four-node tape chain rfftn -> abs2 -> const_mul
+    -> reduce_sum, node by node in numpy: the per-row forward, and the
+    cotangent of x for the cotangent g of that forward."""
+    axes, sizes = tuple(range(1, x.ndim - 1)), x.shape[1:-1]
+    sum_axes = tuple(range(1, x.ndim))
+    w = spectral.h1_weights(sizes, extent)[..., None].astype(x.dtype)
+    xh = spectral.rfftn(x, axes)
+    y = ((xh.real**2 + xh.imag**2) * w).sum(axis=sum_axes)
+    gh = np.broadcast_to(np.expand_dims(g, sum_axes), xh.shape).copy()  # reduce_sum
+    gh = xh * (2 * (gh * np.conj(w)))  # const_mul, then abs2
+    # the full rfftn's adjoint: N at DC and Nyquist, N/2 on the modes between
+    adj = np.full(xh.shape[-2], 0.5 * math.prod(sizes))
+    adj[[0, -1]] = math.prod(sizes)
+    gx = spectral.irfftn(np.multiply(gh, adj[:, None], dtype=gh.dtype), sizes, axes)
+    return y, gx.astype(x.dtype, copy=False)
 
 
-def _rfftn_adjoint(case):
-    """(new, copy-and-scale) cotangent of rfftn's input."""
-    shape, real, wide, seed = case
-    rng = np.random.default_rng(seed)
-    axes = tuple(range(1, len(shape) - 1))
-    sizes = shape[1:-1]
-    g_cplx = np.result_type(np.float64 if wide else real, np.complex64)
-    x = rng.standard_normal(shape).astype(real)
-    spec_shape = spectral.rfftn(x, axes).shape
-    gy = (rng.standard_normal(spec_shape) + 1j * rng.standard_normal(spec_shape)).astype(g_cplx)
-
-    # the cotangent of rfftn(x) is gy
-    xl = (tape := ad.Tape()).leaf(x, requires_grad=True)
-    tape.backward(ad.reduce_sum(ad.const_mul(ad.rfftn(xl, axes), np.conj(gy))))
-    return xl.grad, _rfftn_adjoint_copy_and_scale(gy, sizes, axes, real)
-
-
-@given(case=_fft_case([2, 4, 8, 16, 32]))
+@given(rank=st.sampled_from([1, 2]), b=st.integers(1, 3), c=st.integers(1, 3),
+       sizes=st.lists(st.sampled_from([2, 4, 8, 16, 32]), min_size=2, max_size=2),
+       extent=st.lists(st.floats(0.25, 8.0).filter(lambda e: e != 1.0), min_size=2,
+                       max_size=2),
+       real=st.sampled_from([np.float64, np.float32]), wide=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_fft_adjoints_bit_equal_copy_and_scale_on_power_of_two_grids(case):
-    got, want = _rfftn_adjoint(case)
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
-
-
-@given(case=_fft_case([6, 12, 48]))
-@settings(max_examples=100, deadline=None)
-def test_fft_adjoints_match_copy_and_scale_to_rounding_on_other_even_grids(case):
-    rtol = 1e-14 if case[1] == np.float64 and case[2] is False else 1e-6
-    got, want = _rfftn_adjoint(case)
-    assert got.dtype == want.dtype
-    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+def test_h1_seminorm2_bit_equals_the_four_node_chain(rank, b, c, sizes, extent, real, wide,
+                                                     seed):
+    """Forward and input gradient, against the chain the primitive replaced;
+    a float32 field may meet a float64 cotangent."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((b, *sizes[:rank], c)).astype(real)
+    g = rng.standard_normal(b).astype(np.float64 if wide else real)
+    extent = tuple(extent[:rank])
+    xl = (tape := ad.Tape()).leaf(x, requires_grad=True)
+    y = ad.h1_seminorm2(xl, tuple(range(1, 1 + rank)), extent)
+    tape.backward(ad.reduce_sum(ad.const_mul(y, g)))  # cotangent of y is g
+    want_y, want_gx = _h1_seminorm_chain(x, extent, g)
+    for got, want in ((y.data, want_y), (xl.grad, want_gx)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 @given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),

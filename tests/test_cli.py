@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dimino import cli
+from dimino.autodiff import standard_primitive_checks
 from dimino.cli import main
 from dimino.data import FORMAT, dataset_hash, load_dataset, save_dataset
 from dimino.dims import similar_transform
@@ -229,7 +230,9 @@ def test_sti_check_oracle_is_exact_at_power_of_two_p(tmp_path, capsys):
 def test_grad_check_exits_zero(capsys):
     assert run(["grad-check", "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert "full-model " in out and "full-model-h1 " in out and "abs2 " in out
+    rows = [*standard_primitive_checks(n_sample=1), "full-model", "full-model-h1"]
+    for row in rows:
+        assert re.search(rf"^{re.escape(row)} +\d\.\d{{3}}e[+-]\d+$", out, re.M), row
     assert "worst relative error" in out
 
 

@@ -185,6 +185,15 @@ def test_field_set_mismatch_raises():
         model.predict([sample])
 
 
+@pytest.mark.parametrize("gated", [True, False])
+def test_samples_of_another_system_are_refused(gated):
+    # burgers1d samples carry the field u that an advection1d model reads
+    model = DimINOModel(ModelConfig("advection1d", ["u"], ["u"], 1, width=6, depth=2, modes=4,
+                                    use_dimnorm=gated))
+    with pytest.raises(FieldSetMismatch, match="'burgers1d'.*'advection1d'"):
+        model.prepare([random_sample("advection1d"), random_sample("burgers1d")])
+
+
 def test_gated_forward_extracts_scales_once_per_sample(monkeypatch):
     seen = []
     extract = dims.characteristic_scales_from_sample
@@ -443,7 +452,7 @@ def test_a_training_step_keeps_only_what_backward_reads(monkeypatch):
 FORWARD_PRIMITIVES = ("rfftn", "irfftn", "mode_mix", "linear", "gelu", "layernorm",
                       "gate_expand", "gate_mul", "add", "const_mul")
 GATE_PRIMITIVES = ("layernorm", "gate_expand", "gate_mul", "const_mul")
-LOSS_PRIMITIVES = ("sub", "reduce_sum", "power", "sqrt", "smul")
+LOSS_PRIMITIVES = ("sub", "reduce_sum", "power", "sqrt", "smul", "h1_seminorm2")
 
 
 def _count_calls(monkeypatch):
@@ -638,6 +647,10 @@ def _rewrite_header(path, version=None, header=None, edit=None):
     dict(edit=lambda h: h["config"].update(gamma=1.5)),
     dict(edit=lambda h: h["config"].update(depth="four")),
     dict(edit=lambda h: h["config"].update(width=0)),
+    dict(edit=lambda h: h["config"].update(system="made-up")),
+    dict(edit=lambda h: h["config"].update(in_fields=["omega", "nope"])),
+    dict(edit=lambda h: h["config"].update(target_fields=["psi"])),
+    dict(edit=lambda h: h["config"].update(in_fields=["omega", "x"])),
     dict(edit=lambda h: h.update(dataset_field_scales=None)),
     dict(edit=lambda h: h.update(dataset_field_scales={"omega": 1.0, "f": 1.0})),
     dict(edit=lambda h: h.update(comment="")),
@@ -645,7 +658,8 @@ def _rewrite_header(path, version=None, header=None, edit=None):
     dict(edit=lambda h: h.update({"": None})),
     dict(edit=lambda h: h.update(config2={})),
 ], ids=["v2-file", "v3-file", "v4-file", "unknown-key", "missing-key", "malformed-json",
-        "not-an-object", "rejected-gamma", "wrong-type", "zero-width", "header-null-scales",
+        "not-an-object", "rejected-gamma", "wrong-type", "zero-width", "unknown-system",
+        "unknown-in-field", "unknown-target-field", "grid-name-as-field", "header-null-scales",
         "header-shared-scales", "header-comment", "header-config-twice", "header-empty-key",
         "header-extra-object"])
 def test_checkpoint_header_faults_are_typed(tmp_path, fault):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_sample, random_sample
 from dimino import dims, sti
 from dimino.data import Grid
-from dimino.model import DimINOModel, ModelConfig
+from dimino.model import DimINOModel, FieldSetMismatch, ModelConfig
 from dimino.solvers import SolverConfig, generate_dataset, solve_sample
 from dimino.sti import SpecMismatch, solver_sti_oracle, sti_check
 from dimino.training import rel_metric
@@ -82,6 +82,16 @@ def test_system_mismatch_rejected():
     ))
     with pytest.raises(SpecMismatch):
         sti_check(model, _ns_samples(), [1.0])
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_baseline_of_another_system_rejected(gated):
+    baseline = DimINOModel(ModelConfig("advection1d", ["u"], ["u"], 1, width=6, depth=2,
+                                       modes=4, use_dimnorm=gated))
+    samples = [random_sample("burgers1d", seed=s) for s in range(2)]
+    with pytest.raises(FieldSetMismatch, match="'burgers1d'.*'advection1d'"):
+        sti_check(_model("burgers1d"), samples, [1.0], baseline=baseline,
+                  solver_cfg=SolverConfig(steps=16))
 
 
 def test_no_samples_rejected():
