@@ -1,6 +1,6 @@
 """Dimension-informed neural operators at desk scale."""
 
-from .data import Dataset, Grid, Sample
+from .data import Batch, Dataset, Grid, Sample
 from .dims import (
     DIMLESS,
     CharacteristicScales,

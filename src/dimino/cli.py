@@ -85,13 +85,10 @@ def cmd_gen_data(args) -> int:
         )
         dataset.splits["test"] = test.splits["train"]
     spec = dims.REGISTRY[args.system]
-    cvals = np.stack(
-        [
-            dims.compute_dimensionless(spec, dims.characteristic_scales_from_sample(s))
-            for split in dataset.splits.values()
-            for s in split
-        ]
-    )
+    cvals = np.concatenate([
+        dims.compute_dimensionless(spec, dims.characteristic_scales_from_sample(split))
+        for split in dataset.splits.values()
+    ])
     audit = {
         name: {"min": float(cvals[:, i].min()), "max": float(cvals[:, i].max())}
         for i, name in enumerate(spec.names)
@@ -108,13 +105,11 @@ def cmd_gen_data(args) -> int:
 
 
 def _model_config_from_args(args, dataset, use_dimnorm=True) -> ModelConfig:
-    samples = dataset.split("train")
-    if not samples:
-        raise ValueError("dataset too small to split")
+    batch = dataset.split("train")
     return ModelConfig(
         system=dataset.system,
-        in_fields=list(samples[0].fields),
-        target_fields=list(samples[0].targets),
+        in_fields=list(batch.fields),
+        target_fields=list(batch.targets),
         rank=dataset.grid.rank,
         width=args.width,
         depth=args.depth,
@@ -188,13 +183,13 @@ def cmd_sti_check(args) -> int:
     model = load_model(args.ckpt)
     baseline = load_model(args.baseline_ckpt) if args.baseline_ckpt else None
     default = "test" if "test" in dataset.splits else "train"
-    samples = dataset.split(default if args.split is None else args.split)[: args.n]
+    batch = dataset.split(default if args.split is None else args.split)[: args.n]
     p_list = [float(p) for p in args.p.split(",")]
     cfg = SolverConfig(steps=args.solver_steps)
-    report = sti_check(model, samples, p_list, baseline, cfg)
+    report = sti_check(model, batch, p_list, baseline, cfg)
     print(report.format_table())
     if args.oracle:
-        res = np.mean([solver_sti_oracle(s, max(p_list), cfg) for s in samples[:4]])
+        res = solver_sti_oracle(batch[:4], max(p_list), cfg)
         print(f"solver oracle residual at p={max(p_list):g}: {res:.2e}")
     if args.out:
         out = _out_dir(args)

@@ -12,6 +12,8 @@ manifest order and the manifest's dtype, named ``kind/name``: fields and
 targets as (count, *grid), constants and ``t_final`` as (count,).  Its header
 ``{"manifest_blake2b": ...}`` seals the manifest's exact bytes, so an edited
 manifest (a grid extent, a constant's dimensions, a meta value) does not load.
+In memory each split is a ``Batch`` of the same columns, so a blob is read
+and written without a loop over samples.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -64,7 +66,9 @@ class Grid:
 
 @dataclass
 class Sample:
-    """Input fields + constants + prediction interval + target fields."""
+    """One row of a Batch: input fields + constants + prediction interval +
+    target fields.  ``batch[i]`` is a row whose arrays are views; rows made
+    elsewhere are checked when ``Batch.stack`` makes them columns."""
 
     system: str
     grid: Grid
@@ -73,35 +77,78 @@ class Sample:
     t_final: float
     targets: Dict[str, np.ndarray] = field(default_factory=dict)
 
+
+def _take(columns: Dict[str, np.ndarray], idx) -> Dict[str, np.ndarray]:
+    return {name: col[idx] for name, col in columns.items()}
+
+
+@dataclass
+class Batch:
+    """B samples of one system on one grid, as columns: fields and targets
+    (B, *grid), constants and ``t_final`` (B,).
+
+    ``len`` counts the rows, iteration yields them, ``batch[i]`` is row i as
+    a Sample and ``batch[slice or index array]`` is a Batch of those rows.
+    """
+
+    system: str
+    grid: Grid
+    fields: Dict[str, np.ndarray]
+    constants: Dict[str, np.ndarray]
+    t_final: np.ndarray
+    targets: Dict[str, np.ndarray] = field(default_factory=dict)
+
     def __post_init__(self):
-        if self.t_final <= 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        rows = (len(self),)
         for name, arr in {**self.fields, **self.targets}.items():
-            if arr.shape != self.grid.shape:
-                raise ValueError(
-                    f"field {name!r} shape {arr.shape} != grid shape {self.grid.shape}"
-                )
+            if arr.shape != rows + self.grid.shape:
+                raise ValueError(f"field {name!r} shape {arr.shape} != "
+                                 f"(rows, *grid) {rows + self.grid.shape}")
+        for name, col in self.constants.items():
+            if col.shape != rows:
+                raise ValueError(f"constant {name!r} shape {col.shape} != {rows}")
+        if not np.all(self.t_final > 0):
+            raise ValueError(f"t_final must be positive, got {self.t_final}")
+
+    def __len__(self) -> int:
+        return len(self.t_final)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, idx):
+        kind = Sample if isinstance(idx, (int, np.integer)) else Batch
+        return kind(self.system, self.grid, _take(self.fields, idx),
+                    _take(self.constants, idx), self.t_final[idx], _take(self.targets, idx))
+
+    @classmethod
+    def stack(cls, rows) -> "Batch":
+        """Rows of one system, grid and set of names as one Batch: the one
+        place rows become columns."""
+        def layout(r):
+            return r.system, r.grid, list(r.fields), list(r.constants), list(r.targets)
+        if any(layout(r) != layout(rows[0]) for r in rows):
+            raise ValueError("a Batch holds rows of one system, grid and set of names")
+        first = rows[0]
+
+        def column(kind):
+            return {n: np.stack([getattr(r, kind)[n] for r in rows])
+                    for n in getattr(first, kind)}
+        return cls(first.system, first.grid, column("fields"), column("constants"),
+                   np.array([r.t_final for r in rows], dtype=np.float64), column("targets"))
 
 
 @dataclass
 class Dataset:
     system: str
     grid: Grid
-    splits: Dict[str, List[Sample]]
+    splits: Dict[str, Batch]
     meta: dict = field(default_factory=dict)
 
-    def split(self, name: str) -> List[Sample]:
+    def split(self, name: str) -> Batch:
         if name not in self.splits:
             raise KeyError(f"no split {name!r} (have {sorted(self.splits)})")
         return self.splits[name]
-
-
-def _record_order(sample: Sample):
-    records = [("field", name) for name in sample.fields]
-    records += [("constant", name) for name in sample.constants]
-    records.append(("time", "t_final"))
-    records += [("target", name) for name in sample.targets]
-    return records
 
 
 _DTYPES = ("float64", "float32", "complex128", "complex64")  # index = dtype code
@@ -161,15 +208,12 @@ def _manifest_digest(raw: bytes) -> str:
     return hashlib.blake2b(raw, digest_size=16).hexdigest()
 
 
-def _write_blob(path: Path, samples: List[Sample], records, shape, dtype, seal: str) -> None:
-    def blocks():
-        for kind, name in records:
-            # a sample's fields, targets and constants sit in its attribute kind + "s"
-            values = [s.t_final if kind == "time" else getattr(s, kind + "s")[name]
-                      for s in samples]
-            rows = shape if kind in ("field", "target") else ()
-            yield f"{kind}/{name}", np.array(values, dtype).reshape(len(samples), *rows)
-    write_sealed(path, BLOB_MAGIC, BLOB_VERSION, {"manifest_blake2b": seal}, blocks())
+def _write_blob(path: Path, batch: Batch, records, dtype, seal: str) -> None:
+    def column(kind, name):
+        # a batch's fields, targets and constants sit in its attribute kind + "s"
+        return batch.t_final if kind == "time" else getattr(batch, kind + "s")[name]
+    arrays = ((f"{kind}/{name}", np.asarray(column(kind, name), dtype)) for kind, name in records)
+    write_sealed(path, BLOB_MAGIC, BLOB_VERSION, {"manifest_blake2b": seal}, arrays)
 
 
 def _manifest_dims(system: str, records) -> dict:
@@ -184,12 +228,14 @@ def _manifest_dims(system: str, records) -> dict:
 
 
 def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
-    first = next((s for split in dataset.splits.values() for s in split), None)
+    first = next((split for split in dataset.splits.values() if len(split)), None)
     if first is None:
         raise ValueError("dataset has no samples")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    records = _record_order(first)
+    records = [*(("field", n) for n in first.fields),
+               *(("constant", n) for n in first.constants), ("time", "t_final"),
+               *(("target", n) for n in first.targets)]
     manifest = {
         "format": FORMAT,
         "system": dataset.system,
@@ -207,8 +253,7 @@ def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
     raw = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
     (directory / "manifest.json").write_bytes(raw)
     for name, split in dataset.splits.items():
-        _write_blob(directory / f"{name}.bin", split, records, dataset.grid.shape, dtype,
-                    _manifest_digest(raw))
+        _write_blob(directory / f"{name}.bin", split, records, dtype, _manifest_digest(raw))
     return directory
 
 
@@ -268,7 +313,7 @@ def _check_dims(directory, manifest, records) -> None:
 
 
 def _read_blob(path, system, grid, records, dtype, count, seal):
-    """A split's samples.  Disagreements with the manifest are reported as
+    """A split's Batch.  Disagreements with the manifest are reported as
     such; a blob that agrees but was sealed for other manifest bytes raises
     last."""
     header, arrays = read_sealed(path, BLOB_MAGIC, BLOB_VERSION, DatasetFormatError)
@@ -294,17 +339,7 @@ def _read_blob(path, system, grid, records, dtype, count, seal):
     if header["manifest_blake2b"] != seal:
         raise DatasetFormatError(f"{path}: sealed for another manifest.json (sealed "
                                  f"blake2b {header['manifest_blake2b']}, manifest's {seal})")
-    return [
-        Sample(
-            system=system,
-            grid=grid,
-            fields={n: b[i] for n, b in blocks["field"].items()},
-            constants={n: float(b[i]) for n, b in blocks["constant"].items()},
-            t_final=float(times[i]),
-            targets={n: b[i] for n, b in blocks["target"].items()},
-        )
-        for i in range(count)
-    ]
+    return Batch(system, grid, blocks["field"], blocks["constant"], times, blocks["target"])
 
 
 def dataset_hash(directory) -> str:

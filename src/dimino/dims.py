@@ -2,11 +2,14 @@
 
 A dimension is an integer exponent vector over the base set (M, L, T), and
 each system's SCALE_DIMS table is the only place one is stored: every runtime
-value (a field scale, a constant, a prediction interval) is a plain float
-whose dimension follows from its system and name.  The module also owns the
-per-system registries of dimensionless numbers, characteristic-scale
-extraction, and the similarity-transform generator used by the invariance
-harness; ``DimINOModel.prepare`` divides the fields by their scales.
+value (a field scale, a constant, a prediction interval) is a plain float, or
+a column of them, whose dimension follows from its system and name.  The
+module also owns the per-system registries of dimensionless numbers, and it
+works on whole ``data.Batch``es: characteristic-scale extraction gives one
+(B,) column per name, ``compute_dimensionless`` one row of numbers per
+sample, and the similarity transform used by the invariance harness scales
+every column at once.  ``DimINOModel.prepare`` divides the fields by their
+scales.
 """
 from __future__ import annotations
 
@@ -65,11 +68,12 @@ def dim(m=0, l=0, t=0) -> Dimension:
     return Dimension((m, l, t))
 
 
-# A characteristic-scale table: name -> positive float, whose dimension is
-# SCALE_DIMS[system][name].  Field names map to their max-abs magnitude,
+# A characteristic-scale table: name -> positive values (a (B,) column, one
+# per row of a batch; a float in ``DimlessNumber.evaluate``), whose dimension
+# is SCALE_DIMS[system][name].  Field names map to their max-abs magnitude,
 # constants to their own magnitude, "x" to the domain extent, and "t" to the
 # prediction interval.
-CharacteristicScales = Dict[str, float]
+CharacteristicScales = Dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -219,54 +223,50 @@ def registry_table() -> str:
 
 
 def compute_dimensionless(spec: DimlessSpec, scales: CharacteristicScales) -> np.ndarray:
-    """Evaluate the spec's dimensionless numbers in registry order.
+    """The spec's dimensionless numbers of each row of ``scales``, as (B, m)
+    in registry order.
 
-    Dimensional consistency was proved when the spec was built.
+    Each row is evaluated on Python floats by ``DimlessNumber.evaluate``,
+    whose ``**`` is the C library's ``pow``; numpy's ``power`` need not
+    round as it does.  Dimensional consistency was proved when the spec was
+    built.
     """
-    return np.array([number.evaluate(scales) for number in spec.numbers],
-                    dtype=np.float64)
+    names = list(scales)
+    rows = zip(*(np.asarray(scales[n], dtype=np.float64).tolist() for n in names))
+    return np.array([[number.evaluate(dict(zip(names, row))) for number in spec.numbers]
+                     for row in rows], dtype=np.float64).reshape(-1, len(spec))
 
 
-def characteristic_scales_from_sample(sample) -> CharacteristicScales:
-    """Extract per-sample characteristic scales.
+def characteristic_scales_from_sample(batch) -> CharacteristicScales:
+    """The characteristic scales of each row of a Batch, as (B,) columns.
 
-    Fields map to their max-abs over the spatial domain (floored at EPS_FLOOR),
-    constants to their own floored magnitudes, "x" to the domain extent, and
-    "t" to the prediction interval.
+    Fields map to their max-abs over the spatial domain, constants to their
+    magnitudes (both floored at EPS_FLOOR, in float64), "x" to the domain
+    extent, and "t" to the prediction interval.
     """
     scales: CharacteristicScales = {}
-    for name, arr in sample.fields.items():
-        scales[name] = max(float(np.max(np.abs(arr))), EPS_FLOOR)
-    for name, value in sample.constants.items():
-        scales[name] = max(abs(value), EPS_FLOOR)
-    scales["x"] = float(sample.grid.extent[0])
-    scales["t"] = float(sample.t_final)
+    for name, arr in batch.fields.items():
+        peak = np.max(np.abs(arr), axis=tuple(range(1, arr.ndim)))
+        scales[name] = np.maximum(peak, EPS_FLOOR, dtype=np.float64)
+    for name, col in batch.constants.items():
+        scales[name] = np.maximum(np.abs(col), EPS_FLOOR, dtype=np.float64)
+    scales["x"] = np.full(len(batch), float(batch.grid.extent[0]))
+    scales["t"] = np.asarray(batch.t_final, dtype=np.float64)
     return scales
 
 
-def similar_transform(sample, p: float):
-    """Rescale a sample by the system's similarity rule.
+def similar_transform(batch, p: float):
+    """Rescale a Batch (or one Sample row) by the system's similarity rule.
 
     Dimensionless numbers of the result equal those of the original; for p a
     power of two the equality is bit-exact.
     """
     if not 0 < p < np.inf:
         raise ValueError(f"p must be finite and positive, got {p}")
-    rule = similarity_exponents(sample.system)
-    fields = {
-        name: arr * p ** rule.get(name, 0) for name, arr in sample.fields.items()
-    }
-    targets = {
-        name: arr * p ** rule.get(name, 0) for name, arr in sample.targets.items()
-    }
-    constants = {
-        name: value * p ** rule.get(name, 0)
-        for name, value in sample.constants.items()
-    }
-    return replace(
-        sample,
-        fields=fields,
-        targets=targets,
-        constants=constants,
-        t_final=sample.t_final * p ** rule.get("t", 0),
-    )
+    rule = similarity_exponents(batch.system)
+
+    def scaled(values):
+        return {name: v * p ** rule.get(name, 0) for name, v in values.items()}
+    return replace(batch, fields=scaled(batch.fields), targets=scaled(batch.targets),
+                   constants=scaled(batch.constants),
+                   t_final=batch.t_final * p ** rule.get("t", 0))

@@ -8,7 +8,8 @@ block of Li et al. (arXiv 2010.08895), with its Fourier transforms evaluated
 at the kept modes only (``ad.rfftn``/``ad.irfftn`` given ``modes``).  Setting
 ``use_dimnorm=False`` builds the baseline twin: raw field, constant and
 prediction-interval channels in, physical prediction out, no per-sample
-scaling anywhere.
+scaling anywhere.  The model reads a ``data.Batch`` of (B, ...) columns;
+``prepare`` turns it into the network's inputs once.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import dims
 from .autodiff import Tape, Tensor
-from .data import Sample, read_sealed, write_sealed
+from .data import Batch, read_sealed, write_sealed
 
 CKPT_MAGIC = b"DINOCKPT"
 CKPT_VERSION = 5
@@ -168,18 +169,6 @@ class Inputs:
                         for a in (self.x, self.log_c, self.out_scales)))
 
 
-def stack_fields(arrays: List[Dict[str, np.ndarray]], names: List[str],
-                 columns: List[list] = ()) -> np.ndarray:
-    """The arrays ``names`` of each dict in ``arrays`` (the fields or the
-    targets of a sample list), stacked to (B, *grid, len(names)), then one
-    channel per column of ``columns`` (B values each), broadcast over the grid."""
-    chans = [np.stack([a[n] for a in arrays]) for n in names]
-    shape = chans[0].shape
-    chans += [np.broadcast_to(np.reshape(c, (-1,) + (1,) * (len(shape) - 1)), shape)
-              for c in columns]
-    return np.stack(chans, axis=-1)
-
-
 @dataclass
 class ForwardResult:
     tape: Tape
@@ -193,52 +182,50 @@ class DimINOModel:
         self.config = config
         self.params = params if params is not None else init_params(config)
 
-    def prepare(self, samples: List[Sample]) -> Inputs:
+    def prepare(self, batch: Batch) -> Inputs:
         """The model's input stage: network input, gate inputs and output
-        scales of a sample list.  It depends on no parameter, so a batch of
-        prepared samples is a row gather (``Inputs.take``).
+        scales of a Batch.  It depends on no parameter, so a batch of
+        prepared rows is a row gather (``Inputs.take``).
 
-        Both models stack the input fields once.  The gated model divides
-        that stack, in its own dtype, by a (B, *1, Cin) column of the
-        samples' characteristic scales, so every channel is dimensionless
-        and exactly invariant under similarity transforms by powers of two;
-        its gate reads the log of the registry's dimensionless numbers, and
-        the target fields' scales restore the output.  The twin's stack ends
-        in constant and prediction-interval channels, and the twin gets
-        neither gate nor scales.
+        Both models stack the input field columns to (B, *grid, Cin).  The
+        gated model divides that stack, in its own dtype, by a (B, *1, Cin)
+        column of the rows' characteristic scales, so every channel is
+        dimensionless and exactly invariant under similarity transforms by
+        powers of two; its gate reads the log of the registry's
+        dimensionless numbers, and the target fields' scales restore the
+        output.  The twin's stack ends in constant and prediction-interval
+        channels, broadcast over the grid, and the twin gets neither gate
+        nor scales.
         """
         cfg = self.config
-        for s in samples:
-            if s.system != cfg.system:
-                raise FieldSetMismatch(
-                    f"samples of {s.system!r} given to a model of {cfg.system!r}")
-            if set(cfg.in_fields) - set(s.fields):
-                raise FieldSetMismatch(
-                    f"sample fields {sorted(s.fields)} != model fields {cfg.in_fields}"
-                )
-        fields = [s.fields for s in samples]
+        if batch.system != cfg.system:
+            raise FieldSetMismatch(
+                f"samples of {batch.system!r} given to a model of {cfg.system!r}")
+        if set(cfg.in_fields) - set(batch.fields):
+            raise FieldSetMismatch(
+                f"sample fields {sorted(batch.fields)} != model fields {cfg.in_fields}")
+        chans = [batch.fields[n] for n in cfg.in_fields]
         if not cfg.use_dimnorm:
-            columns = [[s.constants[n] for s in samples] for n in cfg.constant_names]
-            columns.append([s.t_final for s in samples])
-            return Inputs(stack_fields(fields, cfg.in_fields, columns)
-                          .astype(cfg.dtype, copy=False))
-        x = stack_fields(fields, cfg.in_fields)
-        scales = [dims.characteristic_scales_from_sample(s) for s in samples]
+            columns = [batch.constants[n] for n in cfg.constant_names] + [batch.t_final]
+            chans += [np.broadcast_to(c.reshape((-1,) + (1,) * (chans[0].ndim - 1)), chans[0].shape)
+                      for c in columns]
+            return Inputs(np.stack(chans, axis=-1).astype(cfg.dtype, copy=False))
+        x = np.stack(chans, axis=-1)
+        scales = dims.characteristic_scales_from_sample(batch)
 
         def column(names):
-            return np.array([[sc[n] for n in names] for sc in scales]).reshape(
-                len(samples), *[1] * (x.ndim - 2), len(names))
+            return np.stack([scales[n] for n in names], axis=-1).reshape(
+                len(batch), *[1] * (x.ndim - 2), len(names))
         x /= column(cfg.in_fields).astype(x.dtype)
-        spec = dims.REGISTRY[cfg.system]
-        log_c = np.log([dims.compute_dimensionless(spec, sc) for sc in scales])
+        log_c = np.log(dims.compute_dimensionless(dims.REGISTRY[cfg.system], scales))
         return Inputs(x.astype(cfg.dtype, copy=False), log_c.astype(cfg.dtype),
                       column(cfg.target_fields).astype(cfg.dtype))
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, batch: Union[List[Sample], Inputs], train: bool = False,
+    def forward(self, batch: Union[Batch, Inputs], train: bool = False,
                 tape: Tape = None, leaves: Dict[str, Tensor] = None) -> ForwardResult:
-        """Run a sample list, or a batch ``prepare`` already made."""
+        """Run a Batch, or the Inputs ``prepare`` already made of one."""
         cfg = self.config
         if not isinstance(batch, Inputs):
             batch = self.prepare(batch)
@@ -288,7 +275,7 @@ class DimINOModel:
             out = u_star
         return ForwardResult(tape, out, u_star, leaves)
 
-    def predict(self, batch: Union[List[Sample], Inputs]) -> np.ndarray:
+    def predict(self, batch: Union[Batch, Inputs]) -> np.ndarray:
         """Physical-space prediction, shape (B, *grid, out_channels)."""
         return self.forward(batch).output.data
 

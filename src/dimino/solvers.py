@@ -3,17 +3,20 @@
 All solvers run in double precision on periodic grids.  Nonlinear products
 are 2/3-rule dealiased; advection-dominated systems use an integrating-factor
 RK4 (diffusion exact in spectral space), the stiff diffusion-reaction system
-uses Strang splitting with an RK4 reaction step.
+uses Strang splitting with an RK4 reaction step.  ``solve_sample`` solves a
+whole ``data.Batch`` and returns its targets as (B, *grid) columns;
+``generate_dataset`` draws rows, stacks them once, and redraws the rows
+whose solve went non-finite.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from .data import Dataset, Grid, Sample
+from .data import Batch, Dataset, Grid, Sample
 from .spectral import dealias_mask, irfftn, mode_numbers, rfftn, wavenumbers
 
 
@@ -31,11 +34,9 @@ DEALIAS_FRAC = 2.0 / 3.0
 IC_DECAY = 2.5
 MAX_RETRIES = 3
 
-# Systems whose samples generate_dataset solves as one SampleStack: it pays
-# where per-call overhead dominates, as on burgers1d's 128 points.  On the 2D
-# grids it does not: a stacked prototype ran ns-vorticity2d at 64^2 at
-# 0.53-0.60x and diffreact2d at 0.95-1.04x of the per-sample speed.
-STACKED_SYSTEMS = ("burgers1d",)
+# Each system's target fields, in the order its solver returns them.
+TARGETS = {"advection1d": ("u",), "burgers1d": ("u",), "diffreact2d": ("u", "v"),
+           "ns-vorticity2d": ("omega",)}
 
 
 def _ic_k_max(grid: Grid) -> int:
@@ -49,35 +50,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.steps is not None and self.steps < 1:
             raise ValueError("steps must be >= 1")
-
-
-@dataclass
-class SampleStack:
-    """Samples of one system on one grid and horizon, stacked for one solve.
-
-    ``fields`` hold (B, *grid.shape) arrays and ``constants`` (B,) arrays of
-    values; ``solve_sample`` returns targets stacked the same way.
-    """
-
-    system: str
-    grid: Grid
-    fields: Dict[str, np.ndarray]
-    constants: Dict[str, np.ndarray]
-    t_final: float
-
-    def __post_init__(self):
-        if self.system not in STACKED_SYSTEMS:
-            raise ValueError(f"{self.system} samples are solved one at a time, "
-                             f"not stacked (stacked systems: {STACKED_SYSTEMS})")
-
-    @classmethod
-    def of(cls, samples: List[Sample]) -> "SampleStack":
-        first = samples[0]
-        return cls(first.system, first.grid,
-                   {n: np.stack([s.fields[n] for s in samples]) for n in first.fields},
-                   {n: np.array([s.constants[n] for s in samples])
-                    for n in first.constants},
-                   first.t_final)
 
 
 def _check_finite(arr, step):
@@ -140,16 +112,18 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
                      extent: float = 1.0) -> np.ndarray:
     """Viscous Burgers on a periodic interval, conservative form.
 
-    ``u0`` is one initial field (n,) or a stack (B, n) with one ``nu`` per
-    row.  A stack is solved as one batch and equals the row-by-row solves bit
-    for bit: each row keeps its own CFL step count and time step.  A single
-    field raises StepUnstable if its solve goes non-finite; in a stack such a
-    row is returned non-finite, for the caller to redraw.
+    ``u0`` is one initial field (n,) or a stack (B, n) with one ``nu`` and
+    one ``t`` per row (or one for all).  A stack is solved as one batch and
+    equals the row-by-row solves bit for bit: each row keeps its own CFL step
+    count and time step.  A single field raises StepUnstable if its solve
+    goes non-finite; in a stack such a row is returned non-finite, for the
+    caller to redraw.
     """
     cfg = cfg or SolverConfig()
     rows = np.atleast_2d(u0)
     b, n = rows.shape
     nu = np.broadcast_to(np.asarray(nu, dtype=float), (b,))
+    t = np.broadcast_to(np.asarray(t, dtype=float), (b,))
     k, = wavenumbers((n,), (extent,))
     mask = dealias_mask((n,), DEALIAS_FRAC)
     if cfg.steps is not None:
@@ -266,23 +240,40 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
     return irfftn(w_hat, shape, (0, 1))
 
 
-def solve_sample(sample: Sample, cfg: SolverConfig = None) -> Dict[str, np.ndarray]:
-    """Run the reference solver for a sample; returns target-field dict.
+def _solve_row(s: Sample, cfg):
+    """One row's targets, in the order of TARGETS[s.system]."""
+    t, f, c, extent = s.t_final, s.fields, s.constants, s.grid.extent
+    if s.system == "advection1d":
+        return (solve_advection_analytic(f["u"], c["beta"], t, extent[0]),)
+    if s.system == "diffreact2d":
+        return solve_diffreact_2d(f["u"], f["v"], c["Du"], c["Dv"], c["k"], t, cfg, extent)
+    return (solve_ns_vorticity_2d(f["omega"], c["nu"], f["f"], t, cfg, extent),)
 
-    ``sample`` may be a SampleStack: its targets come back stacked, with a
-    non-finite row where that row's solve blew up.
+
+def solve_sample(batch: Batch, cfg: SolverConfig = None) -> Dict[str, np.ndarray]:
+    """The reference solver's targets of every row of ``batch``, as
+    {name: (B, *grid)}; a row whose solve went non-finite comes back
+    non-finite, for the caller to redraw or refuse.
+
+    burgers1d is solved as one stack, each row with its own nu, t_final and
+    step count: that pays where per-call overhead dominates, as on its 128
+    points.  The other systems are solved row by row; a stacked prototype
+    ran ns-vorticity2d at 64^2 at 0.53-0.60x and diffreact2d at 0.95-1.04x
+    of the per-row speed.
     """
-    t, f, c, extent = sample.t_final, sample.fields, sample.constants, sample.grid.extent
-    if sample.system == "advection1d":
-        return {"u": solve_advection_analytic(f["u"], c["beta"], t, extent[0])}
-    if sample.system == "burgers1d":
-        return {"u": solve_burgers_1d(f["u"], c["nu"], t, cfg, extent[0])}
-    if sample.system == "diffreact2d":
-        u, v = solve_diffreact_2d(f["u"], f["v"], c["Du"], c["Dv"], c["k"], t, cfg, extent)
-        return {"u": u, "v": v}
-    if sample.system == "ns-vorticity2d":
-        return {"omega": solve_ns_vorticity_2d(f["omega"], c["nu"], f["f"], t, cfg, extent)}
-    raise ValueError(f"unknown system {sample.system!r}")
+    if batch.system not in TARGETS:
+        raise ValueError(f"unknown system {batch.system!r}")
+    if batch.system == "burgers1d":
+        return {"u": solve_burgers_1d(batch.fields["u"], batch.constants["nu"],
+                                      batch.t_final, cfg, batch.grid.extent[0])}
+    names = TARGETS[batch.system]
+    out = np.full((len(names), len(batch)) + batch.grid.shape, np.nan)
+    for i, row in enumerate(batch):
+        try:
+            out[:, i] = _solve_row(row, cfg)
+        except StepUnstable:
+            pass  # the row stays NaN
+    return dict(zip(names, out))
 
 
 def random_fourier_field(rng, grid: Grid, amplitude: float = 1.0) -> np.ndarray:
@@ -359,21 +350,6 @@ def _draw_sample(system, rng, grid, t_final, ranges) -> Sample:
     return Sample(system, grid, fields, constants, t_final)
 
 
-def _solve_all(samples: List[Sample], cfg) -> List[Optional[Dict[str, np.ndarray]]]:
-    """Each sample's targets, or None where its solve went non-finite."""
-    if samples[0].system in STACKED_SYSTEMS:
-        stacked = solve_sample(SampleStack.of(samples), cfg)
-        rows = [{name: arr[i] for name, arr in stacked.items()} for i in range(len(samples))]
-        return [r if all(np.all(np.isfinite(a)) for a in r.values()) else None for r in rows]
-    solved = []
-    for sample in samples:
-        try:
-            solved.append(solve_sample(sample, cfg))
-        except StepUnstable:
-            solved.append(None)
-    return solved
-
-
 def _param_ranges(system: str, overrides) -> dict:
     """The system's default ranges with ``overrides`` checked and applied."""
     ranges = dict(DEFAULT_PARAM_RANGES[system])
@@ -399,9 +375,9 @@ def generate_dataset(system: str, param_ranges: dict = None, n_samples: int = 64
     """Deterministic dataset generation.
 
     Sample i is drawn from the generator seeded ``[seed, i, attempt]``.  All
-    samples are drawn and solved (burgers1d as one SampleStack), then those
-    whose solve went non-finite are redrawn on the next attempt, up to
-    MAX_RETRIES times; a sample that fails every attempt raises StepUnstable.
+    samples are drawn, stacked and solved as one Batch, then those whose
+    solve went non-finite are redrawn on the next attempt, up to MAX_RETRIES
+    times; a sample that fails every attempt raises StepUnstable.
     """
     if system not in DEFAULT_PARAM_RANGES:
         raise ValueError(f"unknown system {system!r}")
@@ -412,16 +388,16 @@ def generate_dataset(system: str, param_ranges: dict = None, n_samples: int = 64
         raise ValueError(f"{system} needs a {DEFAULT_GRIDS[system].rank}D grid, "
                          f"got points {grid.points}")
     ranges = _param_ranges(system, param_ranges)
-    samples = [None] * n_samples
+    rows = [None] * n_samples
     pending = list(range(n_samples))
     for attempt in range(MAX_RETRIES + 1):
-        drawn = [_draw_sample(system, np.random.default_rng([seed, i, attempt]), grid,
-                              t_final, ranges) for i in pending]
-        for i, sample, targets in zip(pending, drawn, _solve_all(drawn, cfg)):
-            if targets is not None:
-                sample.targets = targets
-                samples[i] = sample
-        pending = [i for i in pending if samples[i] is None]
+        drawn = Batch.stack([_draw_sample(system, np.random.default_rng([seed, i, attempt]),
+                                          grid, t_final, ranges) for i in pending])
+        drawn.targets = solve_sample(drawn, cfg)
+        for i, row in zip(pending, drawn):
+            if all(np.isfinite(a).all() for a in row.targets.values()):
+                rows[i] = row
+        pending = [i for i in pending if rows[i] is None]
         if not pending:
             break
     else:
@@ -433,4 +409,4 @@ def generate_dataset(system: str, param_ranges: dict = None, n_samples: int = 64
         "param_ranges": {k: list(v) for k, v in ranges.items()},
         "ic_spectrum": {"decay": IC_DECAY, "k_max": _ic_k_max(grid)},
     }
-    return Dataset(system, grid, {split: samples}, meta)
+    return Dataset(system, grid, {split: Batch.stack(rows)}, meta)

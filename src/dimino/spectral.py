@@ -193,14 +193,16 @@ def dealias_mask(shape: Sequence[int], frac: float) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def k_squared(shape: tuple, extent: tuple) -> np.ndarray:
     """sum_a k_a**2 per mode of an ``rfftn`` spectrum, the symbol of -Laplace:
-    k_a is axis a's wavenumber zeroed at index n // 2 (its Nyquist mode, so
-    differentiation stays skew-symmetric).  Cached; read-only."""
+    k_a is axis a's wavenumber, zeroed at index n // 2 when n is even (that
+    index is then the Nyquist mode, and zeroing it keeps differentiation
+    skew-symmetric; on an odd axis it is a real mode).  Cached; read-only."""
     if len(extent) != len(shape):
         from .autodiff import ShapeMismatch  # autodiff imports this module
         raise ShapeMismatch(f"k_squared: extent {extent} does not match grid {shape}")
     k2 = 0.0
     for n, k in zip(shape, wavenumbers(shape, extent)):
-        k.flat[n // 2] = 0.0
+        if n % 2 == 0:
+            k.flat[n // 2] = 0.0
         k2 = k2 + k**2
     k2.flags.writeable = False
     return k2

@@ -16,9 +16,9 @@ from typing import List, Optional
 import numpy as np
 
 from . import dims
-from .data import Sample
+from .data import Batch
 from .model import DimINOModel
-from .solvers import SolverConfig, solve_sample
+from .solvers import SolverConfig, StepUnstable, solve_sample
 from .training import rel_metric
 
 
@@ -53,30 +53,21 @@ class STIReport:
         )
 
     def format_table(self) -> str:
-        ps = [e.p for e in self.entries]
-        lines = [f"{'rel-L2 (1e-2)':<22}" + "".join(f"{'p=' + format(p, 'g'):>12}" for p in ps)]
-        lines.append(
-            f"{'model':<22}" + "".join(f"{100 * e.model_rel_l2:>12.3f}" for e in self.entries)
-        )
-        if any(e.baseline_single_shot is not None for e in self.entries):
-            lines.append(
-                f"{'baseline single-shot':<22}"
-                + "".join(f"{100 * e.baseline_single_shot:>12.3f}" for e in self.entries)
-            )
-        if any(e.baseline_rollout is not None for e in self.entries):
-            lines.append(
-                f"{'baseline rollout':<22}"
-                + "".join(f"{100 * e.baseline_rollout:>12.3f}" for e in self.entries)
-            )
-        lines.append(
-            f"{'latent residual':<22}"
-            + "".join(f"{e.latent_residual:>12.2e}" for e in self.entries)
-        )
-        lines.append(
-            f"{'output-scale residual':<22}"
-            + "".join(f"{e.output_scaling_residual:>12.2e}" for e in self.entries)
-        )
-        return "\n".join(lines)
+        """One column per p; a baseline row appears when it has a value,
+        and a p it has none for (a rollout at non-integer p) reads "-"."""
+        def row(label, key, scale, fmt):
+            values = [getattr(e, key) for e in self.entries]
+            if all(v is None for v in values):
+                return []
+            return [f"{label:<22}" + "".join(
+                f"{'-':>12}" if v is None else f"{scale * v:>12{fmt}}" for v in values)]
+        ps = "".join(f"{'p=' + format(e.p, 'g'):>12}" for e in self.entries)
+        return "\n".join([f"{'rel-L2 (1e-2)':<22}" + ps,
+                          *row("model", "model_rel_l2", 100, ".3f"),
+                          *row("baseline single-shot", "baseline_single_shot", 100, ".3f"),
+                          *row("baseline rollout", "baseline_rollout", 100, ".3f"),
+                          *row("latent residual", "latent_residual", 1, ".2e"),
+                          *row("output-scale residual", "output_scaling_residual", 1, ".2e")])
 
 
 # Systems whose similarity rule is an exact symmetry of the PDE and whose
@@ -91,18 +82,27 @@ def _is_power_of_two(p: float) -> bool:
 
 
 def _mean_rel_l2(pred: np.ndarray, names, truth) -> float:
-    """Mean rel-L2 over samples i and target channels j against truth[i][name]."""
-    return float(np.mean([rel_metric("rel-l2", pred[i, ..., j], truth[i][name])
-                          for i in range(len(truth)) for j, name in enumerate(names)]))
+    """Mean rel-L2 over samples i and target channels j against truth[name][i]."""
+    return float(np.mean([rel_metric("rel-l2", pred[i, ..., j], truth[name][i])
+                          for i in range(len(pred)) for j, name in enumerate(names)]))
 
 
-def sti_check(model: DimINOModel, samples: List[Sample], p_list,
+def _truth(batch: Batch, cfg: SolverConfig):
+    """``solve_sample`` of ``batch``; a row that went non-finite raises StepUnstable."""
+    truth = solve_sample(batch, cfg)
+    if not all(np.isfinite(arr).all() for arr in truth.values()):
+        raise StepUnstable(f"a {batch.system} reference solve went non-finite")
+    return truth
+
+
+def sti_check(model: DimINOModel, batch: Batch, p_list,
               baseline: DimINOModel = None, solver_cfg: SolverConfig = None
               ) -> STIReport:
     """Run the invariance protocol over a p sweep.
 
     Ground truth at the stretched horizon comes from the reference solver,
-    not from model rollout.  Each sample is solved once at p = 1.  For a
+    not from model rollout, and a truth row that goes non-finite raises
+    StepUnstable.  The batch is solved once at p = 1.  For a
     system in EXACT_SOLVER_SYMMETRY and p a power of two, the truth at p is
     that solve times p ** (each target's exponent): the continuous PDE maps
     exactly under the rule, and the solver agrees bit for bit because
@@ -117,43 +117,42 @@ def sti_check(model: DimINOModel, samples: List[Sample], p_list,
     reported both single-shot and (for integer p) as a p-fold rollout; at
     p = 1 the one-step rollout is the single-shot prediction.
     """
-    if not samples:
+    if not len(batch):
         raise ValueError("sti_check needs at least one sample")
-    system = samples[0].system
+    system = batch.system
     rule = dims.similarity_exponents(system)
-    if model.config.system != system:
-        raise SpecMismatch(
-            f"model is for {model.config.system!r}, samples are {system!r}"
-        )
+    for role, checked in (("model", model), ("baseline", baseline)):
+        if checked is not None and checked.config.system != system:
+            raise SpecMismatch(
+                f"{role} is for {checked.config.system!r}, samples are {system!r}")
     p_list = sorted(float(p) for p in p_list)
     if 1.0 not in p_list:
         p_list = sorted(p_list + [1.0])
 
-    report = STIReport(system, len(samples))
+    report = STIReport(system, len(batch))
     targets = model.config.target_fields
-    base = model.forward(samples)
+    base = model.forward(batch)
     base_pred, base_star = base.output.data, base.u_star.data
-    base_truth = [solve_sample(s, solver_cfg) for s in samples]
+    base_truth = _truth(batch, solver_cfg)
     for p in p_list:
         if p == 1.0:
-            transformed, pred, star = samples, base_pred, base_star
+            transformed, pred, star = batch, base_pred, base_star
         else:
-            transformed = [dims.similar_transform(s, p) for s in samples]
+            transformed = dims.similar_transform(batch, p)
             result = model.forward(transformed)
             pred, star = result.output.data, result.u_star.data
         # each target field carries p ** (its exponent) relative to p = 1
         ratios = np.array([p ** rule.get(name, 0) for name in targets])
 
         latent = np.mean([rel_metric("rel-l2", star[i], base_star[i])
-                          for i in range(len(samples))])
+                          for i in range(len(batch))])
         scaling = np.mean(
-            [rel_metric("rel-l2", pred[i], ratios * base_pred[i]) for i in range(len(samples))]
+            [rel_metric("rel-l2", pred[i], ratios * base_pred[i]) for i in range(len(batch))]
         )
         if p == 1.0 or (system in EXACT_SOLVER_SYMMETRY and _is_power_of_two(p)):
-            truth = [{name: arr * p ** rule.get(name, 0) for name, arr in t.items()}
-                     for t in base_truth]
+            truth = {name: arr * p ** rule.get(name, 0) for name, arr in base_truth.items()}
         else:
-            truth = [solve_sample(s, solver_cfg) for s in transformed]
+            truth = _truth(transformed, solver_cfg)
         entry = STIEntry(
             p=p,
             latent_residual=float(latent),
@@ -173,31 +172,29 @@ def sti_check(model: DimINOModel, samples: List[Sample], p_list,
     return report
 
 
-def _baseline_rollout(baseline: DimINOModel, transformed, n_steps: int) -> np.ndarray:
+def _baseline_rollout(baseline: DimINOModel, transformed: Batch, n_steps: int) -> np.ndarray:
     """Autoregressive prediction: apply the horizon-T/n_steps map n_steps times."""
-    current = [replace(s, t_final=s.t_final / n_steps) for s in transformed]
+    current = replace(transformed, t_final=transformed.t_final / n_steps)
     for _ in range(n_steps):
         pred = baseline.predict(current)
-        current = [
-            replace(s, fields={**s.fields, **{name: pred[i, ..., j] for j, name
-                                              in enumerate(baseline.config.target_fields)}})
-            for i, s in enumerate(current)
-        ]
+        current = replace(current, fields={**current.fields, **{
+            name: pred[..., j] for j, name in enumerate(baseline.config.target_fields)}})
     return pred
 
 
-def solver_sti_oracle(sample: Sample, p: float, cfg: SolverConfig = None) -> float:
-    """rel-L2 between the solver run on the transformed sample and the scaled
-    original run, both under the same SolverConfig.
+def solver_sti_oracle(batch: Batch, p: float, cfg: SolverConfig = None) -> float:
+    """Mean rel-L2, over rows and target fields, between the solver run on
+    the transformed batch and the scaled original run, both under the same
+    SolverConfig; a row that goes non-finite raises StepUnstable.
 
     It is exactly 0.0 for the systems in EXACT_SOLVER_SYMMETRY at power-of-two
     p, so any residual there is a solver defect.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    rule = dims.similarity_exponents(sample.system)
-    base = solve_sample(sample, cfg)
-    moved = solve_sample(dims.similar_transform(sample, p), cfg)
-    errs = [rel_metric("rel-l2", moved[name], p ** rule.get(name, 0) * base[name])
-            for name in base]
+    rule = dims.similarity_exponents(batch.system)
+    base = _truth(batch, cfg)
+    moved = _truth(dims.similar_transform(batch, p), cfg)
+    errs = [rel_metric("rel-l2", moved[name][i], p ** rule.get(name, 0) * base[name][i])
+            for i in range(len(batch)) for name in base]
     return float(np.mean(errs))

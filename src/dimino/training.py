@@ -10,12 +10,15 @@ import numpy as np
 
 from . import autodiff as ad
 from . import spectral
-from .data import Dataset, Sample
-from .model import DimINOModel, Inputs, stack_fields
+from .data import Batch, Dataset
+from .model import DimINOModel, Inputs
 
 METRIC_KINDS = ("rel-l2", "rel-h1", "rel-l1")
 EVAL_BATCH = 32
-LOSS_FLOOR = 1e-30  # floor on each sample's loss denominator
+# Floor on each sample's loss denominator.  A zero target's denominator is
+# floored here, so its term is 1e15 times its error norm, against about 1 for
+# every other sample: it swamps the batch loss, and nothing warns.
+LOSS_FLOOR = 1e-30
 
 
 class NaNLoss(Exception):
@@ -183,14 +186,10 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(len(samples))
     n_valid = max(1, int(round(cfg.valid_frac * len(samples))))
-    valid = [samples[i] for i in perm[:n_valid]]
-    train_samples = [samples[i] for i in perm[n_valid:]]
-    if not train_samples:
+    if n_valid >= len(samples):
         raise ValueError("dataset too small to split")
-    inputs = model.prepare(train_samples)
-    targets = stack_fields([s.targets for s in train_samples], model.config.target_fields)
-    valid_inputs = model.prepare(valid)
-    valid_targets = stack_fields([s.targets for s in valid], model.config.target_fields)
+    inputs, targets = _prepared(model, samples[perm[n_valid:]])
+    valid_inputs, valid_targets = _prepared(model, samples[perm[:n_valid]])
 
     flat = _FlatParams(model.params)
     model.params = flat.views
@@ -202,7 +201,7 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     with ad.Workspace():
         for epoch in range(cfg.epochs):
             lr = _lr_at(cfg, epoch)
-            order = np.random.default_rng([cfg.seed, epoch]).permutation(len(train_samples))
+            order = np.random.default_rng([cfg.seed, epoch]).permutation(len(targets))
             losses = []
             for step, start in enumerate(range(0, len(order), cfg.batch_size)):
                 idx = order[start:start + cfg.batch_size]
@@ -235,6 +234,13 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     return model, history
 
 
+def _prepared(model: DimINOModel, batch: Batch) -> Tuple[Inputs, np.ndarray]:
+    """``model.prepare(batch)`` and the batch's target columns stacked to
+    (B, *grid, C)."""
+    names = model.config.target_fields
+    return model.prepare(batch), np.stack([batch.targets[n] for n in names], axis=-1)
+
+
 def evaluate_samples(model: DimINOModel, inputs: Inputs, targets: np.ndarray,
                      extent) -> Dict[str, float]:
     """Mean per-sample, per-target-field metrics of prepared ``inputs``
@@ -255,14 +261,11 @@ def evaluate(model: DimINOModel, dataset: Dataset, split: str,
              baseline: Dict[str, float] = None) -> Dict[str, float]:
     """Metric table for a split; adds gain columns when a baseline is given."""
     try:
-        samples = dataset.split(split)
+        batch = dataset.split(split)
     except KeyError as exc:
         raise MissingSplit(str(exc)) from exc
-    table = evaluate_samples(model, model.prepare(samples),
-                             stack_fields([s.targets for s in samples],
-                                          model.config.target_fields),
-                             dataset.grid.extent)
-    table["n"] = len(samples)
+    table = evaluate_samples(model, *_prepared(model, batch), dataset.grid.extent)
+    table["n"] = len(batch)
     if baseline:
         for k in METRIC_KINDS:
             if baseline.get(k):
@@ -270,16 +273,16 @@ def evaluate(model: DimINOModel, dataset: Dataset, split: str,
     return table
 
 
-def grad_check_model(model: DimINOModel, samples, loss_kind: str = "l2",
+def grad_check_model(model: DimINOModel, batch: Batch, loss_kind: str = "l2",
                      step: float = 1e-5, n_sample: int = 4, seed: int = 0) -> float:
     """Finite-difference check of the full forward/backward pipeline."""
     names = list(model.params)
-    target = stack_fields([s.targets for s in samples], model.config.target_fields)
+    target = np.stack([batch.targets[n] for n in model.config.target_fields], axis=-1)
     rank = model.config.rank
 
     def f(*leaves):
         ld = dict(zip(names, leaves))
-        result = model.forward(samples, tape=leaves[0].tape, leaves=ld)
+        result = model.forward(batch, tape=leaves[0].tape, leaves=ld)
         return build_loss(loss_kind, result.output, target, rank)
 
     return ad.grad_check(

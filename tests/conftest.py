@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dimino.data import Grid, Sample
+from dimino import dims
+from dimino.data import Batch, Grid, Sample
 from dimino.solvers import random_fourier_field
 
 
@@ -55,6 +56,24 @@ def random_sample(system, seed=0, t_final=1.0, with_targets=False):
             if name != "f"
         }
     return make_sample(system, grid, fields, constants, t_final, targets)
+
+
+def random_batch(system, seeds=(0,), t_final=1.0, with_targets=False):
+    """``random_sample`` of each seed, stacked to one Batch."""
+    return Batch.stack([random_sample(system, seed=s, t_final=t_final,
+                                      with_targets=with_targets) for s in seeds])
+
+
+def row_scales(sample):
+    """One row's characteristic scales as floats, written out one at a time:
+    the reference for ``dims.characteristic_scales_from_sample``'s columns."""
+    scales = {name: max(float(np.max(np.abs(arr))), dims.EPS_FLOOR)
+              for name, arr in sample.fields.items()}
+    scales.update({name: max(abs(float(v)), dims.EPS_FLOOR)
+                   for name, v in sample.constants.items()})
+    scales["x"] = float(sample.grid.extent[0])
+    scales["t"] = float(sample.t_final)
+    return scales
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_sample
+from conftest import random_batch
 from dimino import dims
 from dimino import autodiff as ad
 from dimino.data import Dataset, Grid, dataset_hash
@@ -120,14 +120,10 @@ def test_baseline_sti_degradation(ns_dataset):
     samples = ns_dataset.split("test")
 
     def twin_error(p):
-        eval_samples = (
-            samples if p == 1 else [dims.similar_transform(s, p) for s in samples]
-        )
+        eval_samples = samples if p == 1 else dims.similar_transform(samples, p)
         pred = twin.predict(eval_samples)
-        errs = []
-        for i, s in enumerate(eval_samples):
-            truth = solve_sample(s)
-            errs.append(rel_metric("rel-l2", pred[i, ..., 0], truth["omega"]))
+        truth = solve_sample(eval_samples)["omega"]
+        errs = [rel_metric("rel-l2", pred[i, ..., 0], truth[i]) for i in range(len(truth))]
         return float(np.mean(errs))
 
     base = twin_error(1)
@@ -147,17 +143,16 @@ def test_dimensionless_numbers_are_similarity_invariant():
     worst = 0.0
     for system in SYSTEMS:
         spec = dims.REGISTRY[system]
-        for seed in range(100):
-            sample = random_sample(system, seed=seed)
-            nums = dims.compute_dimensionless(
-                spec, dims.characteristic_scales_from_sample(sample)
+        batch = random_batch(system, range(100))
+        nums = dims.compute_dimensionless(
+            spec, dims.characteristic_scales_from_sample(batch)
+        )
+        for p in (0.5, 2.0, 8.0):
+            moved = dims.similar_transform(batch, p)
+            nums_p = dims.compute_dimensionless(
+                spec, dims.characteristic_scales_from_sample(moved)
             )
-            for p in (0.5, 2.0, 8.0):
-                moved = dims.similar_transform(sample, p)
-                nums_p = dims.compute_dimensionless(
-                    spec, dims.characteristic_scales_from_sample(moved)
-                )
-                worst = max(worst, float(np.max(np.abs(nums_p - nums) / np.abs(nums))))
+            worst = max(worst, float(np.max(np.abs(nums_p - nums) / np.abs(nums))))
     print(f"[acceptance] dimensionless invariance: worst rel dev {worst:.2e} (<1e-12)")
     assert worst < 1e-12
 
@@ -232,9 +227,7 @@ def test_gradient_checks():
         results = ad.standard_primitive_checks(seed=seed, n_sample=4)
         worst_prim = max(worst_prim, max(results.values()))
 
-    samples = [
-        random_sample("advection1d", seed=s, with_targets=True) for s in (0, 1)
-    ]
+    samples = random_batch("advection1d", (0, 1), with_targets=True)
     worst_model = 0.0
     for seed in range(5):
         model = DimINOModel(

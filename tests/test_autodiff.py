@@ -13,7 +13,7 @@ from dimino import spectral
 from dimino.model import DimINOModel, ModelConfig
 from dimino.training import build_loss
 
-from conftest import random_sample
+from conftest import random_batch
 
 
 def scalar_loss(t):
@@ -57,7 +57,7 @@ def test_a_tape_replays_once():
 def test_backward_frees_each_step_without_the_cycle_collector():
     # The tape holds every activation and each Tensor holds its tape; backward
     # must break that cycle, or each step's arrays wait for gc.collect().
-    samples = [random_sample("advection1d", seed=i, with_targets=True) for i in range(8)]
+    samples = random_batch("advection1d", range(8), with_targets=True)
     target = np.stack([s.targets["u"] for s in samples])[..., None]
     model = DimINOModel(ModelConfig("advection1d", ["u"], ["u"], 1, width=16, depth=4,
                                     modes=8))
@@ -87,7 +87,7 @@ def test_a_forward_only_tape_is_freed_without_the_cycle_collector(monkeypatch):
     # predict refers to none of its tensors and dies with its result.
     model = DimINOModel(ModelConfig("advection1d", ["u"], ["u"], 1, width=8, depth=2,
                                     modes=4))
-    samples = [random_sample("advection1d", seed=i) for i in range(2)]
+    samples = random_batch("advection1d", range(2))
     tapes = []
     forward = model.forward
 
@@ -331,7 +331,7 @@ def test_kept_mode_arguments_are_checked():
     ("advection1d", ["u"], "u", 1), ("ns-vorticity2d", ["omega", "f"], "omega", 2)])
 def test_cold_and_warm_basis_caches_give_equal_results(system, in_fields, target, rank):
     model = DimINOModel(ModelConfig(system, in_fields, [target], rank, width=8, depth=2, modes=4))
-    samples = [random_sample(system, seed=s, with_targets=True) for s in range(3)]
+    samples = random_batch(system, range(3), with_targets=True)
     targets = np.stack([s.targets[target] for s in samples])[..., None]
 
     def step():
@@ -483,8 +483,8 @@ def test_a_workspace_tape_equals_the_plain_tape_bit_for_bit(rank, precision, gat
                                                               seed):
     system = _WS_MODELS[rank][0]
     model = _ws_model(rank, gated, precision)
-    batches = [[random_sample(system, seed=seed + 10 * i + j, with_targets=True)
-                for j in range(b)] for i, b in enumerate(sizes)]
+    batches = [random_batch(system, [seed + 10 * i + j for j in range(b)], with_targets=True)
+               for i, b in enumerate(sizes)]
     want = [_ws_step(model, batch) for batch in batches]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "_SMALL", 1)
@@ -498,7 +498,7 @@ def test_a_workspace_tape_equals_the_plain_tape_bit_for_bit(rank, precision, gat
 
 
 def test_arrays_a_caller_holds_are_never_overwritten(pool_everything):
-    samples = [random_sample("advection1d", seed=s, with_targets=True) for s in range(60)]
+    samples = random_batch("advection1d", range(60), with_targets=True)
     twin, gated = _ws_model(1, False), _ws_model(1, True)
     held = []
     with ad.Workspace():

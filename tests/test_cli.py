@@ -105,9 +105,9 @@ def test_train_too_small_split_exits_one(tmp_path, capsys, n_train):
                 "--grid", "16", "--t", "1", "--out", str(data)]) == 0
     if n_train == 0:
         dataset = load_dataset(data)
-        dataset.splits["train"] = []
+        dataset.splits["train"] = dataset.split("train")[:0]
         save_dataset(dataset, data)
-        assert load_dataset(data).splits["train"] == []
+        assert len(load_dataset(data).splits["train"]) == 0
     assert run(["train", "--data", str(data), "--out", str(tmp_path / "o"),
                 "--epochs", "1", "--width", "6", "--depth", "1", "--modes", "4"]) == 1
     assert capsys.readouterr().err == "error: dataset too small to split\n"
@@ -263,7 +263,7 @@ def test_train_determinism_byte_identical(adv_data, tmp_path):
 
 def test_train_is_byte_identical_on_a_similarity_transform(adv_data, tmp_path):
     moved = load_dataset(adv_data)
-    moved.splits = {name: [similar_transform(s, 2.0) for s in split]
+    moved.splits = {name: similar_transform(split, 2.0)
                     for name, split in moved.splits.items()}
     save_dataset(moved, tmp_path / "moved")
     assert dataset_hash(tmp_path / "moved") != dataset_hash(adv_data)

@@ -13,6 +13,7 @@ from dimino.data import (
     BLOB_MAGIC,
     BLOB_VERSION,
     FORMAT,
+    Batch,
     Dataset,
     DatasetFormatError,
     Grid,
@@ -24,6 +25,8 @@ from dimino.data import (
     write_sealed,
 )
 from dimino.solvers import generate_dataset
+
+from conftest import random_sample
 
 # Each system's input fields, constants and targets, as generate_dataset writes them.
 LAYOUTS = {
@@ -44,11 +47,62 @@ def test_grid_validates_power_of_two_points():
 
 
 def test_sample_validates_shapes_and_time():
+    # a row is checked when Batch.stack makes it a column
     grid = Grid((16,), (1.0,))
-    with pytest.raises(ValueError):
-        Sample("burgers1d", grid, {"u": np.zeros(8)}, {}, 1.0)
-    with pytest.raises(ValueError):
-        Sample("burgers1d", grid, {"u": np.zeros(16)}, {}, 0.0)
+    with pytest.raises(ValueError, match="shape"):
+        Batch.stack([Sample("burgers1d", grid, {"u": np.zeros(8)}, {}, 1.0)])
+    with pytest.raises(ValueError, match="t_final must be positive"):
+        Batch.stack([Sample("burgers1d", grid, {"u": np.zeros(16)}, {}, 0.0)])
+
+
+@st.composite
+def row_lists(draw):
+    """1-9 random rows of one system, with mixed t_final and constants."""
+    system = draw(st.sampled_from(sorted(LAYOUTS)))
+    with_targets = draw(st.booleans(), label="targets")
+    return [random_sample(system, seed=draw(st.integers(0, 2**16)),
+                          t_final=draw(st.floats(1e-3, 1e3)), with_targets=with_targets)
+            for _ in range(draw(st.integers(1, 9)))]
+
+
+def _same_row(a: Sample, b: Sample) -> bool:
+    def head(s):
+        return s.system, s.grid, s.t_final, s.constants
+    return (head(a) == head(b)
+            and all(list(getattr(a, k)) == list(getattr(b, k))
+                    and all(np.array_equal(getattr(a, k)[n], getattr(b, k)[n])
+                            for n in getattr(a, k)) for k in ("fields", "targets")))
+
+
+@given(rows=row_lists(), picks=st.data())
+@settings(max_examples=60, deadline=None)
+def test_batch_rows_slices_and_gathers_equal_the_stacked_rows(rows, picks):
+    batch = Batch.stack(rows)
+    assert len(batch) == len(rows)
+    for i, row in enumerate(batch):
+        assert isinstance(row, Sample)
+        assert all(a.shape == row.grid.shape for a in (*row.fields.values(), *row.targets.values()))
+        assert _same_row(row, rows[i]) and _same_row(batch[i], rows[i])
+    n = len(rows)
+    start, stop = sorted(picks.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    idx = np.array(picks.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12)))
+    for got, chosen in ((batch[start:stop], rows[start:stop]),
+                        (batch[idx], [rows[i] for i in idx])):
+        assert isinstance(got, Batch) and len(got) == len(chosen)
+        if chosen:
+            want = Batch.stack(chosen)
+            assert np.array_equal(got.t_final, want.t_final)
+            for kind in ("fields", "constants", "targets"):
+                assert list(getattr(got, kind)) == list(getattr(want, kind))
+                for name, col in getattr(want, kind).items():
+                    assert np.array_equal(getattr(got, kind)[name], col), (kind, name)
+
+
+def test_batch_stack_refuses_mixed_rows():
+    with pytest.raises(ValueError, match="one system"):
+        Batch.stack([random_sample("advection1d"), random_sample("burgers1d")])
+    with pytest.raises(ValueError, match="one system"):
+        Batch.stack([random_sample("burgers1d"), random_sample("burgers1d", with_targets=True)])
 
 
 def test_dataset_round_trip_bit_exact(tmp_path):
@@ -353,15 +407,17 @@ def test_float32_storage_round_trips(tmp_path):
 
 def test_empty_split_round_trips_and_no_samples_raises(tmp_path):
     ds = generate_dataset("burgers1d", {}, 2, 0, Grid((16,), (1.0,)), 0.5)
-    ds.splits["test"] = []
+    ds.splits["test"] = ds.split("train")[:0]
     back = load_dataset(save_dataset(ds, tmp_path / "d"))
-    assert back.splits["test"] == [] and len(back.split("train")) == 2
+    assert len(back.splits["test"]) == 0 and len(back.split("train")) == 2
     _, arrays = read_sealed(tmp_path / "d" / "test.bin", BLOB_MAGIC, BLOB_VERSION,
                             DatasetFormatError)
     assert {k: a.shape for k, a in arrays.items()} == {
         "field/u": (0, 16), "constant/nu": (0,), "time/t_final": (0,), "target/u": (0, 16)}
     with pytest.raises(ValueError, match="no samples"):
-        save_dataset(Dataset("burgers1d", ds.grid, {"train": [], "test": []}), tmp_path / "e")
+        empty = ds.split("train")[:0]
+        save_dataset(Dataset("burgers1d", ds.grid, {"train": empty, "test": empty}),
+                     tmp_path / "e")
 
 
 def test_missing_split_raises():
@@ -386,10 +442,10 @@ def random_datasets(draw):
                       {n: float(rng.uniform(1e-4, 10.0)) for n in constants},
                       t_final,
                       {n: rng.standard_normal(grid.shape) for n in targets})
-    splits = {"train": [sample() for _ in range(draw(st.integers(1, 3)))]}
+    splits = {"train": Batch.stack([sample() for _ in range(draw(st.integers(1, 3)))])}
     n_test = draw(st.integers(0, 2))
     if n_test:
-        splits["test"] = [sample() for _ in range(n_test)]
+        splits["test"] = Batch.stack([sample() for _ in range(n_test)])
     return Dataset(system, grid, splits, {"seed": draw(st.integers(0, 99)), "t_final": t_final})
 
 

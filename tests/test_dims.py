@@ -8,8 +8,10 @@ import pytest
 from dimino import dims
 from dimino.dims import Dimension, DimensionMismatch, UnknownSystemRule, dim
 
-from conftest import make_sample, random_sample
-from dimino.data import Grid
+from hypothesis import given, settings, strategies as st
+
+from conftest import make_sample, random_batch, random_sample, row_scales
+from dimino.data import Batch, Grid
 from dimino.model import DimINOModel, ModelConfig
 
 
@@ -72,23 +74,28 @@ def test_registry_table_is_versioned():
     assert "froude" in table
 
 
+def _one_row(scales):
+    """A scale table of (1,) columns from one row of floats."""
+    return {name: np.array([value]) for name, value in scales.items()}
+
+
 def test_burgers_reynolds_value():
-    scales = {"u": 1.0, "x": 1.0, "nu": 1e-3, "t": 1.0}
+    scales = _one_row({"u": 1.0, "x": 1.0, "nu": 1e-3, "t": 1.0})
     c = dims.compute_dimensionless(dims.REGISTRY["burgers1d"], scales)
-    assert c == pytest.approx([1000.0])
+    assert c.shape == (1, 1) and c[0] == pytest.approx([1000.0])
 
 
 def test_advection_number_value():
-    scales = {"u": 1.0, "beta": 0.5, "x": 1.0, "t": 2.0}
+    scales = _one_row({"u": 1.0, "beta": 0.5, "x": 1.0, "t": 2.0})
     c = dims.compute_dimensionless(dims.REGISTRY["advection1d"], scales)
-    assert c == pytest.approx([1.0])
+    assert c[0] == pytest.approx([1.0])
 
 
 def test_ns_group_values():
     # omega=2, x=1, nu=0.01, t=1, f=4 -> Re=200, St=2, Fr=1
-    scales = {"omega": 2.0, "x": 1.0, "nu": 0.01, "t": 1.0, "f": 4.0}
+    scales = _one_row({"omega": 2.0, "x": 1.0, "nu": 0.01, "t": 1.0, "f": 4.0})
     c = dims.compute_dimensionless(dims.REGISTRY["ns-vorticity2d"], scales)
-    assert c == pytest.approx([200.0, 2.0, 1.0])
+    assert c[0] == pytest.approx([200.0, 2.0, 1.0])
 
 
 # -- characteristic scales and the nondim round trip -----------------------
@@ -97,28 +104,27 @@ def test_scales_chain_reynolds():
     grid = Grid((64,), (1.0,))
     u = np.zeros(64)
     u[5] = 0.64
-    sample = make_sample("burgers1d", grid, {"u": u}, {"nu": 0.01}, 1.0)
-    scales = dims.characteristic_scales_from_sample(sample)
-    assert scales["u"] == 0.64
+    batch = Batch.stack([make_sample("burgers1d", grid, {"u": u}, {"nu": 0.01}, 1.0)])
+    scales = dims.characteristic_scales_from_sample(batch)
+    assert list(scales["u"]) == [0.64]
     c = dims.compute_dimensionless(dims.REGISTRY["burgers1d"], scales)
-    assert c == pytest.approx([64.0])
+    assert c[0] == pytest.approx([64.0])
 
 
 def test_scale_floor_on_tiny_fields():
     grid = Grid((64,), (1.0,))
-    sample = make_sample(
+    batch = Batch.stack([make_sample(
         "burgers1d", grid, {"u": np.full(64, 1e-30)}, {"nu": 1.0}, 1.0
-    )
-    scales = dims.characteristic_scales_from_sample(sample)
-    assert scales["u"] == dims.EPS_FLOOR
+    )])
+    scales = dims.characteristic_scales_from_sample(batch)
+    assert list(scales["u"]) == [dims.EPS_FLOOR]
 
 
 def _prepared(samples):
     """The gated input stage of samples, with each one's scales."""
     s = samples[0]
     config = ModelConfig(s.system, list(s.fields), list(s.targets), s.grid.rank)
-    scales = [dims.characteristic_scales_from_sample(s) for s in samples]
-    return DimINOModel(config).prepare(samples), scales
+    return DimINOModel(config).prepare(Batch.stack(samples)), [row_scales(s) for s in samples]
 
 
 def test_nondim_redim_round_trip():
@@ -134,7 +140,7 @@ def test_nondim_redim_round_trip():
                 assert np.max(np.abs(arr)) <= 1.0 + 1e-12
                 np.testing.assert_allclose(arr * sc[name], s.fields[name], rtol=1e-12)
             assert list(inputs.out_scales[i].ravel()) == [sc[n] for n in s.targets]
-            cvec = dims.compute_dimensionless(dims.REGISTRY[system], sc)
+            cvec = [number.evaluate(sc) for number in dims.REGISTRY[system].numbers]
             assert list(inputs.log_c[i]) == list(np.log(cvec))
 
 
@@ -152,7 +158,7 @@ def test_nondim_constants_match_registry_order():
 @pytest.mark.parametrize("system", sorted(dims.REGISTRY))
 @pytest.mark.parametrize("p", [0.5, 2.0, 8.0])
 def test_similar_transform_preserves_groups(system, p):
-    sample = random_sample(system, seed=11)
+    sample = random_batch(system, [11])
     spec = dims.REGISTRY[system]
     base = dims.compute_dimensionless(
         spec, dims.characteristic_scales_from_sample(sample)
@@ -165,7 +171,7 @@ def test_similar_transform_preserves_groups(system, p):
 
 
 def test_similar_transform_power_of_two_bit_exact():
-    sample = random_sample("ns-vorticity2d", seed=5)
+    sample = random_batch("ns-vorticity2d", [5])
     spec = dims.REGISTRY["ns-vorticity2d"]
     base = dims.compute_dimensionless(
         spec, dims.characteristic_scales_from_sample(sample)
@@ -186,13 +192,24 @@ def test_dimensionless_numbers_are_bit_invariant_at_power_of_two_p(system):
     plain ``scale ** -1.0`` breaks this for about one scale in five thousand,
     hence the many draws."""
     spec, rule = dims.REGISTRY[system], dims.similarity_exponents(system)
-    rng = np.random.default_rng(7)
-    for _ in range(2000):
-        scales = {n: float(s) for n, s in zip(rule, 10.0 ** rng.uniform(-4, 4, len(rule)))}
-        base = dims.compute_dimensionless(spec, scales)
-        for k in (-3, -1, 1, 2):
-            moved = {n: s * 2.0 ** (k * rule[n]) for n, s in scales.items()}
-            assert np.array_equal(dims.compute_dimensionless(spec, moved), base), (scales, k)
+    draws = 10.0 ** np.random.default_rng(7).uniform(-4, 4, (2000, len(rule)))
+    scales = dict(zip(rule, draws.T))
+    base = dims.compute_dimensionless(spec, scales)
+    for k in (-3, -1, 1, 2):
+        moved = {n: s * 2.0 ** (k * rule[n]) for n, s in scales.items()}
+        bad = np.flatnonzero((dims.compute_dimensionless(spec, moved) != base).any(axis=1))
+        assert not len(bad), (draws[bad[:3]], k)
+
+
+@pytest.mark.parametrize("system", sorted(dims.REGISTRY))
+def test_dimensionless_columns_equal_the_scalar_evaluate_per_row(system):
+    """compute_dimensionless of 2000 rows of columns is array_equal to each
+    number's scalar ``evaluate`` of each row, on the sweep above."""
+    spec, rule = dims.REGISTRY[system], dims.similarity_exponents(system)
+    draws = 10.0 ** np.random.default_rng(7).uniform(-4, 4, (2000, len(rule)))
+    want = [[number.evaluate(dict(zip(rule, row.tolist()))) for number in spec.numbers]
+            for row in draws]
+    assert np.array_equal(dims.compute_dimensionless(spec, dict(zip(rule, draws.T))), want)
 
 
 def test_similar_transform_inverse_pair():
@@ -225,3 +242,41 @@ def test_similar_transform_rejects_unknown_system():
         dims.similar_transform(sample, 2.0)
     with pytest.raises(ValueError):
         dims.similar_transform(random_sample("burgers1d"), -1.0)
+
+
+# -- whole batches -----------------------------------------------------------
+
+@st.composite
+def batches(draw):
+    """A Batch of 1-9 random rows of any system, with mixed t_final."""
+    system = draw(st.sampled_from(sorted(dims.REGISTRY)))
+    with_targets = draw(st.booleans(), label="targets")
+    return Batch.stack([random_sample(system, seed=draw(st.integers(0, 2**16)),
+                                      t_final=draw(st.floats(1e-3, 1e3)),
+                                      with_targets=with_targets)
+                        for _ in range(draw(st.integers(1, 9)))])
+
+
+@given(batch=batches())
+@settings(max_examples=40, deadline=None)
+def test_batch_scales_equal_the_per_row_reference(batch):
+    columns = dims.characteristic_scales_from_sample(batch)
+    rows = [row_scales(row) for row in batch]
+    assert set(columns) == set(rows[0])
+    for name, column in columns.items():
+        assert column.dtype == np.float64 and column.shape == (len(batch),)
+        assert np.array_equal(column, [r[name] for r in rows]), name
+
+
+@given(batch=batches(), k=st.integers(-3, 3))
+@settings(max_examples=40, deadline=None)
+def test_batch_transform_equals_the_per_row_transform(batch, k):
+    moved = dims.similar_transform(batch, 2.0 ** k)
+    for i, row in enumerate(batch):
+        want, got = dims.similar_transform(row, 2.0 ** k), moved[i]
+        assert got.t_final == want.t_final
+        assert got.constants == want.constants
+        for kind in ("fields", "targets"):
+            assert list(getattr(got, kind)) == list(getattr(want, kind))
+            for name, arr in getattr(want, kind).items():
+                assert np.array_equal(getattr(got, kind)[name], arr), (kind, name)

@@ -24,14 +24,13 @@ from dimino.model import (
     init_params,
     load_model,
     save_model,
-    stack_fields,
 )
 from dimino import dims
-from dimino.data import Grid, write_sealed
+from dimino.data import Batch, Grid, write_sealed
 from dimino.solvers import random_fourier_field
 from dimino.training import build_loss
 
-from conftest import make_sample, random_sample
+from conftest import make_sample, random_batch, random_sample, row_scales
 
 
 def small_config(**kw):
@@ -87,10 +86,10 @@ def test_gamma_one_model_bit_equals_gate_free_path():
     cfg = small_config(gamma=1.0)
     model = DimINOModel(cfg)
     sample = random_sample("ns-vorticity2d", seed=1)
-    gated = model.predict([sample])
+    gated = model.predict(Batch.stack([sample]))
 
     # replay the pipeline with the gate stage removed entirely
-    scales = dims.characteristic_scales_from_sample(sample)
+    scales = row_scales(sample)
     p = model.params
     tape = ad.Tape()
     x = tape.leaf(np.stack([sample.fields[n] / scales[n] for n in cfg.in_fields],
@@ -165,8 +164,7 @@ def test_gamma_outside_unit_interval_rejected(gamma):
 
 def test_forward_shapes_and_finiteness():
     model = DimINOModel(small_config())
-    samples = [random_sample("ns-vorticity2d", seed=s) for s in range(3)]
-    out = model.predict(samples)
+    out = model.predict(random_batch("ns-vorticity2d", range(3)))
     assert out.shape == (3, 16, 16, 1)
     assert np.all(np.isfinite(out))
 
@@ -174,7 +172,7 @@ def test_forward_shapes_and_finiteness():
 def test_mode_overflow_raises():
     model = DimINOModel(small_config(modes=12))
     with pytest.raises(ModeOverflow):
-        model.predict([random_sample("ns-vorticity2d", seed=0)])
+        model.predict(random_batch("ns-vorticity2d"))
 
 
 def test_field_set_mismatch_raises():
@@ -182,7 +180,7 @@ def test_field_set_mismatch_raises():
     sample = random_sample("ns-vorticity2d", seed=0)
     del sample.fields["f"]
     with pytest.raises(FieldSetMismatch):
-        model.predict([sample])
+        model.predict(Batch.stack([sample]))
 
 
 @pytest.mark.parametrize("gated", [True, False])
@@ -191,28 +189,31 @@ def test_samples_of_another_system_are_refused(gated):
     model = DimINOModel(ModelConfig("advection1d", ["u"], ["u"], 1, width=6, depth=2, modes=4,
                                     use_dimnorm=gated))
     with pytest.raises(FieldSetMismatch, match="'burgers1d'.*'advection1d'"):
-        model.prepare([random_sample("advection1d"), random_sample("burgers1d")])
+        model.prepare(random_batch("burgers1d"))
 
 
-def test_gated_forward_extracts_scales_once_per_sample(monkeypatch):
+def test_gated_prepare_extracts_scales_once_per_batch(monkeypatch):
     seen = []
     extract = dims.characteristic_scales_from_sample
 
-    def counting(sample):
-        seen.append(sample)
-        return extract(sample)
+    def counting(batch):
+        seen.append((batch, extract(batch)))
+        return seen[-1][1]
 
     monkeypatch.setattr(dims, "characteristic_scales_from_sample", counting)
     model = DimINOModel(small_config())
-    samples = [random_sample("ns-vorticity2d", seed=s) for s in range(3)]
-    model.forward(samples)
-    assert len(seen) == len(samples)
-    assert all(a is b for a, b in zip(seen, samples))
+    batch = random_batch("ns-vorticity2d", range(3))
+    model.forward(model.prepare(batch))
+    ((arg, columns),) = seen
+    assert arg is batch
+    for name, column in columns.items():
+        assert column.dtype == np.float64
+        assert np.array_equal(column, [row_scales(row)[name] for row in batch]), name
 
 
 def test_f32_precision_runs_in_single():
     model = DimINOModel(small_config(precision="f32"))
-    out = model.predict([random_sample("ns-vorticity2d", seed=0)])
+    out = model.predict(random_batch("ns-vorticity2d"))
     assert out.dtype == np.float32
 
 
@@ -229,7 +230,7 @@ FIELDS = {
 def sti_cases(draw):
     """A gated model on random weights, a random sample and a power-of-two p."""
     system = draw(st.sampled_from(sorted(FIELDS)))
-    sample = random_sample(system, seed=draw(st.integers(0, 2**16)))
+    sample = random_batch(system, [draw(st.integers(0, 2**16))])
     points = sample.grid.points
     max_modes = points[0] // 2 if sample.grid.rank == 2 else points[-1] // 2
     in_fields, target_fields = FIELDS[system]
@@ -249,8 +250,8 @@ def sti_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_latent_is_bit_invariant_under_similarity_transform(case):
     model, sample, p = case
-    base = model.forward([sample])
-    moved = model.forward([dims.similar_transform(sample, p)])
+    base = model.forward(sample)
+    moved = model.forward(dims.similar_transform(sample, p))
     rule = dims.similarity_exponents(sample.system)
     ratios = np.array([p ** rule[name] for name in model.config.target_fields])
     np.testing.assert_array_equal(moved.u_star.data, base.u_star.data)
@@ -259,9 +260,9 @@ def test_latent_is_bit_invariant_under_similarity_transform(case):
 
 def test_twin_latent_is_not_invariant():
     model = DimINOModel(small_config(use_dimnorm=False))
-    sample = random_sample("ns-vorticity2d", seed=4)
-    base = model.predict([sample])
-    moved = model.predict([dims.similar_transform(sample, 2.0)])
+    batch = random_batch("ns-vorticity2d", [4])
+    base = model.predict(batch)
+    moved = model.predict(dims.similar_transform(batch, 2.0))
     assert not np.allclose(moved, base / 2.0)
 
 
@@ -269,11 +270,11 @@ def test_twin_latent_is_not_invariant():
 
 @st.composite
 def gathered_batches(draw):
-    """A model, a sample list, and row indices into it, repeats allowed."""
+    """A model, a Batch, and row indices into it, repeats allowed."""
     system = draw(st.sampled_from(sorted(FIELDS)))
     in_fields, target_fields = FIELDS[system]
-    samples = [random_sample(system, seed=draw(st.integers(0, 2**16)))
-               for _ in range(draw(st.integers(1, 4)))]
+    samples = random_batch(system, [draw(st.integers(0, 2**16))
+                                    for _ in range(draw(st.integers(1, 4)))])
     config = ModelConfig(
         system=system, in_fields=in_fields, target_fields=target_fields,
         rank=samples[0].grid.rank, width=draw(st.integers(2, 8)), depth=2, modes=2,
@@ -290,7 +291,7 @@ def gathered_batches(draw):
 def test_gathered_inputs_bit_equal_the_sample_list(case):
     model, samples, idx = case
     got = model.forward(model.prepare(samples).take(idx))
-    want = model.forward([samples[i] for i in idx])
+    want = model.forward(samples[idx])
     for a, b in ((got.output, want.output), (got.u_star, want.u_star)):
         assert a.data.dtype == b.data.dtype == model.config.dtype
         np.testing.assert_array_equal(a.data, b.data)
@@ -305,9 +306,9 @@ def _divide_then_stack(config, samples):
         spec = dims.REGISTRY[config.system]
         xs, cvecs, outs = [], [], []
         for s in samples:
-            sc = dims.characteristic_scales_from_sample(s)
+            sc = row_scales(s)
             xs.append(np.stack([s.fields[n] / sc[n] for n in config.in_fields], axis=-1))
-            cvecs.append([float(c) for c in dims.compute_dimensionless(spec, sc)])
+            cvecs.append([number.evaluate(sc) for number in spec.numbers])
             outs.append([sc[n] for n in config.target_fields])
         return (np.stack(xs).astype(config.dtype),
                 np.log(np.array(cvecs)).astype(config.dtype),
@@ -351,7 +352,7 @@ def input_stage_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_prepare_bit_equals_divide_then_stack(case):
     config, samples = case
-    got = DimINOModel(config).prepare(samples)
+    got = DimINOModel(config).prepare(Batch.stack(samples))
     want = _divide_then_stack(config, samples)
     for a, b in zip((got.x, got.log_c, got.out_scales), want):
         if b is None:
@@ -362,7 +363,7 @@ def test_prepare_bit_equals_divide_then_stack(case):
 
 
 def test_inputs_of_the_twin_carry_no_gate_or_scales():
-    samples = [random_sample("ns-vorticity2d", seed=s) for s in range(3)]
+    samples = random_batch("ns-vorticity2d", range(3))
     gated = DimINOModel(small_config()).prepare(samples)
     assert gated.x.shape == (3, 16, 16, 2)
     assert gated.log_c.shape == (3, len(dims.REGISTRY["ns-vorticity2d"]))
@@ -398,10 +399,11 @@ def test_a_training_step_keeps_only_what_backward_reads(monkeypatch):
     model = DimINOModel(ModelConfig("advection1d", ["u"], ["u"], 1, width=width,
                                     depth=4, modes=12))
     grid, rng = Grid((n,), (1.0,)), np.random.default_rng(0)
-    samples = [make_sample("advection1d", grid, {"u": random_fourier_field(rng, grid)},
-                           {"beta": 0.5 + 0.1 * i}, 1.0,
-                           {"u": random_fourier_field(rng, grid)}) for i in range(b)]
-    target = stack_fields([s.targets for s in samples], ["u"])
+    samples = Batch.stack([
+        make_sample("advection1d", grid, {"u": random_fourier_field(rng, grid)},
+                    {"beta": 0.5 + 0.1 * i}, 1.0, {"u": random_fourier_field(rng, grid)})
+        for i in range(b)])
+    target = samples.targets["u"][..., None]
 
     def step():
         res = model.forward(samples, train=True)
@@ -482,14 +484,14 @@ def test_forward_and_training_step_reach_every_primitive(monkeypatch, system, in
     per-layer self-check of ``perfbench`` expects each of them to be called."""
     model = DimINOModel(ModelConfig(system, in_fields, [target], rank, width=8, depth=3,
                                     modes=4, use_dimnorm=gated))
-    samples = [random_sample(system, seed=s, with_targets=True) for s in range(2)]
+    samples = random_batch(system, range(2), with_targets=True)
     counts = _count_calls(monkeypatch)
     res = model.forward(samples, train=True)
     expected = set(FORWARD_PRIMITIVES) - (set() if gated else set(GATE_PRIMITIVES))
     assert {name for name in expected if not counts[name]} == set()
     assert [counts[name] for name in ("rfftn", "mode_mix", "irfftn")] == [3, 3, 3]
 
-    targets = stack_fields([s.targets for s in samples], [target])
+    targets = samples.targets[target][..., None]
     res.tape.backward(build_loss("h1", res.output, targets, rank))
     assert {name for name in LOSS_PRIMITIVES + ("Tape.backward",) if not counts[name]} == set()
 
@@ -563,10 +565,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert list(loaded.params) == list(model.params)
     for k in model.params:
         np.testing.assert_array_equal(loaded.params[k], model.params[k])
-    sample = random_sample("ns-vorticity2d", seed=0)
-    np.testing.assert_array_equal(
-        loaded.predict([sample]), model.predict([sample])
-    )
+    batch = random_batch("ns-vorticity2d")
+    np.testing.assert_array_equal(loaded.predict(batch), model.predict(batch))
 
 
 def test_checkpoint_truncation_detected(tmp_path):

@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from dimino import solvers
-from dimino.data import Grid
+from dimino.data import Batch, Grid, Sample
 from dimino.solvers import (
     CFL,
     DEALIAS_FRAC,
     MAX_RETRIES,
-    SampleStack,
     SolverConfig,
     StepUnstable,
     generate_dataset,
@@ -25,6 +24,8 @@ from dimino.solvers import (
     solve_sample,
 )
 from dimino.spectral import dealias_mask, wavenumbers
+
+from conftest import random_sample
 
 
 def rel_l2(a, b):
@@ -266,16 +267,54 @@ def test_burgers_stack_equals_per_sample(n, rows, steps, seed):
         assert np.array_equal(solve_burgers_1d(u0[i], nu[i], 0.5, cfg), want)
 
 
-def test_sample_stack_refuses_a_2d_system():
-    s = generate_dataset("ns-vorticity2d", {}, 1, 0, Grid((16, 16), (1.0, 1.0)), 0.1
-                         ).split("train")[0]
-    with pytest.raises(ValueError, match="one at a time"):
-        SampleStack.of([s])
+@given(n=st.sampled_from([16, 64]),
+       rows=st.lists(st.tuples(st.integers(0, 2**16), st.floats(0.05, 2.0)),
+                     min_size=1, max_size=9),
+       steps=st.one_of(st.none(), st.integers(16, 128)))
+@settings(max_examples=25, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_burgers_batch_with_a_t_final_per_row_equals_its_rows(n, rows, steps):
+    """A burgers1d Batch whose rows have different t_final solves as one
+    stack, bit for bit like each row solved alone."""
+    grid = Grid((n,), (1.0,))
+    batch = Batch.stack([
+        Sample("burgers1d", grid, {"u": random_fourier_field(np.random.default_rng(seed), grid)},
+               {"nu": 1e-3 + seed % 97 * 1e-3}, t) for seed, t in rows])
+    cfg = SolverConfig(steps=steps)
+    got = solve_sample(batch, cfg)["u"]
+    for i, row in enumerate(batch):
+        alone = solve_sample(batch[i:i + 1], cfg)["u"][0]
+        assert np.array_equal(got[i], alone, equal_nan=True)
+        if np.isfinite(alone).all():
+            want = solve_burgers_1d(row.fields["u"], row.constants["nu"], row.t_final, cfg)
+            assert np.array_equal(got[i], want)
+        else:
+            with pytest.raises(StepUnstable):
+                solve_burgers_1d(row.fields["u"], row.constants["nu"], row.t_final, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_2d_row_that_blows_up_comes_back_non_finite():
+    """The 2D systems are solved row by row: a row whose solve raises
+    StepUnstable comes back NaN, and its neighbours are the rows' own solves."""
+    calm, steep = (random_sample("diffreact2d", seed=s) for s in (0, 1))
+    steep.fields = {n: 20 * a for n, a in steep.fields.items()}
+    batch, cfg = Batch.stack([calm, steep, calm]), SolverConfig(steps=16)
+    got = solve_sample(batch, cfg)
+    with pytest.raises(StepUnstable):
+        solve_diffreact_2d(steep.fields["u"], steep.fields["v"], steep.constants["Du"],
+                           steep.constants["Dv"], steep.constants["k"], 1.0, cfg)
+    want = solve_diffreact_2d(calm.fields["u"], calm.fields["v"], calm.constants["Du"],
+                              calm.constants["Dv"], calm.constants["k"], 1.0, cfg)
+    for name, w in zip(("u", "v"), want):
+        assert np.isnan(got[name][1]).all()
+        assert np.array_equal(got[name][0], w) and np.array_equal(got[name][2], w)
 
 
 def _reference_generate(system, ranges, n_samples, seed, grid, t_final, cfg):
-    """generate_dataset's samples as first written: one sample at a time,
-    each redrawn at once when its solve raises.  Also returns the redraws."""
+    """generate_dataset's burgers1d samples as first written: one sample at
+    a time, each redrawn at once when its solve raises.  Also returns the
+    redraws."""
     ranges = {**solvers.DEFAULT_PARAM_RANGES[system], **ranges}
     samples, redraws = [], 0
     for i in range(n_samples):
@@ -283,7 +322,8 @@ def _reference_generate(system, ranges, n_samples, seed, grid, t_final, cfg):
             rng = np.random.default_rng([seed, i, attempt])
             sample = solvers._draw_sample(system, rng, grid, t_final, ranges)
             try:
-                sample.targets = solve_sample(sample, cfg)
+                sample.targets = {"u": solve_burgers_1d(
+                    sample.fields["u"], sample.constants["nu"], sample.t_final, cfg)}
             except StepUnstable:
                 if attempt == MAX_RETRIES:
                     raise
@@ -382,15 +422,13 @@ def test_generate_dataset_is_deterministic():
 
 def test_generate_dataset_targets_match_solver():
     ds = generate_dataset("advection1d", {}, 2, 7, Grid((64,), (1.0,)), 1.0)
-    for s in ds.split("train"):
-        np.testing.assert_allclose(
-            s.targets["u"], solve_sample(s)["u"], atol=1e-12
-        )
+    batch = ds.split("train")
+    np.testing.assert_allclose(batch.targets["u"], solve_sample(batch)["u"], atol=1e-12)
 
 
 def test_solve_sample_rejects_unknown_system():
     s = generate_dataset("advection1d", {}, 1, 0, Grid((64,), (1.0,)), 1.0
-                         ).split("train")[0]
+                         ).split("train")
     s.system = "nope"
     with pytest.raises(ValueError):
         solve_sample(s)

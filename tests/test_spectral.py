@@ -79,6 +79,56 @@ def test_h1_weights_vanish_only_on_dc_and_nyquist_modes(shape, extent):
         assert _seminorm2(nyquist, extent) <= 1e-20 * nyquist.size
 
 
+def _grid_coords(shape):
+    return np.meshgrid(*[np.arange(n) / n for n in shape], indexing="ij")
+
+
+@pytest.mark.parametrize("shape, modes", [
+    ((7,), (3,)), ((7, 8), (3, 0)), ((8, 7), (0, 3)), ((7, 5), (3, 2)), ((9, 6), (4, 2)),
+], ids=["1d-7", "2d-odd-first", "2d-odd-last", "2d-both-odd", "2d-9x6"])
+def test_h1_seminorm_on_an_odd_axis_keeps_its_highest_mode(shape, modes):
+    """On an odd axis, index n // 2 is a real mode, not a Nyquist one, so the
+    seminorm of a product of sines at the top modes is its analytic value:
+    sum over the grid of |grad f|^2 (for sin(2 pi 3x) on 7 points, 36 pi^2 7 / 2)."""
+    xs = _grid_coords(shape)
+    waves = [np.sin(2 * np.pi * m * x) if m else np.ones_like(x) for m, x in zip(modes, xs)]
+    f = np.prod(waves, axis=0)
+    n_total = np.prod(shape)
+    # each sine squared sums to half its axis, a constant axis to all of it
+    share = np.prod([0.5 if m else 1.0 for m in modes])
+    want = sum((2 * np.pi * m) ** 2 for m in modes) * share * n_total
+    got = spectral.h1_seminorm2(f, tuple(range(len(shape))), (1.0,) * len(shape))[0]
+    assert got == pytest.approx(want, rel=1e-12)
+    # rel-h1 against a constant target of 1: the target's seminorm is 0, and
+    # sum(f) is 0, so the error's squared H1 norm is sum(f**2) + n_total + want
+    rel = rel_metric("rel-h1", f, np.ones(shape))
+    assert rel == pytest.approx(np.sqrt((share * n_total + n_total + want) / n_total),
+                                rel=1e-12)
+
+
+def _power_of_two_h1_weights(shape, extent):
+    """``h1_weights`` as written before odd axes were handled: every axis
+    zeroed at index n // 2."""
+    k2 = 0.0
+    for n, k in zip(shape, spectral.wavenumbers(shape, extent)):
+        k = k.copy()
+        k.flat[n // 2] = 0.0
+        k2 = k2 + k**2
+    mult = np.ones(shape[-1] // 2 + 1)
+    mult[1:(shape[-1] + 1) // 2] = 2.0
+    return k2 * (mult / np.prod(shape))
+
+
+@pytest.mark.parametrize("shape", [
+    (2,), (8,), (16,), (32,), (64,), (128,), (256,), (2, 2), (8, 8), (16, 16), (32, 32),
+    (64, 64), (8, 16), (16, 8), (16, 32), (6,), (10, 12)])
+@pytest.mark.parametrize("extent", [1.0, 3.0, 0.25])
+def test_h1_weights_are_unchanged_on_even_axes(shape, extent):
+    extent = (extent,) * len(shape)
+    assert np.array_equal(spectral.h1_weights(shape, extent),
+                          _power_of_two_h1_weights(shape, extent))
+
+
 def test_h1_weights_check_the_extent():
     with pytest.raises(ad.ShapeMismatch, match="extent"):
         spectral.h1_weights((8,), (1.0, 2.0))

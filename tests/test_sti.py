@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_sample, random_sample
+from conftest import make_sample, random_batch
 from dimino import dims, sti
-from dimino.data import Grid
-from dimino.model import DimINOModel, FieldSetMismatch, ModelConfig
-from dimino.solvers import SolverConfig, generate_dataset, solve_sample
+from dimino.data import Batch, Grid
+from dimino.model import DimINOModel, ModelConfig
+from dimino.solvers import SolverConfig, StepUnstable, generate_dataset, solve_sample
 from dimino.sti import SpecMismatch, solver_sti_oracle, sti_check
 from dimino.training import rel_metric
 
@@ -75,6 +75,18 @@ def test_report_serialization_and_table():
     assert "latent residual" in table
 
 
+def test_table_marks_a_rollout_it_has_no_value_for():
+    # p = 0.5 has no integer rollout; the table once failed on its None
+    report = sti_check(_model("ns-vorticity2d"), _ns_samples(), [0.5, 2.0],
+                       baseline=_model("ns-vorticity2d", use_dimnorm=False),
+                       solver_cfg=SolverConfig(steps=64))
+    rows = {line[:22].strip(): line[22:].split() for line in report.format_table().splitlines()}
+    assert rows["rel-L2 (1e-2)"] == ["p=0.5", "p=1", "p=2"]
+    assert rows["baseline rollout"][0] == "-"
+    assert [float(c) for c in rows["baseline rollout"][1:]] == pytest.approx(
+        [100 * e.baseline_rollout for e in report.entries[1:]], abs=1e-3)
+
+
 def test_system_mismatch_rejected():
     model = DimINOModel(ModelConfig(
         system="burgers1d", in_fields=["u"], target_fields=["u"], rank=1,
@@ -85,18 +97,40 @@ def test_system_mismatch_rejected():
 
 
 @pytest.mark.parametrize("gated", [True, False])
-def test_baseline_of_another_system_rejected(gated):
+def test_baseline_of_another_system_rejected(gated, monkeypatch):
+    # refused where the model's system is checked, before any solve
     baseline = DimINOModel(ModelConfig("advection1d", ["u"], ["u"], 1, width=6, depth=2,
                                        modes=4, use_dimnorm=gated))
-    samples = [random_sample("burgers1d", seed=s) for s in range(2)]
-    with pytest.raises(FieldSetMismatch, match="'burgers1d'.*'advection1d'"):
-        sti_check(_model("burgers1d"), samples, [1.0], baseline=baseline,
-                  solver_cfg=SolverConfig(steps=16))
+    solves = []
+    monkeypatch.setattr(sti, "solve_sample", lambda *args: solves.append(args))
+    with pytest.raises(SpecMismatch, match="baseline is for 'advection1d', samples are "
+                                           "'burgers1d'"):
+        sti_check(_model("burgers1d"), random_batch("burgers1d", range(2)), [1.0],
+                  baseline=baseline, solver_cfg=SolverConfig(steps=16))
+    assert solves == []
 
 
 def test_no_samples_rejected():
     with pytest.raises(ValueError, match="at least one sample"):
-        sti_check(_model("ns-vorticity2d"), [], [1.0, 2.0])
+        sti_check(_model("ns-vorticity2d"), _ns_samples()[:0], [1.0, 2.0])
+
+
+def _blowing_up_burgers():
+    """Two burgers1d rows, the second so steep that 24 fixed steps blow up."""
+    calm, steep = random_batch("burgers1d", range(2))
+    steep.fields["u"] = 35.0 * steep.fields["u"]
+    return Batch.stack([calm, steep]), SolverConfig(steps=24)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_truth_row_raises():
+    batch, cfg = _blowing_up_burgers()
+    assert np.isfinite(solve_sample(batch[:1], cfg)["u"]).all()
+    assert not np.isfinite(solve_sample(batch, cfg)["u"][1]).all()
+    with pytest.raises(StepUnstable):
+        sti_check(_model("burgers1d"), batch, [1.0], solver_cfg=cfg)
+    with pytest.raises(StepUnstable):
+        solver_sti_oracle(batch, 2.0, cfg)
 
 
 def test_solver_oracle_taylor_green_p2():
@@ -110,11 +144,11 @@ def test_solver_oracle_taylor_green_p2():
          "f": np.zeros((32, 32))},
         {"nu": 0.01}, 1.0,
     )
-    assert solver_sti_oracle(sample, 2.0, SolverConfig(steps=128)) == 0.0
+    assert solver_sti_oracle(Batch.stack([sample]), 2.0, SolverConfig(steps=128)) == 0.0
 
 
 def test_solver_oracle_generic_sample_p8():
-    sample = _ns_samples(n=1, seed=3)[0]
+    sample = _ns_samples(n=1, seed=3)
     assert solver_sti_oracle(sample, 8.0, SolverConfig(steps=64)) == 0.0
 
 
@@ -125,7 +159,7 @@ def test_solver_oracle_generic_sample_p8():
 def test_solver_oracle_exact_for_power_of_two_p(system, k, seed, steps):
     """Both CFL and fixed step counts: the transformed solve is the rescaled
     original bit for bit."""
-    sample = random_sample(system, seed=seed, t_final=0.25)
+    sample = random_batch(system, [seed], t_final=0.25)
     cfg = SolverConfig(steps=steps) if steps else None
     assert solver_sti_oracle(sample, 2.0**k, cfg) == 0.0
 
@@ -133,18 +167,19 @@ def test_solver_oracle_exact_for_power_of_two_p(system, k, seed, steps):
 def test_solver_oracle_diffreact_rule_is_not_a_symmetry():
     # the reaction u - u^3 - k - v has an implicit unit rate, so the rule is
     # not a symmetry of the PDE; this pins the known defect
-    sample = random_sample("diffreact2d", seed=0, t_final=0.5)
+    sample = random_batch("diffreact2d", t_final=0.5)
     assert solver_sti_oracle(sample, 2.0, SolverConfig(steps=50)) > 0.1
 
 
 def test_solver_oracle_rejects_bad_p():
     with pytest.raises(ValueError):
-        solver_sti_oracle(_ns_samples(n=1)[0], 0.0)
+        solver_sti_oracle(_ns_samples(n=1), 0.0)
 
 
 def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
-    """Reference sweep: a second forward and a fresh solver run for every p."""
-    system = samples[0].system
+    """Reference sweep: a second forward and a fresh solver run for every p,
+    and a row-by-row baseline rollout."""
+    system = samples.system
     rule = dims.similarity_exponents(system)
     p_list = sorted(set(float(p) for p in p_list) | {1.0})
     report = sti.STIReport(system, len(samples))
@@ -153,15 +188,15 @@ def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
     n = len(samples)
 
     def mean_err(pred, names, truth):
-        return float(np.mean([rel_metric("rel-l2", pred[i, ..., j], truth[i][name])
+        return float(np.mean([rel_metric("rel-l2", pred[i, ..., j], truth[name][i])
                               for i in range(n) for j, name in enumerate(names)]))
 
     for p in p_list:
-        transformed = [dims.similar_transform(s, p) for s in samples]
+        transformed = dims.similar_transform(samples, p)
         result = model.forward(transformed)
         pred, star = result.output.data, result.u_star.data
         ratios = np.array([p ** rule.get(name, 0) for name in model.config.target_fields])
-        truth = [solve_sample(s, solver_cfg) for s in transformed]
+        truth = solve_sample(transformed, solver_cfg)
         entry = sti.STIEntry(
             p=p,
             latent_residual=float(np.mean(
@@ -175,7 +210,7 @@ def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
         if p.is_integer():
             current = [replace(s, t_final=s.t_final / int(p)) for s in transformed]
             for _ in range(int(p)):
-                rolled = baseline.predict(current)
+                rolled = baseline.predict(Batch.stack(current))
                 nxt = []
                 for i, s in enumerate(current):
                     fields = dict(s.fields)
@@ -184,7 +219,7 @@ def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
                     nxt.append(replace(s, fields=fields))
                 current = nxt
             entry.baseline_rollout = float(np.mean(
-                [rel_metric("rel-l2", s.fields[name], truth[i][name])
+                [rel_metric("rel-l2", s.fields[name], truth[name][i])
                  for i, s in enumerate(current) for name in names]))
         report.entries.append(entry)
     return report
@@ -207,11 +242,11 @@ def test_sti_check_matches_per_p_solve_reference(system, p_list, solver_cfg,
 
     calls = []
 
-    def counting_solve(sample, cfg=None):
-        calls.append(sample.system)
-        return solve_sample(sample, cfg)
+    def counting_solve(batch, cfg=None):
+        calls.append(len(batch))
+        return solve_sample(batch, cfg)
 
     monkeypatch.setattr(sti, "solve_sample", counting_solve)
     report = sti_check(model, samples, p_list, twin, solver_cfg)
     assert report.to_json() == expected.to_json()
-    assert len(calls) == solves_per_sample * len(samples)
+    assert calls == [len(samples)] * solves_per_sample

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimino.data import Dataset, Grid
+from dimino.data import Batch, Dataset, Grid
 from dimino import training
 from dimino.dims import EPS_FLOOR, similar_transform
-from dimino.model import DimINOModel, ModelConfig, load_model, save_model, stack_fields
+from dimino.model import DimINOModel, ModelConfig, load_model, save_model
 from dimino.solvers import generate_dataset
 from dimino.training import (
     LOSS_FLOOR,
@@ -31,7 +31,7 @@ from dimino.training import (
 )
 from dimino import autodiff as ad
 
-from conftest import random_sample
+from conftest import random_batch, random_sample
 
 
 # -- metrics ---------------------------------------------------------------
@@ -311,13 +311,13 @@ def test_bad_split_fraction_and_warmup_rejected(field, value):
 
 def _train_per_batch(model, dataset, cfg):
     """``train`` as it was before the input stage ran once per call: each
-    step prepares its own sample list and stacks its own targets, and
-    validation predicts sample lists."""
+    step prepares its own rows and stacks its own targets, and validation
+    predicts batches of rows."""
     samples = dataset.split("train")
     perm = np.random.default_rng(cfg.seed).permutation(len(samples))
     n_valid = max(1, int(round(cfg.valid_frac * len(samples))))
-    valid = [samples[i] for i in perm[:n_valid]]
-    train_samples = [samples[i] for i in perm[n_valid:]]
+    valid = samples[perm[:n_valid]]
+    train_samples = samples[perm[n_valid:]]
     names = list(model.params)
     state, history = {}, []
     best = {"rel-l2": np.inf, "params": None, "epoch": -1}
@@ -327,9 +327,9 @@ def _train_per_batch(model, dataset, cfg):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(train_samples))
         losses = []
         for start in range(0, len(order), cfg.batch_size):
-            batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
+            batch = train_samples[order[start:start + cfg.batch_size]]
             result = model.forward(batch, train=True)
-            target = stack_fields([s.targets for s in batch], model.config.target_fields)
+            target = np.stack([batch.targets[n] for n in model.config.target_fields], axis=-1)
             loss = build_loss(cfg.loss, result.output, target, model.config.rank, extent)
             result.tape.backward(loss)
             adam_step([model.params[n] for n in names],
@@ -395,19 +395,19 @@ def test_gated_training_is_similarity_invariant(system, loss, precision, k, seed
     model's parameters and history bit-identical to training on D; the
     twin's differ.  random_sample's scales stay far above EPS_FLOOR here."""
     in_fields, target_fields, rank = _MODEL_FIELDS[system]
-    samples = [random_sample(system, seed=seed + i, with_targets=True) for i in range(24)]
+    samples = random_batch(system, range(seed, seed + 24), with_targets=True)
     cfg = TrainConfig(loss=loss, epochs=3, batch_size=8, seed=seed, patience=0)
 
     def run(use_dimnorm, data):
         model = DimINOModel(ModelConfig(system, in_fields, target_fields, rank, width=8,
                                         depth=2, modes=4, use_dimnorm=use_dimnorm,
                                         precision=precision))
-        model, history = train(model, Dataset(system, data[0].grid, {"train": data}), cfg)
+        model, history = train(model, Dataset(system, data.grid, {"train": data}), cfg)
         return history, model.params
 
     def same(a, b):
         return a[0] == b[0] and all(np.array_equal(a[1][n], b[1][n]) for n in a[1])
-    moved = [similar_transform(s, 2.0 ** k) for s in samples]
+    moved = similar_transform(samples, 2.0 ** k)
     assert same(run(True, samples), run(True, moved))
     assert not same(run(False, samples), run(False, moved))
 
@@ -427,14 +427,15 @@ def test_training_invariance_ends_where_a_field_scale_crosses_eps_floor(ulps, in
     # max-abs exactly p * edge, so exactly edge under T_p
     first.fields["u"] = u / np.max(np.abs(u)) * (p * edge)
     first.targets["u"] = target / np.max(np.abs(target)) * (p * edge)
-    moved = [similar_transform(s, p) for s in samples]
+    samples = Batch.stack(samples)
+    moved = similar_transform(samples, p)
     assert np.max(np.abs(moved[0].fields["u"])) == edge
     assert min(np.max(np.abs(s.fields["u"])) for s in moved[1:]) > 1e3 * EPS_FLOOR
     cfg = TrainConfig(loss="h1", epochs=2, batch_size=4, seed=3, patience=0)
 
     def run(data):
         model = _tiny_model(system="burgers1d")
-        model, history = train(model, Dataset("burgers1d", data[0].grid, {"train": data}), cfg)
+        model, history = train(model, Dataset("burgers1d", data.grid, {"train": data}), cfg)
         return history, model.params
 
     (h, params), (h_moved, params_moved) = run(samples), run(moved)
@@ -458,13 +459,14 @@ def _floor_case(edge_target, split):
     moved_target = np.zeros_like(samples[k].targets["u"])
     moved_target[:2] = a, np.sqrt(edge_target - a * a)
     samples[k].targets["u"] = p * moved_target
-    moved = [similar_transform(s, p) for s in samples]
+    samples = Batch.stack(samples)
+    moved = similar_transform(samples, p)
     assert np.sum(moved[k].targets["u"] ** 2) == edge_target
     assert min(np.max(np.abs(s.fields["u"])) for s in moved) > 1e3 * EPS_FLOOR
 
     def run(data):
         model = _tiny_model(system="burgers1d")
-        model, history = train(model, Dataset("burgers1d", data[0].grid, {"train": data}), cfg)
+        model, history = train(model, Dataset("burgers1d", data.grid, {"train": data}), cfg)
         return history, model.params
 
     (h, params), (h_moved, params_moved) = run(samples), run(moved)
@@ -526,7 +528,7 @@ def test_full_model_grad_check():
 def test_full_model_h1_grad_check(system, in_fields, target, rank):
     model = DimINOModel(ModelConfig(system, in_fields, [target], rank, width=6, depth=2,
                                     modes=4))
-    samples = [random_sample(system, seed=s, with_targets=True) for s in range(2)]
+    samples = random_batch(system, range(2), with_targets=True)
     assert grad_check_model(model, samples, loss_kind="h1", n_sample=4, seed=0) < 1e-6
 
 
@@ -535,9 +537,9 @@ def test_full_model_h1_grad_check(system, in_fields, target, rank):
 def test_float32_model_trains_with_float32_gradients(system, in_fields, target, rank):
     model = DimINOModel(ModelConfig(system, in_fields, [target], rank, width=8, depth=2,
                                     modes=4, precision="f32"))
-    samples = [random_sample(system, seed=s, with_targets=True) for s in range(3)]
+    samples = random_batch(system, range(3), with_targets=True)
     res = model.forward(samples, train=True)
-    targets = stack_fields([s.targets for s in samples], [target])
+    targets = samples.targets[target][..., None]
     loss = build_loss("h1", res.output, targets, rank)
     assert loss.data.dtype == np.float32
     res.tape.backward(loss)
