@@ -208,12 +208,23 @@ def _manifest_digest(raw: bytes) -> str:
     return hashlib.blake2b(raw, digest_size=16).hexdigest()
 
 
-def _write_blob(path: Path, batch: Batch, records, dtype, seal: str) -> None:
-    def column(kind, name):
-        # a batch's fields, targets and constants sit in its attribute kind + "s"
-        return batch.t_final if kind == "time" else getattr(batch, kind + "s")[name]
-    arrays = ((f"{kind}/{name}", np.asarray(column(kind, name), dtype)) for kind, name in records)
-    write_sealed(path, BLOB_MAGIC, BLOB_VERSION, {"manifest_blake2b": seal}, arrays)
+def _columns(batch: Batch, records, dtype) -> list:
+    """The batch's columns in record order, cast to the written ``dtype``."""
+    # a batch's fields, targets and constants sit in its attribute kind + "s"
+    return [np.asarray(batch.t_final if kind == "time" else getattr(batch, kind + "s")[name],
+                       dtype) for kind, name in records]
+
+
+def _check_values(path, records, columns) -> None:
+    """Refuse a split whose field, target or constant is not finite, or whose
+    t_final is not finite and positive: the one check of a blob's values, on
+    save (after the cast to the written dtype) and on load."""
+    for kind in ("field", "target", "constant"):
+        if not all(np.isfinite(c).all() for (k, _), c in zip(records, columns) if k == kind):
+            raise DatasetFormatError(f"{path}: a {kind} is not finite")
+    (times,) = (c for (k, _), c in zip(records, columns) if k == "time")
+    if not (np.isfinite(times) & (times > 0)).all():
+        raise DatasetFormatError(f"{path}: t_final must be finite and positive")
 
 
 def _manifest_dims(system: str, records) -> dict:
@@ -228,14 +239,20 @@ def _manifest_dims(system: str, records) -> dict:
 
 
 def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
+    """Write ``dataset`` to ``directory``.  A split that ``load_dataset``
+    would refuse for its values (checked after the cast to ``dtype``) raises
+    DatasetFormatError before any file is written."""
     first = next((split for split in dataset.splits.values() if len(split)), None)
     if first is None:
         raise ValueError("dataset has no samples")
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     records = [*(("field", n) for n in first.fields),
                *(("constant", n) for n in first.constants), ("time", "t_final"),
                *(("target", n) for n in first.targets)]
+    columns = {name: _columns(split, records, dtype) for name, split in dataset.splits.items()}
+    for name, cols in columns.items():
+        _check_values(directory / f"{name}.bin", records, cols)
+    directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": FORMAT,
         "system": dataset.system,
@@ -252,8 +269,10 @@ def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
     }
     raw = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
     (directory / "manifest.json").write_bytes(raw)
-    for name, split in dataset.splits.items():
-        _write_blob(directory / f"{name}.bin", split, records, dtype, _manifest_digest(raw))
+    names = [f"{kind}/{name}" for kind, name in records]
+    for name, cols in columns.items():
+        write_sealed(directory / f"{name}.bin", BLOB_MAGIC, BLOB_VERSION,
+                     {"manifest_blake2b": _manifest_digest(raw)}, zip(names, cols))
     return directory
 
 
@@ -330,12 +349,8 @@ def _read_blob(path, system, grid, records, dtype, count, seal):
         if len(arr) != count:
             raise DatasetFormatError(f"{path}: {len(arr)} samples, manifest says {count}")
         blocks[kind][name] = arr.astype(np.float64, copy=False)
+    _check_values(path, records, [blocks[kind][name] for kind, name in records])
     (times,) = blocks["time"].values()
-    for kind in ("field", "target", "constant"):
-        if not all(np.isfinite(b).all() for b in blocks[kind].values()):
-            raise DatasetFormatError(f"{path}: a {kind} is not finite")
-    if not (np.isfinite(times) & (times > 0)).all():
-        raise DatasetFormatError(f"{path}: t_final must be finite and positive")
     if header["manifest_blake2b"] != seal:
         raise DatasetFormatError(f"{path}: sealed for another manifest.json (sealed "
                                  f"blake2b {header['manifest_blake2b']}, manifest's {seal})")

@@ -7,6 +7,12 @@ uses Strang splitting with an RK4 reaction step.  ``solve_sample`` solves a
 whole ``data.Batch`` and returns its targets as (B, *grid) columns;
 ``generate_dataset`` draws rows, stacks them once, and redraws the rows
 whose solve went non-finite.
+
+Time stepping allocates nothing: each solve allocates its stages, stage
+argument and FFT scratch once, and every step writes into them through
+``out=``.  Each product and sum keeps the operands and the grouping of the
+textbook expression, so the targets are those of the expression form bit
+for bit (``tests/test_solvers.py`` pins each loop against it).
 """
 from __future__ import annotations
 
@@ -71,11 +77,13 @@ def _ifrk4(v, n_steps, dt, lin, nonlin):
     Row i of ``v`` (its leading axis) takes ``n_steps[i]`` steps of ``dt[i]``
     under the linear symbol ``lin[i]``.  Rows come ordered by non-increasing
     step count, so the rows still running always form a leading block, and
-    only that block is advanced; ``nonlin`` maps such a block to its
-    nonlinear term.  Each row computes the single-sample expressions with
-    ``(rows, 1, ...)`` columns for its ``dt``, and the loop-invariant factors
-    are hoisted without reordering any product, so every row gets the
-    textbook IF-RK4 bit for bit.
+    only that block is advanced; ``nonlin(w, out)`` writes such a block's
+    nonlinear term into ``out``.  Each row computes the single-sample
+    expressions with ``(rows, 1, ...)`` columns for its ``dt``, and the
+    loop-invariant factors are hoisted without reordering any product, so
+    every row gets the textbook IF-RK4 bit for bit.  The stages and the
+    stage argument live in buffers allocated once; every product and sum
+    writes into them with its operands in the textbook's order.
 
     Non-finite values are absorbing, so a row that blows up stays non-finite;
     once every running row has (checked every 16 steps) the loop stops early.
@@ -87,23 +95,38 @@ def _ifrk4(v, n_steps, dt, lin, nonlin):
     half_dt, sixth_dt = dt / 2, dt / 6
     dt_e_half, two_e_half = dt * e_half, 2 * e_half
     v = v.copy()
+    buffers = [np.empty_like(v) for _ in range(6)]
     done = 0
     for a in range(len(v), 0, -1):  # a rows still running
         if n_steps[a - 1] <= done:
             continue
         w, ef, eh, h, s6, de, te = (x[:a] for x in (v, e_full, e_half, half_dt,
                                                      sixth_dt, dt_e_half, two_e_half))
+        k1, k2, k3, k4, arg, ef_w = (x[:a] for x in buffers)
         for step in range(done, n_steps[a - 1]):
-            k1 = nonlin(w)
-            k2 = nonlin(eh * (w + h * k1))
-            k3 = nonlin(eh * w + h * k2)
-            ef_w = ef * w
-            k4 = nonlin(ef_w + de * k3)
-            w = ef_w + s6 * (ef * k1 + te * (k2 + k3) + k4)
+            nonlin(w, k1)
+            np.multiply(h, k1, out=arg)  # eh * (w + h * k1)
+            np.add(w, arg, out=arg)
+            np.multiply(eh, arg, out=arg)
+            nonlin(arg, k2)
+            np.multiply(eh, w, out=arg)  # eh * w + h * k2
+            np.multiply(h, k2, out=k3)
+            np.add(arg, k3, out=arg)
+            nonlin(arg, k3)
+            np.multiply(ef, w, out=ef_w)  # ef_w + de * k3
+            np.multiply(de, k3, out=arg)
+            np.add(ef_w, arg, out=arg)
+            nonlin(arg, k4)
+            # w = ef_w + s6 * ((ef * k1 + te * (k2 + k3)) + k4)
+            np.multiply(ef, k1, out=k1)
+            np.add(k2, k3, out=k2)
+            np.multiply(te, k2, out=k2)
+            np.add(k1, k2, out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(s6, k1, out=k1)
+            np.add(ef_w, k1, out=w)
             if step % 16 == 15 and not np.isfinite(w).reshape(a, -1).all(axis=1).any():
-                v[:a] = w
                 return v
-        v[:a] = w
         done = n_steps[a - 1]
     return v
 
@@ -125,7 +148,7 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
     nu = np.broadcast_to(np.asarray(nu, dtype=float), (b,))
     t = np.broadcast_to(np.asarray(t, dtype=float), (b,))
     k, = wavenumbers((n,), (extent,))
-    mask = dealias_mask((n,), DEALIAS_FRAC)
+    mask = dealias_mask((n,), DEALIAS_FRAC).astype(np.complex128)
     if cfg.steps is not None:
         n_steps = np.full(b, cfg.steps)
     else:
@@ -134,10 +157,14 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
         n_steps = np.maximum(np.ceil(t / dt_cfl).astype(int), 16)
     dt = t / n_steps
     flux_symbol = -0.5j * k
+    spec, field = np.empty((b, n // 2 + 1), np.complex128), np.empty((b, n))
 
-    def nonlin(v):
-        u = irfftn(v * mask, (n,), (-1,))
-        return flux_symbol * (rfftn(u * u, (-1,)) * mask)
+    def nonlin(v, out=None):
+        """flux_symbol * (rfftn(u * u) * mask), u = irfftn(v * mask)."""
+        vh, u = spec[:len(v)], field[:len(v)]
+        irfftn(np.multiply(v, mask, out=vh), (n,), (-1,), out=u)
+        rfftn(np.multiply(u, u, out=u), (-1,), out=vh)
+        return np.multiply(flux_symbol, np.multiply(vh, mask, out=vh), out=out)
 
     order = np.argsort(-n_steps, kind="stable")
     v = _ifrk4(rfftn(rows[order], (-1,)), n_steps[order].tolist(), dt[order],
@@ -171,22 +198,42 @@ def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
     rate = -np.array([Du, Dv])[:, None, None] * (kx**2 + ky**2)
     half, full = np.exp(rate * dt / 2), np.exp(rate * dt)
 
+    spec = np.empty(rate.shape, np.complex128)
+    r1, r2, r3, r4, arg = (np.empty((2,) + shape) for _ in range(5))
+
     def diffuse(w, factor):
-        return irfftn(rfftn(w, (-2, -1)) * factor, shape, (-2, -1))
+        """w <- irfftn(rfftn(w) * factor), in place."""
+        rfftn(w, (-2, -1), out=spec)
+        irfftn(np.multiply(spec, factor, out=spec), shape, (-2, -1), out=w)
 
-    def react(w):
-        u, v = w
-        return np.stack((u - u * u * u - k_const - v, u - v))
+    def react(w, out):
+        """out <- (u - u * u * u - k - v, u - v) for (u, v) = w."""
+        (u, v), (ru, rv) = w, out
+        np.multiply(u, u, out=ru)
+        np.multiply(ru, u, out=ru)
+        np.subtract(u, ru, out=ru)
+        np.subtract(ru, k_const, out=ru)
+        np.subtract(ru, v, out=ru)
+        np.subtract(u, v, out=rv)
 
-    w = diffuse(np.stack((u0, v0)).astype(np.float64), half)
+    def stage(r, h):
+        """w + h * r, in the stage argument's buffer."""
+        return np.add(w, np.multiply(h, r, out=arg), out=arg)
+
+    w = np.stack((u0, v0)).astype(np.float64)
+    diffuse(w, half)
     for step in range(n_steps):
         if reaction:
-            r1 = react(w)
-            r2 = react(w + dt / 2 * r1)
-            r3 = react(w + dt / 2 * r2)
-            r4 = react(w + dt * r3)
-            w = w + dt / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
-        w = diffuse(w, full if step < n_steps - 1 else half)
+            react(w, r1)
+            react(stage(r1, dt / 2), r2)
+            react(stage(r2, dt / 2), r3)
+            react(stage(r3, dt), r4)
+            # w <- w + dt / 6 * (((r1 + 2 * r2) + 2 * r3) + r4)
+            np.add(r1, np.multiply(2, r2, out=r2), out=r1)
+            np.add(r1, np.multiply(2, r3, out=r3), out=r1)
+            np.add(r1, r4, out=r1)
+            np.add(w, np.multiply(dt / 6, r1, out=r1), out=w)
+        diffuse(w, full if step < n_steps - 1 else half)
         if step % 16 == 15:
             _check_finite(w, step)
     _check_finite(w, n_steps - 1)
@@ -206,13 +253,20 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
     k2 = kx**2 + ky**2
     k2_inv = np.zeros_like(k2)
     k2_inv[k2 > 0] = 1.0 / k2[k2 > 0]
-    mask = dealias_mask(shape, DEALIAS_FRAC)
+    mask = dealias_mask(shape, DEALIAS_FRAC).astype(np.complex128)
+    iky, minus_ikx, ikx = 1j * ky, -1j * kx, 1j * kx
+    grads_hat = np.empty((4, 1) + k2.shape, np.complex128)
+    grads, spec = np.empty((4, 1) + shape), np.empty((1,) + k2.shape, np.complex128)
 
     def velocity_and_gradient(w_hat):
-        """ux, uy, d(omega)/dx, d(omega)/dy from one stacked inverse transform."""
-        psi_hat = w_hat * k2_inv
-        return irfftn(np.stack((1j * ky * psi_hat, -1j * kx * psi_hat,
-                                1j * kx * w_hat, 1j * ky * w_hat)), shape, (-2, -1))
+        """ux, uy, d(omega)/dx, d(omega)/dy of the (1, nx, ny // 2 + 1)
+        spectrum ``w_hat``, from one stacked inverse transform."""
+        psi_hat = np.multiply(w_hat, k2_inv, out=grads_hat[1])
+        np.multiply(iky, psi_hat, out=grads_hat[0])
+        np.multiply(minus_ikx, psi_hat, out=grads_hat[1])
+        np.multiply(ikx, w_hat, out=grads_hat[2])
+        np.multiply(iky, w_hat, out=grads_hat[3])
+        return irfftn(grads_hat, shape, (-2, -1), out=grads)
 
     scale = max(float(np.max(np.abs(omega0))), 1e-12)
     if abs(float(np.mean(omega0))) > 1e-10 * scale:
@@ -225,15 +279,18 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
     if cfg.steps is not None:
         n_steps = cfg.steps
     else:
-        ux, uy, _, _ = velocity_and_gradient(w_hat)
+        ux, uy, _, _ = velocity_and_gradient(w_hat[None])
         umax = max(float(np.max(np.hypot(ux, uy))), 1e-6)
         dt_cfl = CFL * (extent[0] / shape[0]) / umax
         n_steps = max(int(math.ceil(t / dt_cfl)), 32)
     dt = t / n_steps
 
-    def nonlin(v):
-        ux, uy, wx, wy = velocity_and_gradient(v * mask)
-        return f_hat - rfftn(ux * wx + uy * wy, (-2, -1)) * mask
+    def nonlin(v, out=None):
+        """f_hat - rfftn(ux * wx + uy * wy) * mask, of the masked ``v``."""
+        ux, uy, wx, wy = velocity_and_gradient(np.multiply(v, mask, out=spec))
+        np.add(np.multiply(ux, wx, out=ux), np.multiply(uy, wy, out=uy), out=ux)
+        return np.subtract(f_hat, np.multiply(rfftn(ux, (-2, -1), out=spec), mask, out=spec),
+                           out=out)
 
     w_hat = _ifrk4(w_hat[None], [n_steps], [dt], -nu * k2, nonlin)[0]
     _check_finite(w_hat, n_steps - 1)
@@ -257,9 +314,10 @@ def solve_sample(batch: Batch, cfg: SolverConfig = None) -> Dict[str, np.ndarray
 
     burgers1d is solved as one stack, each row with its own nu, t_final and
     step count: that pays where per-call overhead dominates, as on its 128
-    points.  The other systems are solved row by row; a stacked prototype
-    ran ns-vorticity2d at 64^2 at 0.53-0.60x and diffreact2d at 0.95-1.04x
-    of the per-row speed.
+    points.  The other systems are solved row by row, each solve reusing
+    its own step buffers; a stacked prototype, measured when every step
+    still allocated its arrays, ran ns-vorticity2d at 64^2 at 0.53-0.60x
+    and diffreact2d at 0.95-1.04x of the per-row speed.
     """
     if batch.system not in TARGETS:
         raise ValueError(f"unknown system {batch.system!r}")

@@ -3,7 +3,8 @@
 Every FFT in dimino goes through ``rfftn`` and ``irfftn`` here.  Both call
 the pocketfft kernel that ``scipy.fft`` dispatches to, with the arguments
 ``scipy.fft.rfftn`` / ``irfftn`` pass for the default norm and one worker, so
-every result equals scipy's bit for bit; for float64 input they also equal
+every result equals scipy's bit for bit, with or without an ``out=`` array
+to write into; for float64 input they also equal
 numpy.fft's, and a transform over a stacked leading axis equals the per-slice
 transforms bit for bit.  The kernel is reached through scipy's private
 ``_pocketfft.pypocketfft`` binding because scipy.fft's per-call Python
@@ -49,18 +50,21 @@ __all__ = ["rfftn", "irfftn", "rfftn_kept", "rfftn_kept_adjoint", "irfftn_kept",
            "k_squared", "h1_weights", "h1_seminorm2"]
 
 
-def rfftn(x: np.ndarray, axes) -> np.ndarray:
-    """Real-to-complex FFT over ``axes``; the last of them keeps n // 2 + 1 modes."""
-    return _r2c(x, axes, True, 0, None, 1)
+def rfftn(x: np.ndarray, axes, out=None) -> np.ndarray:
+    """Real-to-complex FFT over ``axes``; the last of them keeps n // 2 + 1 modes.
+    Given ``out`` (the spectrum's shape, complex in ``x``'s precision, not
+    overlapping ``x``), writes into it and returns it."""
+    return _r2c(x, axes, True, 0, out, 1)
 
 
-def irfftn(y: np.ndarray, s, axes) -> np.ndarray:
-    """Inverse of ``rfftn`` to the real shape ``s`` on ``axes``."""
+def irfftn(y: np.ndarray, s, axes, out=None) -> np.ndarray:
+    """Inverse of ``rfftn`` to the real shape ``s`` on ``axes``; ``out`` as for
+    ``rfftn``, real.  ``y`` is left as it was."""
     last = s[-1]
     if [y.shape[a] for a in axes] != [*s[:-1], last // 2 + 1]:
         raise ValueError(f"irfftn: spectrum shape {y.shape} on axes {tuple(axes)} is not "
                          f"the real-FFT layout of s={tuple(s)}")
-    return _c2r(y, axes, last, False, 2, None, 1)
+    return _c2r(y, axes, last, False, 2, out, 1)
 
 
 def _phases(rows, n):

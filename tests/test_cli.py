@@ -83,6 +83,19 @@ def test_gen_data_bad_param_or_grid_exits_one(tmp_path, capsys, extra, message):
     assert not (tmp_path / "d" / "manifest.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_gen_data_refuses_a_dataset_its_dtype_cannot_hold(tmp_path, capsys):
+    """Fields of 1e39 overflow float32: gen-data exits 1 before writing a
+    manifest, as load_dataset would refuse what it wrote."""
+    out = tmp_path / "d"
+    argv = ["gen-data", "--system", "advection1d", "--n", "2", "--grid", "16",
+            "--param", "amp,1e39,1e39", "--dtype", "float32", "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train.bin: a field is not finite" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_train_writes_checkpoint_metrics_history(trained):
     assert (trained / "checkpoint.bin").exists()
     assert (trained / "metrics.json").exists()

@@ -420,6 +420,63 @@ def test_empty_split_round_trips_and_no_samples_raises(tmp_path):
                      tmp_path / "e")
 
 
+def _fixed_dataset():
+    """A two-split diffreact2d dataset built by exact arithmetic, no solver."""
+    grid = Grid((4, 4), (1.0, 2.0))
+
+    def split(n, shift):
+        k = np.arange(n * 16, dtype=np.float64).reshape(n, 4, 4) / 16 - shift
+        return Batch("diffreact2d", grid, {"u": k, "v": -k / 3},
+                     {"Du": 1e-3 * np.arange(1, n + 1), "Dv": np.full(n, 0.1),
+                      "k": np.full(n, 5e-3)},
+                     np.linspace(0.5, 1.0, n), {"u": k / 7, "v": k * 1.1})
+    return Dataset("diffreact2d", grid, {"train": split(3, 1.0), "test": split(2, 0.25)},
+                   {"seed": 0})
+
+
+@pytest.mark.parametrize("dtype, digest", [
+    ("float64", "a6cc9fdbc9c9303bc1180cf7ac23f44c"),
+    ("float32", "20a77c853353205aaf2ba7f62780f0b9"),
+])
+def test_a_finite_dataset_keeps_its_bytes(tmp_path, dtype, digest):
+    """The check of a save's values changes no byte that it lets through."""
+    assert dataset_hash(save_dataset(_fixed_dataset(), tmp_path / "d", dtype)) == digest
+
+
+def _poison(ds, kind):
+    """Make one value of ``kind`` in the test split non-finite."""
+    test = ds.split("test")
+    if kind == "time":
+        test.t_final[1] = np.inf
+    else:
+        getattr(test, kind + "s")["v"][1, 2, 3] = np.nan
+    return ds
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("time", "t_final must be finite and positive"),
+    ("field", "a field is not finite"),
+    ("target", "a target is not finite"),
+])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_save_refuses_what_load_would_refuse_and_writes_nothing(tmp_path, kind, message,
+                                                                dtype):
+    out = tmp_path / "d"
+    with pytest.raises(DatasetFormatError, match=f"test.bin: {message}"):
+        save_dataset(_poison(_fixed_dataset(), kind), out, dtype)
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_save_refuses_a_value_that_overflows_its_written_dtype(tmp_path):
+    ds = _fixed_dataset()
+    ds.split("train").fields["u"][0, 0, 0] = 1e39
+    save_dataset(ds, tmp_path / "f64", "float64")
+    with pytest.raises(DatasetFormatError, match="train.bin: a field is not finite"):
+        save_dataset(ds, tmp_path / "f32", "float32")
+    assert not (tmp_path / "f32").exists()
+
+
 def test_missing_split_raises():
     ds = Dataset("burgers1d", Grid((16,), (1.0,)), {"train": []})
     with pytest.raises(KeyError):

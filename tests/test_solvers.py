@@ -240,6 +240,56 @@ def test_ns_vorticity_equals_reference_ifrk4(n, amp, nu, steps, seed):
     assert np.array_equal(got, want)
 
 
+def _reference_diffreact(u0, v0, Du, Dv, k_const, t, steps, reaction):
+    """solve_diffreact_2d's Strang loop in expression form, on the public
+    scipy.fft transforms: each stage and diffusion a fresh array."""
+    shape = u0.shape
+    kx, ky = wavenumbers(shape, (1.0, 1.0))
+    n_steps = steps if steps is not None else max(int(math.ceil(t / 0.01)), 16)
+    dt = t / n_steps
+    rate = -np.array([Du, Dv])[:, None, None] * (kx**2 + ky**2)
+    half, full = np.exp(rate * dt / 2), np.exp(rate * dt)
+
+    def diffuse(w, factor):
+        return scipy.fft.irfftn(scipy.fft.rfftn(w, axes=(-2, -1)) * factor, shape,
+                                axes=(-2, -1))
+
+    def react(w):
+        u, v = w
+        return np.stack((u - u * u * u - k_const - v, u - v))
+
+    w = diffuse(np.stack((u0, v0)), half)
+    for step in range(n_steps):
+        if reaction:
+            r1 = react(w)
+            r2 = react(w + dt / 2 * r1)
+            r3 = react(w + dt / 2 * r2)
+            r4 = react(w + dt * r3)
+            w = w + dt / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
+        w = diffuse(w, full if step < n_steps - 1 else half)
+    return w[0], w[1]
+
+
+@given(n=st.sampled_from([8, 16, 32]), amp=st.floats(0.1, 1.0),
+       coefficients=st.tuples(*[st.floats(1e-3, 1e-2)] * 3),
+       steps=st.one_of(st.none(), st.integers(1, 64)), reaction=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diffreact_equals_reference_strang_loop(n, amp, coefficients, steps, reaction, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid((n, n), (1.0, 1.0))
+    u0, v0 = (random_fourier_field(rng, grid, amp) for _ in range(2))
+    want = _reference_diffreact(u0, v0, *coefficients, 0.5, steps, reaction)
+    try:
+        got = solve_diffreact_2d(u0, v0, *coefficients, 0.5, SolverConfig(steps=steps),
+                                 reaction=reaction)
+    except StepUnstable:  # too few fixed steps: the reference must blow up too
+        assert not all(np.isfinite(w).all() for w in want)
+        return
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 # -- stacked burgers solve -------------------------------------------------
 
 @given(n=st.sampled_from([16, 64, 128]),

@@ -198,6 +198,32 @@ def test_stacked_transform_equals_per_slice(k, nx, ny, seed):
         assert np.array_equal(back[i], spectral.irfftn(wh[i], (nx, ny), (-2, -1)))
 
 
+@pytest.mark.parametrize("shape, axes", [((32,), (0,)), ((16, 8), (0, 1)),
+                                         ((3, 16, 16), (-2, -1)), ((4, 1, 8, 16), (-2, -1))],
+                         ids=["1d", "2d", "stacked", "stacked-4d"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_out_is_written_returned_and_bit_equal(shape, axes, dtype):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(shape).astype(dtype)
+    s = tuple(shape[a] for a in axes)
+    want = spectral.rfftn(x, axes)
+    out = np.full(want.shape, np.nan, want.dtype)  # stale content must not show through
+    assert spectral.rfftn(x, axes, out=out) is out and np.array_equal(out, want)
+    y = (rng.standard_normal(want.shape) + 1j * rng.standard_normal(want.shape)).astype(want.dtype)
+    y_before = y.copy()
+    want = spectral.irfftn(y, s, axes)
+    back = np.full(shape, np.nan, dtype)
+    assert spectral.irfftn(y, s, axes, out=back) is back and np.array_equal(back, want)
+    assert np.array_equal(y, y_before)
+
+
+def test_irfftn_with_out_keeps_its_layout_check():
+    out = np.zeros((16, 16))
+    with pytest.raises(ValueError, match="real-FFT layout"):
+        spectral.irfftn(np.ones((16, 8), dtype=complex), (16, 16), (0, 1), out=out)
+    assert not out.any()
+
+
 @st.composite
 def _transform_cases(draw):
     """(array shape, transformed axes) with 0-2 stacked leading axes, rank 1 or
