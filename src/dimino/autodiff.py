@@ -43,10 +43,6 @@ class NonScalarLoss(AutodiffError):
     pass
 
 
-class UnsupportedPrimitive(AutodiffError):
-    pass
-
-
 def _refs_of_a_free_buffer() -> int:
     """``sys.getrefcount`` of a pooled buffer that nothing else references,
     read by the same loop that ``Workspace._take`` runs."""
@@ -374,8 +370,6 @@ def h1_seminorm2(x: Tensor, axes, extent) -> Tensor:
     :func:`spectral.k_squared` of the grid."""
     axes, xd = tuple(axes), x.data
     sizes = tuple(xd.shape[a] for a in axes)
-    if sizes[-1] % 2:  # k_squared zeroes index n // 2 as an even axis's Nyquist mode
-        raise UnsupportedPrimitive("h1_seminorm2 requires an even last transform axis")
     y, xh = spectral.h1_seminorm2(xd, axes, extent, xd.dtype)
     k2 = spectral.k_squared(sizes, tuple(extent)).astype(xd.dtype)
     k2 = k2.reshape(k2.shape + (1,) * (xd.ndim - 1 - axes[-1]))

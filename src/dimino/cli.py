@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -40,8 +39,7 @@ DEFAULT_T = {
 
 
 def _out_dir(args) -> Path:
-    root = os.environ.get("DIMINO_OUT", "runs")
-    out = Path(args.out) if args.out else Path(root) / args.command
+    out = Path(args.out) if args.out else Path("runs") / args.command
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -256,12 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "repeatable")
     p.add_argument("--solver-steps", type=int)
     p.add_argument("--dtype", choices=("float32", "float64"), default="float64")
-    p.add_argument("--out")
+    p.add_argument("--out", help="dataset directory (default: runs/gen-data)")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model (optionally with its ablated twin)")
     p.add_argument("--data", required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", help="run directory (default: runs/train)")
     p.add_argument("--loss", choices=("h1", "l2"), default="h1")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=16)
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--baseline-ckpt")
-    p.add_argument("--out")
+    p.add_argument("--out", help="write metrics.json and run.json here (default: no files)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sti-check", help="similarity-transform invariance report")
@@ -298,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 if the latent residual exceeds this or is NaN")
     p.add_argument("--oracle", action="store_true",
                    help="also run the solver-only invariance oracle")
-    p.add_argument("--out")
+    p.add_argument("--out", help="write sti-report.json and run.json here (default: no files)")
     p.set_defaults(func=cmd_sti_check)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")

@@ -315,9 +315,10 @@ def solve_sample(batch: Batch, cfg: SolverConfig = None) -> Dict[str, np.ndarray
     burgers1d is solved as one stack, each row with its own nu, t_final and
     step count: that pays where per-call overhead dominates, as on its 128
     points.  The other systems are solved row by row, each solve reusing
-    its own step buffers; a stacked prototype, measured when every step
-    still allocated its arrays, ran ns-vorticity2d at 64^2 at 0.53-0.60x
-    and diffreact2d at 0.95-1.04x of the per-row speed.
+    its own step buffers; an allocation-free stacked prototype ran at
+    0.82-0.91x of the per-row speed for ns-vorticity2d and 0.88-1.05x for
+    diffreact2d on 4 and 16 rows at 64^2, and gained only on small NS
+    grids (1.23x on 8 rows at 32^2).
     """
     if batch.system not in TARGETS:
         raise ValueError(f"unknown system {batch.system!r}")

@@ -81,18 +81,24 @@ def _is_power_of_two(p: float) -> bool:
     return math.frexp(p)[0] == 0.5
 
 
-def _mean_rel_l2(pred: np.ndarray, names, truth) -> float:
-    """Mean rel-L2 over samples i and target channels j against truth[name][i]."""
-    return float(np.mean([rel_metric("rel-l2", pred[i, ..., j], truth[name][i])
-                          for i in range(len(pred)) for j, name in enumerate(names)]))
+def _mean_rel_l2(pairs) -> float:
+    """Mean rel-L2 over (prediction, reference) pairs."""
+    return float(np.mean([rel_metric("rel-l2", pred, ref) for pred, ref in pairs]))
 
 
-def _truth(batch: Batch, cfg: SolverConfig):
-    """``solve_sample`` of ``batch``; a row that went non-finite raises StepUnstable."""
+def _target_pairs(pred: np.ndarray, names, truth: Batch):
+    """(pred[i, ..., j], target ``names[j]`` of truth row i), row by row."""
+    return ((pred[i, ..., j], truth.targets[name][i])
+            for i in range(len(pred)) for j, name in enumerate(names))
+
+
+def _truth(batch: Batch, cfg: SolverConfig) -> Batch:
+    """``batch`` with the targets ``solve_sample`` gives it; a row that went
+    non-finite raises StepUnstable."""
     truth = solve_sample(batch, cfg)
     if not all(np.isfinite(arr).all() for arr in truth.values()):
         raise StepUnstable(f"a {batch.system} reference solve went non-finite")
-    return truth
+    return replace(batch, targets=truth)
 
 
 def sti_check(model: DimINOModel, batch: Batch, p_list,
@@ -102,16 +108,19 @@ def sti_check(model: DimINOModel, batch: Batch, p_list,
 
     Ground truth at the stretched horizon comes from the reference solver,
     not from model rollout, and a truth row that goes non-finite raises
-    StepUnstable.  The batch is solved once at p = 1.  For a
-    system in EXACT_SOLVER_SYMMETRY and p a power of two, the truth at p is
-    that solve times p ** (each target's exponent): the continuous PDE maps
-    exactly under the rule, and the solver agrees bit for bit because
-    scaling by a power of two is exact in floating point, so every
-    intermediate of the transformed solve is the original one times a power
-    of two and the CFL step count is the same.  Only when the velocity floor
-    of the step count binds (max speed below 1e-6) do the step counts differ;
-    the rescaled truth is then still the exact transformed solution.  Any
-    other p, and every p != 1 of the other systems, is solved afresh.
+    StepUnstable.  The batch is solved once at p = 1, and the model's input
+    at p is ``dims.similar_transform`` of that truth batch.  For a system in
+    EXACT_SOLVER_SYMMETRY and p a power of two, the transformed targets are
+    the truth at p: the continuous PDE maps exactly under the rule, and the
+    solver agrees bit for bit because scaling by a power of two is exact in
+    floating point, so every intermediate of the transformed solve is the
+    original one times a power of two and the CFL step count is the same.
+    Only when the velocity floor of the step count binds (max speed below
+    1e-6) do the step counts differ; the rescaled truth is then still the
+    exact transformed solution.  Any other p, and every p != 1 of the other
+    systems, is solved afresh.  The expected output at p is
+    ``similar_transform`` of the p = 1 prediction taken in float64, since a
+    float32 column times a Python float would stay float32.
 
     When a baseline twin is supplied, its error on the transformed inputs is
     reported both single-shot and (for integer p) as a p-fold rollout; at
@@ -120,7 +129,6 @@ def sti_check(model: DimINOModel, batch: Batch, p_list,
     if not len(batch):
         raise ValueError("sti_check needs at least one sample")
     system = batch.system
-    rule = dims.similarity_exponents(system)
     for role, checked in (("model", model), ("baseline", baseline)):
         if checked is not None and checked.config.system != system:
             raise SpecMismatch(
@@ -133,41 +141,35 @@ def sti_check(model: DimINOModel, batch: Batch, p_list,
     targets = model.config.target_fields
     base = model.forward(batch)
     base_pred, base_star = base.output.data, base.u_star.data
-    base_truth = _truth(batch, solver_cfg)
+    truth = _truth(batch, solver_cfg)
+    predicted = replace(truth, targets={name: base_pred[..., j].astype(np.float64)
+                                        for j, name in enumerate(targets)})
     for p in p_list:
+        transformed = dims.similar_transform(truth, p)
         if p == 1.0:
-            transformed, pred, star = batch, base_pred, base_star
+            pred, star = base_pred, base_star
         else:
-            transformed = dims.similar_transform(batch, p)
             result = model.forward(transformed)
             pred, star = result.output.data, result.u_star.data
-        # each target field carries p ** (its exponent) relative to p = 1
-        ratios = np.array([p ** rule.get(name, 0) for name in targets])
-
-        latent = np.mean([rel_metric("rel-l2", star[i], base_star[i])
-                          for i in range(len(batch))])
-        scaling = np.mean(
-            [rel_metric("rel-l2", pred[i], ratios * base_pred[i]) for i in range(len(batch))]
-        )
-        if p == 1.0 or (system in EXACT_SOLVER_SYMMETRY and _is_power_of_two(p)):
-            truth = {name: arr * p ** rule.get(name, 0) for name, arr in base_truth.items()}
-        else:
-            truth = _truth(transformed, solver_cfg)
+        if not (p == 1.0 or system in EXACT_SOLVER_SYMMETRY and _is_power_of_two(p)):
+            transformed = _truth(transformed, solver_cfg)
+        expected = dims.similar_transform(predicted, p).targets
         entry = STIEntry(
             p=p,
-            latent_residual=float(latent),
-            output_scaling_residual=float(scaling),
-            model_rel_l2=_mean_rel_l2(pred, targets, truth),
+            latent_residual=_mean_rel_l2(zip(star, base_star)),
+            output_scaling_residual=_mean_rel_l2(
+                zip(pred, np.stack([expected[name] for name in targets], axis=-1))),
+            model_rel_l2=_mean_rel_l2(_target_pairs(pred, targets, transformed)),
         )
         if baseline is not None:
             names = baseline.config.target_fields
             entry.baseline_single_shot = _mean_rel_l2(
-                baseline.predict(transformed), names, truth)
+                _target_pairs(baseline.predict(transformed), names, transformed))
             if p == 1.0:
                 entry.baseline_rollout = entry.baseline_single_shot
             elif p.is_integer():
-                entry.baseline_rollout = _mean_rel_l2(
-                    _baseline_rollout(baseline, transformed, int(p)), names, truth)
+                entry.baseline_rollout = _mean_rel_l2(_target_pairs(
+                    _baseline_rollout(baseline, transformed, int(p)), names, transformed))
         report.entries.append(entry)
     return report
 
@@ -183,18 +185,15 @@ def _baseline_rollout(baseline: DimINOModel, transformed: Batch, n_steps: int) -
 
 
 def solver_sti_oracle(batch: Batch, p: float, cfg: SolverConfig = None) -> float:
-    """Mean rel-L2, over rows and target fields, between the solver run on
-    the transformed batch and the scaled original run, both under the same
-    SolverConfig; a row that goes non-finite raises StepUnstable.
+    """Mean rel-L2, over rows and target fields, between a fresh solve of the
+    transformed truth batch (``dims.similar_transform`` of ``batch`` with its
+    solved targets) and that batch's transformed targets, both solved under
+    the same SolverConfig; a row that goes non-finite raises StepUnstable.
 
     It is exactly 0.0 for the systems in EXACT_SOLVER_SYMMETRY at power-of-two
     p, so any residual there is a solver defect.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    rule = dims.similarity_exponents(batch.system)
-    base = _truth(batch, cfg)
-    moved = _truth(dims.similar_transform(batch, p), cfg)
-    errs = [rel_metric("rel-l2", moved[name][i], p ** rule.get(name, 0) * base[name][i])
-            for i in range(len(batch)) for name in base]
-    return float(np.mean(errs))
+    truth = dims.similar_transform(_truth(batch, cfg), p)
+    moved = _truth(truth, cfg)
+    return _mean_rel_l2((moved.targets[name][i], truth.targets[name][i])
+                        for i in range(len(batch)) for name in truth.targets)

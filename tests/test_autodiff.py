@@ -135,11 +135,17 @@ def test_linear_shape_mismatch():
         ad.linear(x, w)
 
 
-def test_h1_seminorm2_requires_even_axis():
-    tape = ad.Tape()
-    x = tape.leaf(np.ones((2, 15)))
-    with pytest.raises(ad.UnsupportedPrimitive):
-        ad.h1_seminorm2(x, (1,), (1.0,))
+@pytest.mark.parametrize("shape,extent", [
+    ((2, 15, 3), (3.0,)), ((2, 7, 2), (1.0,)),
+    ((2, 8, 7, 3), (1.0, 2.0)), ((2, 7, 9, 2), (2.0, 1.0)),
+], ids=["1d-15", "1d-7", "2d-8x7", "2d-7x9"])
+def test_h1_seminorm2_on_odd_axes(shape, extent):
+    # an odd axis has no Nyquist mode, and k_squared keeps its last index
+    axes = tuple(range(1, 1 + len(extent)))
+    x = np.random.default_rng(0).standard_normal(shape)
+    y = ad.h1_seminorm2(ad.Tape().leaf(x), axes, extent)
+    np.testing.assert_array_equal(y.data, spectral.h1_seminorm2(x, axes, extent)[0])
+    assert ad.grad_check(lambda t: ad.reduce_sum(ad.h1_seminorm2(t, axes, extent)), [x]) < 1e-6
 
 
 def test_layernorm_requires_positive_eps():

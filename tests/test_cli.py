@@ -58,6 +58,13 @@ def test_gen_data_is_reproducible(tmp_path):
     assert dataset_hash(tmp_path / "a") == dataset_hash(tmp_path / "b")
 
 
+def test_gen_data_without_out_writes_under_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-data", "--system", "burgers1d", "--n", "1", "--grid", "16",
+                "--t", "0.1"]) == 0
+    assert (tmp_path / "runs" / "gen-data" / "manifest.json").is_file()
+
+
 def test_gen_data_unknown_system_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["gen-data", "--system", "nonsense", "--n", "2"])

@@ -45,6 +45,24 @@ def test_only_dims_and_data_handle_dimensions():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _rule_uses(tree):
+    """Line numbers where a module names similarity_exponents, imports included."""
+    for node in ast.walk(tree):
+        names = (getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None))
+        if "similarity_exponents" in names:
+            yield node.lineno
+
+
+def test_only_dims_reads_the_similarity_rule():
+    # every rescaled value comes from similar_transform, so the rule has one reader
+    src = Path(dims.__file__).parent
+    found = {path.name: sorted(set(_rule_uses(ast.parse(path.read_text()))))
+             for path in sorted(src.glob("*.py"))}
+    assert found.pop("dims.py"), "the guard no longer sees similar_transform read the rule"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # -- registry --------------------------------------------------------------
 
 def test_registry_covers_all_systems():

@@ -21,12 +21,12 @@ _MODEL_FIELDS = {
 }
 
 
-def _model(system, use_dimnorm=True):
+def _model(system, use_dimnorm=True, precision="f64"):
     in_fields, target_fields, rank = _MODEL_FIELDS[system]
     return DimINOModel(ModelConfig(
         system=system, in_fields=in_fields, target_fields=target_fields,
         rank=rank, width=8, depth=2, modes=4, use_dimnorm=use_dimnorm,
-        init_seed=0,
+        precision=precision, init_seed=0,
     ))
 
 
@@ -225,19 +225,25 @@ def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
     return report
 
 
-@pytest.mark.parametrize("system,p_list,solver_cfg,solves_per_sample", [
-    ("ns-vorticity2d", [0.5, 1, 2, 3, 4], None, 2),
-    ("burgers1d", [0.5, 1, 2, 3, 4], SolverConfig(steps=48), 2),
-    ("diffreact2d", [1, 2], None, 2),
-])
+@pytest.mark.parametrize("system,p_list,solver_cfg,solves_per_sample,precision", [
+    ("ns-vorticity2d", [0.5, 1, 2, 3, 4], None, 2, "f64"),
+    ("burgers1d", [0.5, 1, 2, 3, 4], SolverConfig(steps=48), 2, "f64"),
+    ("diffreact2d", [1, 2], None, 2, "f64"),
+    ("ns-vorticity2d", [0.5, 1, 2, 3, 4], None, 2, "f32"),
+    ("burgers1d", [0.5, 1, 2, 3, 4], SolverConfig(steps=48), 2, "f32"),
+], ids=["ns-vorticity2d-p_list0-None-2", "burgers1d-p_list1-solver_cfg1-2",
+        "diffreact2d-p_list2-None-2", "ns-vorticity2d-f32", "burgers1d-f32"])
 def test_sti_check_matches_per_p_solve_reference(system, p_list, solver_cfg,
-                                                 solves_per_sample, monkeypatch):
+                                                 solves_per_sample, precision, monkeypatch):
     """Reusing the p = 1 solve (and forward) changes no bit of the report, and
-    solves only p = 1 and the p that no exact rescaling covers."""
+    solves only p = 1 and the p that no exact rescaling covers.  A float32
+    model's expected output scaling is taken in float64, as the reference's
+    float64 ratios take it."""
     grid = Grid((32,), (1.0,)) if system == "burgers1d" else Grid((16, 16), (1.0, 1.0))
     samples = generate_dataset(system, None, 2, 5, grid, 0.5,
                                SolverConfig(steps=32)).split("train")
-    model, twin = _model(system), _model(system, use_dimnorm=False)
+    model = _model(system, precision=precision)
+    twin = _model(system, use_dimnorm=False, precision=precision)
     expected = _per_p_solve_sti_check(model, samples, p_list, twin, solver_cfg)
 
     calls = []
