@@ -75,6 +75,7 @@ class Workspace:
 
     def __init__(self):
         self._pool: Dict[int, List[np.ndarray]] = {}
+        self._sizes: Dict[tuple, tuple] = {}  # (shape, dtype) -> (nbytes, np.dtype)
         self._token = None
 
     def __enter__(self) -> "Workspace":
@@ -84,13 +85,15 @@ class Workspace:
     def __exit__(self, *exc) -> None:
         _ACTIVE.reset(self._token)
         # drop the pool; an array still in use keeps its own buffer alive
-        self._token, self._pool = None, {}
+        self._token, self._pool, self._sizes = None, {}, {}
 
     def empty(self, shape, dtype) -> np.ndarray:
-        """An uninitialised array of ``shape`` and ``dtype`` on a free buffer
-        (a plain ``np.empty`` once the workspace has been left)."""
-        dtype = np.dtype(dtype)
-        n = math.prod(shape) * dtype.itemsize
+        """An uninitialised array of the tuple ``shape`` and ``dtype`` on a free
+        buffer (a plain ``np.empty`` once the workspace has been left)."""
+        if (shape, dtype) not in self._sizes:
+            dt = np.dtype(dtype)
+            self._sizes[shape, dtype] = (math.prod(shape) * dt.itemsize, dt)
+        n, dtype = self._sizes[shape, dtype]
         if n < _SMALL or self._token is None:
             return np.empty(shape, dtype)
         return self._take(n)[:n].view(dtype).reshape(shape)
@@ -157,11 +160,12 @@ class Tape:
     def _emit(self, data, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
         """Record ``backward`` if any input needs a gradient.  A node holds ids
         only, so an activation stays alive only while a closure reads it."""
-        needs = any(t._needs for t in inputs)
+        ids = tuple([(t.nid, t._needs) for t in inputs])
+        needs = any([n for _, n in ids])
         out = Tensor(data, self, self._next_id, needs)
         self._next_id += 1
         if needs:
-            self._nodes.append((out.nid, tuple((t.nid, t._needs) for t in inputs), backward))
+            self._nodes.append((out.nid, ids, backward))
         return out
 
     def backward(self, loss: Tensor) -> None:
@@ -203,6 +207,8 @@ def _same_tape(*tensors) -> Tape:
 
 def _sum_to(g: np.ndarray, shape) -> np.ndarray:
     """Reverse numpy broadcasting."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for i, (gs, s) in enumerate(zip(g.shape, shape)):
@@ -224,10 +230,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
-    sa, sb = a.shape, b.shape
-    return tape._emit(
-        a.data - b.data, (a, b), lambda g: (_sum_to(g, sa), _sum_to(-g, sb))
-    )
+    sa, sb, b_needs = a.shape, b.shape, b._needs
+    return tape._emit(a.data - b.data, (a, b),
+                      lambda g: (_sum_to(g, sa), _sum_to(-g, sb) if b_needs else None))
 
 
 def smul(a: Tensor, s: float) -> Tensor:
@@ -252,10 +257,11 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     y = np.matmul(xd, wd, out=_out(ws, xd.shape[:-1] + wd.shape[1:], np.result_type(xd, wd)))
     if b is not None:
         y += b.data
-    b_shape = None if b is None else b.shape
+    b_shape, x_needs = None if b is None else b.shape, x._needs
 
     def backward(g):
-        gx = np.matmul(g, wd.T, out=_out(ws, g.shape[:-1] + wd.shape[:1], np.result_type(g, wd)))
+        gx = None if not x_needs else np.matmul(
+            g, wd.T, out=_out(ws, g.shape[:-1] + wd.shape[:1], np.result_type(g, wd)))
         gw = xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1])
         if b_shape is None:
             return gx, gw
@@ -394,24 +400,18 @@ def mode_mix(xk: Tensor, w: Tensor) -> Tensor:
     if w.data.shape != (c_in, c_out, *kept):
         raise ShapeMismatch(f"mode_mix: weight {w.data.shape} vs spectrum {xk.data.shape}")
     n_k = math.prod(kept)
-    w_shape, w_dtype = w.data.shape, w.data.dtype
-    wk = np.moveaxis(w.data.reshape(c_in, c_out, n_k), -1, 0).copy()
-
-    def k_major(a):
-        return np.moveaxis(a.reshape(b, n_k, a.shape[-1]), 1, 0)
-
-    def batch_major(a):
-        return np.moveaxis(a, 0, 1).reshape(b, *kept, a.shape[-1])
-
-    xs = k_major(xk.data)
+    x_shape, w_shape, w_dtype = xk.data.shape, w.data.shape, w.data.dtype
+    # fixed-axis views: (Cin, Cout, k) -> (k, Cin, Cout) and (B, k, C) <-> (k, B, C)
+    wk = w.data.reshape(c_in, c_out, n_k).transpose(2, 0, 1).copy()
+    xs = xk.data.reshape(b, n_k, c_in).transpose(1, 0, 2)
 
     def backward(g):
-        gs = k_major(g)
-        gx = batch_major(gs @ np.conj(wk).transpose(0, 2, 1))
+        gs = g.reshape(b, n_k, c_out).transpose(1, 0, 2)
+        gx = (gs @ np.conj(wk).transpose(0, 2, 1)).transpose(1, 0, 2).reshape(x_shape)
         gw = np.conj(xs).transpose(0, 2, 1) @ gs
-        return gx, np.moveaxis(gw, 0, -1).reshape(w_shape).astype(w_dtype)
+        return gx, gw.transpose(1, 2, 0).reshape(w_shape).astype(w_dtype)
 
-    return tape._emit(batch_major(xs @ wk), (xk, w), backward)
+    return tape._emit((xs @ wk).transpose(1, 0, 2).reshape((b, *kept, c_out)), (xk, w), backward)
 
 
 def gate_mul(x: Tensor, gate: Tensor) -> Tensor:

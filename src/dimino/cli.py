@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--baseline-ckpt")
-    p.add_argument("--p", default="1,2,4,8")
+    p.add_argument("--p", default="1,2,4,8", help="comma-separated finite positive "
+                   "factors; 1 is always added; duplicates are dropped")
     p.add_argument("--n", type=int, default=8, help="check the split's first N >= 1 samples")
     p.add_argument("--split", help="split to check (default: test if present, else train)")
     p.add_argument("--solver-steps", type=int,

@@ -117,35 +117,38 @@ def rfftn_kept(x: np.ndarray, axes, modes, ws=None) -> np.ndarray:
     ``modes`` has one entry per axis: the last axis keeps real-FFT modes
     [0, m), every other axis rows [0, m) and [n - m, n).
     """
-    *full, last = axes
-    real = _real_dtype(x)
-    re, im = np.split(_along(_real_basis(x.shape[last], modes[-1], real), x, last, ws), 2, last)
+    last, m = axes[-1], modes[-1]
+    real, lead = _real_dtype(x), (slice(None),) * (last % x.ndim)
+    reim = _along(_real_basis(x.shape[last], m, real), x, last, ws)
+    re, im = reim[lead + (slice(m),)], reim[lead + (slice(m, None),)]
     cdtype = np.result_type(real, np.complex64)
     y = np.empty(re.shape, cdtype) if ws is None else ws.empty(re.shape, cdtype)
     y.real, y.imag = re, im
-    for a, m in zip(full, modes):
+    for a, m in zip(axes[:-1], modes):
         y = _along(_complex_basis(x.shape[a], m, real), y, a, ws)
     return y
 
 
 def rfftn_kept_adjoint(y: np.ndarray, axes, s, ws=None) -> np.ndarray:
     """Adjoint of ``rfftn_kept`` to the real shape ``s`` on ``axes``."""
-    *full, last = axes
+    last = axes[-1] % y.ndim
     real = _real_dtype(y)
-    for a, n in zip(full, s):
+    for a, n in zip(axes[:-1], s):
         y = _along(_complex_basis(n, y.shape[a] // 2, real).conj().T, y, a, ws)
     basis = _real_basis(s[-1], y.shape[last], real)
-    last %= y.ndim
     stacked = _out(ws, y.shape[:last] + (2 * y.shape[last],) + y.shape[last + 1:], real)
     return _along(basis.T, np.concatenate([y.real, y.imag], axis=last, out=stacked), last, ws)
 
 
-def _c2r_weights(s, m: int, trailing: int, dtype: np.dtype) -> np.ndarray:
-    """irfftn's weight per kept mode of the last axis: 1/N at DC and 2/N on the
-    modes between, which stand for conjugate pairs; N is the whole grid."""
-    w = np.full(m, 2.0 / math.prod(s))
-    w[0] = 1.0 / math.prod(s)
-    return w.astype(dtype).reshape((m,) + (1,) * trailing)
+@functools.lru_cache(maxsize=64)
+def _c2r_weights(n: int, m: int, trailing: int, dtype: np.dtype) -> np.ndarray:
+    """irfftn's weight per kept mode of the last axis on an n-point grid: 1/n at
+    DC, 2/n on the modes between (conjugate pairs).  Cached; read-only."""
+    w = np.full(m, 2.0 / n)
+    w[0] = 1.0 / n
+    w = w.astype(dtype).reshape((m,) + (1,) * trailing)
+    w.flags.writeable = False
+    return w
 
 
 def irfftn_kept(y: np.ndarray, axes, s, ws=None) -> np.ndarray:
@@ -153,16 +156,17 @@ def irfftn_kept(y: np.ndarray, axes, s, ws=None) -> np.ndarray:
 
     As the c2r kernel does, it ignores the imaginary part of the DC column.
     """
-    w = _c2r_weights(s, y.shape[axes[-1]], y.ndim - 1 - axes[-1] % y.ndim, _real_dtype(y))
+    last = axes[-1] % y.ndim
+    w = _c2r_weights(math.prod(s), y.shape[last], y.ndim - 1 - last, _real_dtype(y))
     return rfftn_kept_adjoint(np.multiply(y, w, out=_out(ws, y.shape, np.result_type(y, w))),
                               axes, s, ws)
 
 
 def irfftn_kept_adjoint(g: np.ndarray, axes, modes, ws=None) -> np.ndarray:
     """Adjoint of ``irfftn_kept``, from the real cotangent ``g``."""
-    s = [g.shape[a] for a in axes]
     gy = rfftn_kept(g, axes, modes, ws)
-    gy *= _c2r_weights(s, modes[-1], g.ndim - 1 - axes[-1] % g.ndim, _real_dtype(g))
+    gy *= _c2r_weights(math.prod([g.shape[a] for a in axes]), modes[-1],
+                       g.ndim - 1 - axes[-1] % g.ndim, _real_dtype(g))
     return gy
 
 

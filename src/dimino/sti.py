@@ -106,6 +106,8 @@ def sti_check(model: DimINOModel, batch: Batch, p_list,
               ) -> STIReport:
     """Run the invariance protocol over a p sweep.
 
+    ``p_list`` is deduplicated and sorted, and p = 1 is always added; a
+    p that is not finite and positive is refused before any forward or solve.
     Ground truth at the stretched horizon comes from the reference solver,
     not from model rollout, and a truth row that goes non-finite raises
     StepUnstable.  The batch is solved once at p = 1, and the model's input
@@ -133,9 +135,10 @@ def sti_check(model: DimINOModel, batch: Batch, p_list,
         if checked is not None and checked.config.system != system:
             raise SpecMismatch(
                 f"{role} is for {checked.config.system!r}, samples are {system!r}")
-    p_list = sorted(float(p) for p in p_list)
-    if 1.0 not in p_list:
-        p_list = sorted(p_list + [1.0])
+    p_list = sorted({float(p) for p in p_list} | {1.0})
+    for p in p_list:
+        if not 0 < p < np.inf:
+            raise ValueError(f"p must be finite and positive, got {p}")
 
     report = STIReport(system, len(batch))
     targets = model.config.target_fields

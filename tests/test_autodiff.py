@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import tracemalloc
@@ -331,6 +332,132 @@ def test_kept_mode_arguments_are_checked():
         ad.irfftn(xk, (1, 2), (7, 8), (3, 3))
     with pytest.raises(ad.ShapeMismatch, match="do not fit grid"):
         ad.irfftn(xk, (1, 2), (5, 8), (3, 2))
+
+
+# The forms the view-only layouts replaced: np.moveaxis in mode_mix, np.split
+# and uncached c2r weights in the kept-mode transforms.
+
+def _mode_mix_moveaxis(x, w, g):
+    """mode_mix's forward and its cotangents gx, gw from g, in np.moveaxis form."""
+    b, *kept, c_in = x.shape
+    n_k = math.prod(kept)
+    wk = np.moveaxis(w.reshape(c_in, w.shape[1], n_k), -1, 0).copy()
+    k_major = lambda a: np.moveaxis(a.reshape(b, n_k, a.shape[-1]), 1, 0)
+    batch_major = lambda a: np.moveaxis(a, 0, 1).reshape(b, *kept, a.shape[-1])
+    xs, gs = k_major(x), k_major(g)
+    gw = np.conj(xs).transpose(0, 2, 1) @ gs
+    return (batch_major(xs @ wk), batch_major(gs @ np.conj(wk).transpose(0, 2, 1)),
+            np.moveaxis(gw, 0, -1).reshape(w.shape).astype(w.dtype))
+
+
+def _rfftn_kept_split(x, axes, modes):
+    *full, last = axes
+    real = spectral._real_dtype(x)
+    re, im = np.split(spectral._along(spectral._real_basis(x.shape[last], modes[-1], real),
+                                      x, last), 2, last)
+    y = np.empty(re.shape, np.result_type(real, np.complex64))
+    y.real, y.imag = re, im
+    for a, m in zip(full, modes):
+        y = spectral._along(spectral._complex_basis(x.shape[a], m, real), y, a)
+    return y
+
+
+def _rfftn_kept_adjoint_lists(y, axes, s):
+    *full, last = axes
+    real = spectral._real_dtype(y)
+    for a, n in zip(full, s):
+        y = spectral._along(spectral._complex_basis(n, y.shape[a] // 2, real).conj().T, y, a)
+    basis = spectral._real_basis(s[-1], y.shape[last], real)
+    return spectral._along(basis.T, np.concatenate([y.real, y.imag], axis=last), last)
+
+
+def _c2r_weights_uncached(s, m, trailing, dtype):
+    w = np.full(m, 2.0 / math.prod(s))
+    w[0] = 1.0 / math.prod(s)
+    return w.astype(dtype).reshape((m,) + (1,) * trailing)
+
+
+def _irfftn_kept_uncached(y, axes, s):
+    w = _c2r_weights_uncached(s, y.shape[axes[-1]], y.ndim - 1 - axes[-1],
+                              spectral._real_dtype(y))
+    return _rfftn_kept_adjoint_lists(y * w, axes, s)
+
+
+def _irfftn_kept_adjoint_uncached(g, axes, modes):
+    gy = _rfftn_kept_split(g, axes, modes)
+    gy *= _c2r_weights_uncached([g.shape[a] for a in axes], modes[-1], g.ndim - 1 - axes[-1],
+                                spectral._real_dtype(g))
+    return gy
+
+
+@st.composite
+def _layout_case(draw):
+    rank = draw(st.sampled_from([1, 2]), label="rank")
+    sizes = tuple(draw(st.sampled_from([2, 4, 6, 8, 12, 16, 32] + ([5, 9] if a < rank - 1 else [])),
+                       label=f"N{a}") for a in range(rank))
+    modes = tuple(_half_or_less(draw, n, f"m{a}") for a, n in enumerate(sizes))
+    b = draw(st.integers(1, 4), label="B")
+    c_in, c_out = draw(st.integers(1, 4), label="Cin"), draw(st.integers(1, 4), label="Cout")
+    real = draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+    return modes, sizes, b, c_in, c_out, real, draw(st.booleans(), label="workspace")
+
+
+@given(case=_layout_case(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_view_only_layouts_bit_equal_the_forms_they_replace(case, seed):
+    """mode_mix and the four kept-mode transforms, with or without a pooling
+    workspace, against their np.moveaxis / np.split / uncached-weight forms."""
+    modes, sizes, b, c_in, c_out, real, pooled = case
+    rng = np.random.default_rng(seed)
+    cplx = np.result_type(real, np.complex64)
+    kept = tuple(2 * m for m in modes[:-1]) + modes[-1:]
+    axes = tuple(range(1, 1 + len(sizes)))
+    rc = lambda *s: (rng.standard_normal(s) + 1j * rng.standard_normal(s)).astype(cplx)
+    x, gx_real = (rng.standard_normal((b, *sizes, c_in)).astype(real) for _ in range(2))
+    xk, w, g = rc(b, *kept, c_in), rc(c_in, c_out, *kept), rc(b, *kept, c_out)
+    want = [*_mode_mix_moveaxis(xk, w, g), _rfftn_kept_split(x, axes, modes),
+            _rfftn_kept_adjoint_lists(xk, axes, sizes), _irfftn_kept_uncached(xk, axes, sizes),
+            _irfftn_kept_adjoint_uncached(gx_real, axes, modes)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "_SMALL", 1)
+        ws = ad.Workspace() if pooled else None
+        with ws or contextlib.nullcontext():
+            tape = ad.Tape()
+            y = ad.mode_mix(tape.leaf(xk, requires_grad=True), tape.leaf(w, requires_grad=True))
+            got = [y.data, *tape._nodes[-1][2](g), spectral.rfftn_kept(x, axes, modes, ws),
+                   spectral.rfftn_kept_adjoint(xk, axes, sizes, ws),
+                   spectral.irfftn_kept(xk, axes, sizes, ws),
+                   spectral.irfftn_kept_adjoint(gx_real, axes, modes, ws)]
+            for i, (a, e) in enumerate(zip(got, want)):
+                assert a.dtype == e.dtype and np.array_equal(a, e), i
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_skips_the_gradient_of_an_input_that_needs_none(bias):
+    """The leaf gradients are the bits they are when the input needs one."""
+    rng = np.random.default_rng(7)
+    x, w, bv = rng.standard_normal((3, 10, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)
+    grads = []
+    for x_needs in (True, False):
+        tape = ad.Tape()
+        xl = tape.leaf(x, requires_grad=x_needs)
+        wl, bl = tape.leaf(w, requires_grad=True), tape.leaf(bv, requires_grad=True)
+        y = ad.linear(xl, wl, bl if bias else None)
+        cot = tape._nodes[-1][2](np.ones_like(y.data))
+        assert (cot[0] is None) == (not x_needs)
+        tape.backward(scalar_loss(y))
+        grads.append((wl.grad, bl.grad))
+    for a, e in zip(*grads):
+        np.testing.assert_array_equal(a, e)
+
+
+def test_sub_skips_the_gradient_of_a_target_that_needs_none():
+    tape = ad.Tape()
+    a = tape.leaf(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    e = ad.sub(a, tape.leaf(np.ones(3)))
+    assert tape._nodes[-1][2](np.ones((2, 3)))[1] is None
+    tape.backward(scalar_loss(e))
+    np.testing.assert_array_equal(a.grad, 2 * (a.data - 1))
 
 
 @pytest.mark.parametrize("system, in_fields, target, rank", [

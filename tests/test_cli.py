@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dimino import cli
+from dimino import cli, solvers, sti
 from dimino.autodiff import standard_primitive_checks
 from dimino.cli import main
 from dimino.data import FORMAT, dataset_hash, load_dataset, save_dataset
@@ -203,6 +203,26 @@ def test_sti_check_bad_flag_exits_one(adv_data, trained, capsys, extra, message)
                 str(trained / "checkpoint.bin"), "--p", "1,2", *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_sti_check_drops_duplicate_p_columns(adv_data, trained, capsys):
+    assert run(["sti-check", "--data", str(adv_data), "--ckpt",
+                str(trained / "checkpoint.bin"), "--p", "2,2", "--n", "2"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.split()[-2:] == ["p=1", "p=2"] and header.count("p=2") == 1
+
+
+@pytest.mark.parametrize("p", ["0,2", "2,-1", "nan", "1,inf"])
+def test_sti_check_refuses_a_bad_p_before_any_solve(adv_data, trained, capsys, monkeypatch, p):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the p list was checked")
+
+    monkeypatch.setattr(sti, "solve_sample", no_solve)
+    monkeypatch.setattr(solvers, "solve_sample", no_solve)
+    assert run(["sti-check", "--data", str(adv_data), "--ckpt",
+                str(trained / "checkpoint.bin"), "--p", p, "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p must be finite and positive, got ")
 
 
 def test_sti_check_latent_threshold_breach_exits_one(adv_data, trained, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_sample, random_batch
-from dimino import dims, sti
+from dimino import dims, solvers, sti
 from dimino.data import Batch, Grid
 from dimino.model import DimINOModel, ModelConfig
 from dimino.solvers import SolverConfig, StepUnstable, generate_dataset, solve_sample
@@ -113,6 +113,27 @@ def test_baseline_of_another_system_rejected(gated, monkeypatch):
 def test_no_samples_rejected():
     with pytest.raises(ValueError, match="at least one sample"):
         sti_check(_model("ns-vorticity2d"), _ns_samples()[:0], [1.0, 2.0])
+
+
+def test_duplicate_p_values_are_dropped():
+    batch, model = _ns_samples(), _model("ns-vorticity2d")
+    cfg = SolverConfig(steps=64)
+    report = sti_check(model, batch, [2, 2.0, 1], solver_cfg=cfg)
+    assert [e.p for e in report.entries] == [1.0, 2.0]
+    assert report.to_json() == sti_check(model, batch, [2.0], solver_cfg=cfg).to_json()
+
+
+@pytest.mark.parametrize("p_list, bad", [([0, 2], "0.0"), ([2, -1], "-1.0"),
+                                         ([float("nan")], "nan"), ([2, float("inf")], "inf")])
+def test_a_bad_p_is_refused_before_any_work(p_list, bad, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the p list was checked")
+
+    for target in (solvers, sti):
+        monkeypatch.setattr(target, "solve_sample", no_work)
+    monkeypatch.setattr(DimINOModel, "forward", no_work)
+    with pytest.raises(ValueError, match=f"p must be finite and positive, got {bad}"):
+        sti_check(_model("burgers1d"), random_batch("burgers1d", range(2)), p_list)
 
 
 def _blowing_up_burgers():
