@@ -53,6 +53,7 @@ def _refs_of_a_free_buffer() -> int:
 
 _FREE = _refs_of_a_free_buffer()
 _SMALL = 1 << 16
+FD_STEP = 1e-5  # grad_check's central-difference step
 _ACTIVE: contextvars.ContextVar = contextvars.ContextVar("dimino_workspace", default=None)
 
 
@@ -246,29 +247,25 @@ def const_mul(a: Tensor, c: np.ndarray) -> Tensor:
     return a.tape._emit(a.data * c, (a,), lambda g: (_sum_to(g * c, shape),))
 
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Channel-axis matmul: x[..., i] @ w[i, o] (+ b[o])."""
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Channel-axis matmul with bias: x[..., i] @ w[i, o] + b[o]."""
     if x.data.shape[-1] != w.data.shape[0]:
         raise ShapeMismatch(
             f"linear: {x.data.shape[-1]} input channels vs weight {w.data.shape}"
         )
-    tape = _same_tape(x, w, *( (b,) if b is not None else () ))
+    tape = _same_tape(x, w, b)
     xd, wd, ws = x.data, w.data, tape.ws
     y = np.matmul(xd, wd, out=_out(ws, xd.shape[:-1] + wd.shape[1:], np.result_type(xd, wd)))
-    if b is not None:
-        y += b.data
-    b_shape, x_needs = None if b is None else b.shape, x._needs
+    y += b.data
+    b_shape, x_needs = b.shape, x._needs
 
     def backward(g):
         gx = None if not x_needs else np.matmul(
             g, wd.T, out=_out(ws, g.shape[:-1] + wd.shape[:1], np.result_type(g, wd)))
         gw = xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1])
-        if b_shape is None:
-            return gx, gw
         return gx, gw, _sum_to(g, b_shape)
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return tape._emit(y, inputs, backward)
+    return tape._emit(y, (x, w, b), backward)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -317,11 +314,15 @@ def layernorm(x: Tensor, axes, eps: float = 1e-5) -> Tensor:
     return x.tape._emit(y, (x,), backward)
 
 
+def kept_shape(modes) -> tuple:
+    """Compact-spectrum shape of ``modes``: 2*m rows on every axis but the
+    last, m real-FFT modes on the last."""
+    return tuple(2 * m for m in modes[:-1]) + tuple(modes[-1:])
+
+
 def _kept_shape(name, sizes, modes):
-    """Compact-spectrum shape of ``modes`` on a grid of ``sizes``: 2*m rows on
-    every axis but the last, m real-FFT modes on the last."""
-    modes = tuple(modes)
-    kept = tuple(2 * m for m in modes[:-1]) + modes[-1:]
+    """``modes`` and their ``kept_shape``, checked against a grid of ``sizes``."""
+    modes, kept = tuple(modes), kept_shape(modes)
     limits = tuple(sizes[:-1]) + (sizes[-1] // 2,)
     if len(modes) != len(sizes) or not all(1 <= k <= n for k, n in zip(kept, limits)):
         raise ShapeMismatch(f"{name}: modes {modes} do not fit grid {tuple(sizes)}: "
@@ -540,17 +541,15 @@ def standard_primitive_checks(seed: int = 0, n_sample: int = 12) -> dict:
     }
 
 
-def grad_check(f: Callable, arrays, step: float = 1e-5, n_sample: int = 32,
-               seed: int = 0) -> float:
-    """Compare reverse-mode gradients of f against central differences.
+def grad_check(f: Callable, arrays, n_sample: int = 32, seed: int = 0) -> float:
+    """Compare reverse-mode gradients of f against central differences of
+    step ``FD_STEP``.
 
     `f` takes one leaf Tensor per input array and returns a scalar loss
     Tensor.  A random subsample of coordinates is perturbed; the return value
     is the worst absolute deviation normalized by the largest gradient
     magnitude (floored at 1).
     """
-    if not 1e-7 <= step <= 1e-3:
-        raise ValueError("step must lie in [1e-7, 1e-3]")
     arrays = [np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
               for a in arrays]
     tape = Tape()
@@ -574,13 +573,13 @@ def grad_check(f: Callable, arrays, step: float = 1e-5, n_sample: int = 32,
     worst = 0.0
     for i, arr in enumerate(arrays):
         coords = _perturbable(arr)
-        if n_sample is not None and len(coords) > n_sample:
+        if len(coords) > n_sample:
             picks = rng.choice(len(coords), size=n_sample, replace=False)
             coords = [coords[p] for p in picks]
         for idx, comp in coords:
-            lp = eval_loss([(i, idx, comp, step)])
-            lm = eval_loss([(i, idx, comp, -step)])
-            fd = (lp - lm) / (2 * step)
+            lp = eval_loss([(i, idx, comp, FD_STEP)])
+            lm = eval_loss([(i, idx, comp, -FD_STEP)])
+            fd = (lp - lm) / (2 * FD_STEP)
             g = grads[i][idx]
             ad = float(np.real(g)) if comp == "re" else float(np.imag(g))
             worst = max(worst, abs(ad - fd))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -11,31 +12,24 @@ import numpy as np
 
 from . import __version__, dims
 from .data import dataset_hash, load_dataset, save_dataset
-from .model import DimINOModel, ModelConfig, load_model, save_model
-from .solvers import DEFAULT_GRIDS, Grid, SolverConfig, generate_dataset
+from .model import PRECISIONS, DimINOModel, ModelConfig, load_model, save_model
+from .solvers import DEFAULT_PARAM_RANGES, Grid, SolverConfig, generate_dataset
 from .sti import solver_sti_oracle, sti_check
 from .training import (
-    METRIC_KINDS,
     TrainConfig,
     evaluate,
     format_metric_table,
-    gain,
+    gains,
     grad_check_model,
     history_json,
     train,
 )
 from .autodiff import standard_primitive_checks
 
-SYSTEMS = ("advection1d", "burgers1d", "diffreact2d", "ns-vorticity2d")
 
-# Long horizon for the 1D/2D benchmark family, unit
-# horizon for the vorticity system.
-DEFAULT_T = {
-    "advection1d": 10.0,
-    "burgers1d": 10.0,
-    "diffreact2d": 10.0,
-    "ns-vorticity2d": 1.0,
-}
+def _default(fn, name):
+    """The default value of ``fn``'s parameter ``name``."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _out_dir(args) -> Path:
@@ -63,25 +57,20 @@ def _write_run_record(out: Path, args, inputs: dict) -> None:
 
 def cmd_gen_data(args) -> int:
     out = _out_dir(args)
-    grid = DEFAULT_GRIDS[args.system]
+    grid = None
     if args.grid:
         pts = tuple(int(p) for p in args.grid.split(","))
         grid = Grid(pts, (1.0,) * len(pts))
-    t_final = args.t if args.t is not None else DEFAULT_T[args.system]
     # generate_dataset checks each name and its LO,HI bounds
     ranges = {}
     for spec in args.param or []:
         name, *bounds = spec.split(",")
         ranges[name] = bounds
     cfg = SolverConfig(steps=args.solver_steps)
-    dataset = generate_dataset(
-        args.system, ranges, args.n, args.seed, grid, t_final, cfg
-    )
+    dataset = generate_dataset(args.system, ranges, args.n, args.seed, grid, args.t, cfg)
     if args.n_test:
-        test = generate_dataset(
-            args.system, ranges, args.n_test, args.seed + 1, grid, t_final, cfg
-        )
-        dataset.splits["test"] = test.splits["train"]
+        dataset.splits.update(generate_dataset(args.system, ranges, args.n_test, args.seed + 1,
+                                               grid, args.t, cfg, split="test").splits)
     spec = dims.REGISTRY[args.system]
     cvals = np.concatenate([
         dims.compute_dimensionless(spec, dims.characteristic_scales_from_sample(split))
@@ -96,13 +85,13 @@ def cmd_gen_data(args) -> int:
     _write_run_record(out, args, {"dataset_hash": dataset_hash(out)})
 
     n_total = sum(len(s) for s in dataset.splits.values())
-    print(f"wrote {n_total} samples ({args.system}, grid {grid.points}) to {out}")
+    print(f"wrote {n_total} samples ({args.system}, grid {dataset.grid.points}) to {out}")
     for name, rng in audit.items():
         print(f"  {name}: [{rng['min']:.4g}, {rng['max']:.4g}]")
     return 0
 
 
-def _model_config_from_args(args, dataset, use_dimnorm=True) -> ModelConfig:
+def _model_config_from_args(args, dataset, use_dimnorm) -> ModelConfig:
     batch = dataset.split("train")
     return ModelConfig(
         system=dataset.system,
@@ -145,8 +134,7 @@ def cmd_train(args) -> int:
         print(f"{name}: best valid rel-L2 {min(h['valid_rel-l2'] for h in history):.4f} "
               f"({len(history)} epochs), {split} rel-L2 {tables[name]['rel-l2']:.4f}")
     if "ablated" in tables:
-        for k in METRIC_KINDS:
-            tables["dimino"][f"{k}-gain"] = gain(tables["ablated"][k], tables["dimino"][k])
+        tables["dimino"].update(gains(tables["ablated"], tables["dimino"]))
         print(format_metric_table(tables))
     (out / "metrics.json").write_text(json.dumps(tables, indent=2, sort_keys=True) + "\n")
     _write_run_record(out, args, {"dataset_hash": dataset_hash(args.data)})
@@ -243,34 +231,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a PDE dataset")
-    p.add_argument("--system", choices=SYSTEMS, required=True)
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--system", choices=list(DEFAULT_PARAM_RANGES), required=True)
+    p.add_argument("--n", type=int, default=_default(generate_dataset, "n_samples"))
     p.add_argument("--n-test", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_default(generate_dataset, "seed"))
     p.add_argument("--grid", help="points per axis, comma separated")
     p.add_argument("--t", type=float, help="prediction interval")
     p.add_argument("--param", action="append", metavar="NAME,LO,HI",
                    help="draw parameter NAME log-uniformly from [LO, HI] (0 < LO <= HI); "
                         "repeatable")
     p.add_argument("--solver-steps", type=int)
-    p.add_argument("--dtype", choices=("float32", "float64"), default="float64")
+    p.add_argument("--dtype", choices=("float32", "float64"),
+                   default=_default(save_dataset, "dtype"))
     p.add_argument("--out", help="dataset directory (default: runs/gen-data)")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model (optionally with its ablated twin)")
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="run directory (default: runs/train)")
-    p.add_argument("--loss", choices=("h1", "l2"), default="h1")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=2e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--modes", type=int, default=12)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--patience", type=int, default=30)
-    p.add_argument("--precision", choices=("f64", "f32"), default="f64")
+    p.add_argument("--loss", choices=("h1", "l2"), default=TrainConfig.loss)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--width", type=int, default=ModelConfig.width)
+    p.add_argument("--depth", type=int, default=ModelConfig.depth)
+    p.add_argument("--modes", type=int, default=ModelConfig.modes)
+    p.add_argument("--gamma", type=float, default=ModelConfig.gamma)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--precision", choices=PRECISIONS, default=ModelConfig.precision)
     p.add_argument("--ablate-gate", action="store_true",
                    help="also train the gate-free twin for paired comparison")
     p.set_defaults(func=cmd_train)
@@ -301,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sti_check)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_default(standard_primitive_checks, "seed"))
     p.add_argument("--threshold", type=float, default=1e-6)
     p.set_defaults(func=cmd_grad_check)
 

@@ -255,14 +255,19 @@ def characteristic_scales_from_sample(batch) -> CharacteristicScales:
     return scales
 
 
+def check_factor(p: float) -> None:
+    """Refuse a similarity factor p unless 0 < p < inf (NaN fails too)."""
+    if not 0 < p < np.inf:
+        raise ValueError(f"p must be finite and positive, got {p}")
+
+
 def similar_transform(batch, p: float):
     """Rescale a Batch (or one Sample row) by the system's similarity rule.
 
     Dimensionless numbers of the result equal those of the original; for p a
     power of two the equality is bit-exact.
     """
-    if not 0 < p < np.inf:
-        raise ValueError(f"p must be finite and positive, got {p}")
+    check_factor(p)
     rule = similarity_exponents(batch.system)
 
     def scaled(values):

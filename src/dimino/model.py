@@ -25,6 +25,7 @@ from .data import Batch, read_sealed, write_sealed
 
 CKPT_MAGIC = b"DINOCKPT"
 CKPT_VERSION = 5
+PRECISIONS = ("f64", "f32")
 
 
 class ModelError(Exception):
@@ -63,7 +64,7 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.precision not in ("f64", "f32"):
+        if self.precision not in PRECISIONS:
             raise ValueError(f"bad precision {self.precision!r}")
         if self.system not in dims.SCALE_DIMS:
             raise ValueError(f"unknown system {self.system!r}")
@@ -97,12 +98,6 @@ class ModelConfig:
         return len(self.target_fields)
 
     @property
-    def mode_shape(self) -> tuple:
-        if self.rank == 1:
-            return (self.modes,)
-        return (2 * self.modes, self.modes)
-
-    @property
     def dtype(self):
         return np.float64 if self.precision == "f64" else np.float32
 
@@ -129,9 +124,10 @@ def param_table(config: ModelConfig) -> List[Tuple[str, tuple, np.dtype, tuple]]
         # the last gate bias starts at one, near an all-pass gate
         table += [weight("cfw_w1", m, m), bias("cfw_b1", m), weight("cfw_w2", m, m),
                   bias("cfw_b2", m, 1.0)]
-    spec_scale = 1.0 / (n * int(np.prod(config.mode_shape)))
+    kept = ad.kept_shape((config.modes,) * config.rank)
+    spec_scale = 1.0 / (n * int(np.prod(kept)))
     for i in range(config.depth):
-        table += [(f"block{i}_spec", (n, n) + config.mode_shape, cplx, ("normal", spec_scale)),
+        table += [(f"block{i}_spec", (n, n) + kept, cplx, ("normal", spec_scale)),
                   weight(f"block{i}_byp_w", n, n), bias(f"block{i}_byp_b", n)]
     return table + [weight("head_w1", n, n), bias("head_b1", n), weight("head_w2", n, cout),
                     bias("head_b2", cout)]

@@ -382,6 +382,10 @@ DEFAULT_GRIDS = {
     "ns-vorticity2d": Grid((64, 64), (1.0, 1.0)),
 }
 
+# Long horizon for the 1D/2D benchmark family, unit horizon for the vorticity system
+DEFAULT_T_FINAL = {"advection1d": 10.0, "burgers1d": 10.0, "diffreact2d": 10.0,
+                   "ns-vorticity2d": 1.0}
+
 
 def _log_uniform(rng, lo, hi):
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
@@ -429,9 +433,10 @@ def _param_ranges(system: str, overrides) -> dict:
 
 
 def generate_dataset(system: str, param_ranges: dict = None, n_samples: int = 64,
-                     seed: int = 0, grid: Grid = None, t_final: float = 1.0,
+                     seed: int = 0, grid: Grid = None, t_final: float = None,
                      cfg: SolverConfig = None, split: str = "train") -> Dataset:
-    """Deterministic dataset generation.
+    """Deterministic dataset generation; ``grid`` and ``t_final`` default to
+    the system's ``DEFAULT_GRIDS`` and ``DEFAULT_T_FINAL`` entries.
 
     Sample i is drawn from the generator seeded ``[seed, i, attempt]``.  All
     samples are drawn, stacked and solved as one Batch, then those whose
@@ -443,6 +448,7 @@ def generate_dataset(system: str, param_ranges: dict = None, n_samples: int = 64
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     grid = grid or DEFAULT_GRIDS[system]
+    t_final = DEFAULT_T_FINAL[system] if t_final is None else t_final
     if grid.rank != DEFAULT_GRIDS[system].rank:
         raise ValueError(f"{system} needs a {DEFAULT_GRIDS[system].rank}D grid, "
                          f"got points {grid.points}")

@@ -137,8 +137,7 @@ def sti_check(model: DimINOModel, batch: Batch, p_list,
                 f"{role} is for {checked.config.system!r}, samples are {system!r}")
     p_list = sorted({float(p) for p in p_list} | {1.0})
     for p in p_list:
-        if not 0 < p < np.inf:
-            raise ValueError(f"p must be finite and positive, got {p}")
+        dims.check_factor(p)
 
     report = STIReport(system, len(batch))
     targets = model.config.target_fields

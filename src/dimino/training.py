@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -19,6 +19,9 @@ EVAL_BATCH = 32
 # floored here, so its term is 1e15 times its error norm, against about 1 for
 # every other sample: it swamps the batch loss, and nothing warns.
 LOSS_FLOOR = 1e-30
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+GRAD_CHECK_SAMPLES = 4  # coordinates grad_check_model perturbs per parameter
 
 
 class NaNLoss(Exception):
@@ -83,10 +86,11 @@ def build_loss(kind: str, out: ad.Tensor, target: np.ndarray, rank: int,
 
 
 def adam_step(params: List[np.ndarray], grads: List[np.ndarray], state: dict,
-              lr: float, betas=(0.9, 0.999), eps: float = 1e-8) -> Tuple[list, dict]:
+              lr: float) -> Tuple[list, dict]:
     """One Adam update with bias correction; arrays are updated in place.
 
-    Each update is m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*|g|**2, then
+    With (b1, b2) = ``ADAM_BETAS`` and eps = ``ADAM_EPS``, each update is
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*|g|**2, then
     p -= lr*mhat / (sqrt(vhat) + eps); every operation writes into the
     moments or into scratch that ``state`` keeps, so a step allocates nothing.
     """
@@ -96,7 +100,7 @@ def adam_step(params: List[np.ndarray], grads: List[np.ndarray], state: dict,
         state["v"] = [np.zeros_like(p) for p in params]
         state["scratch"] = [(np.empty_like(p), np.empty_like(p), np.empty(p.shape, p.real.dtype))
                             for p in params]
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state["step"] += 1
     t = state["step"]
     for p, g, m, v, (s, u, r) in zip(params, grads, state["m"], state["v"], state["scratch"]):
@@ -107,7 +111,7 @@ def adam_step(params: List[np.ndarray], grads: List[np.ndarray], state: dict,
         v += np.multiply(1 - b2, r, out=r)
         mhat = np.divide(m, 1 - b1**t, out=s)
         vhat = np.divide(v, 1 - b2**t, out=u)
-        denom = np.add(np.sqrt(vhat, out=u), eps, out=u)
+        denom = np.add(np.sqrt(vhat, out=u), ADAM_EPS, out=u)
         p -= np.divide(np.multiply(lr, mhat, out=s), denom, out=s)
     return params, state
 
@@ -267,15 +271,14 @@ def evaluate(model: DimINOModel, dataset: Dataset, split: str,
     table = evaluate_samples(model, *_prepared(model, batch), dataset.grid.extent)
     table["n"] = len(batch)
     if baseline:
-        for k in METRIC_KINDS:
-            if baseline.get(k):
-                table[f"{k}-gain"] = gain(baseline[k], table[k])
+        table.update(gains(baseline, table))
     return table
 
 
 def grad_check_model(model: DimINOModel, batch: Batch, loss_kind: str = "l2",
-                     step: float = 1e-5, n_sample: int = 4, seed: int = 0) -> float:
-    """Finite-difference check of the full forward/backward pipeline."""
+                     seed: int = 0) -> float:
+    """Finite-difference check of the full forward/backward pipeline at
+    ``GRAD_CHECK_SAMPLES`` coordinates of each parameter."""
     names = list(model.params)
     target = np.stack([batch.targets[n] for n in model.config.target_fields], axis=-1)
     rank = model.config.rank
@@ -285,14 +288,14 @@ def grad_check_model(model: DimINOModel, batch: Batch, loss_kind: str = "l2",
         result = model.forward(batch, tape=leaves[0].tape, leaves=ld)
         return build_loss(loss_kind, result.output, target, rank)
 
-    return ad.grad_check(
-        f, [model.params[n] for n in names], step=step, n_sample=n_sample, seed=seed
-    )
+    return ad.grad_check(f, [model.params[n] for n in names], n_sample=GRAD_CHECK_SAMPLES,
+                         seed=seed)
 
 
-def gain(base: float, score: float) -> float:
-    """Relative improvement over a baseline score."""
-    return (base - score) / base
+def gains(base: Dict[str, float], table: Dict[str, float]) -> Dict[str, float]:
+    """Gain columns (base - score) / base of ``table`` over ``base``, omitted
+    where the base score is zero or missing."""
+    return {f"{k}-gain": (base[k] - table[k]) / base[k] for k in METRIC_KINDS if base.get(k)}
 
 
 def format_metric_table(rows: Dict[str, Dict[str, float]]) -> str:

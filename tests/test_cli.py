@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -9,9 +11,10 @@ import pytest
 from dimino import cli, solvers, sti
 from dimino.autodiff import standard_primitive_checks
 from dimino.cli import main
-from dimino.data import FORMAT, dataset_hash, load_dataset, save_dataset
+from dimino.data import FORMAT, Grid, dataset_hash, load_dataset, save_dataset
 from dimino.dims import similar_transform
 from dimino.model import DimINOModel, ModelConfig, save_model
+from dimino.training import TrainConfig
 
 
 def run(argv):
@@ -327,3 +330,45 @@ def test_every_parsed_option_is_read():
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "1", "gen-data", "--system", "burgers1d"])
     assert exc.value.code == 2
+
+
+def test_flag_defaults_are_the_library_defaults(tmp_path):
+    """Each flag's default is the library's, so one default cannot drift from
+    another: train's are TrainConfig's and ModelConfig's, gen-data's are
+    generate_dataset's and save_dataset's, and gen-data without --t writes
+    the horizon generate_dataset picks for the system."""
+    args = cli.build_parser().parse_args(["train", "--data", "d"])
+    for config in (TrainConfig, ModelConfig):
+        for f in dataclasses.fields(config):
+            if f.name in vars(args):
+                assert getattr(args, f.name) == f.default, (config.__name__, f.name)
+    assert args.seed == ModelConfig.init_seed
+    args = cli.build_parser().parse_args(["gen-data", "--system", "burgers1d"])
+    params = inspect.signature(solvers.generate_dataset).parameters
+    assert (args.n, args.seed) == (params["n_samples"].default, params["seed"].default)
+    assert args.dtype == inspect.signature(save_dataset).parameters["dtype"].default
+    written, library = {}, {}
+    for system, grid in (("advection1d", "16"), ("burgers1d", "16"),
+                         ("diffreact2d", "8,8"), ("ns-vorticity2d", "8,8")):
+        out = tmp_path / system
+        assert run(["gen-data", "--system", system, "--n", "1", "--grid", grid,
+                    "--out", str(out)]) == 0
+        written[system] = load_dataset(out).meta["t_final"]
+        points = tuple(int(p) for p in grid.split(","))
+        grid = Grid(points, (1.0,) * len(points))
+        library[system] = solvers.generate_dataset(system, None, 1, 0, grid).meta["t_final"]
+    assert written == library
+
+
+def test_train_omits_the_gain_of_a_zero_ablated_score(adv_data, tmp_path, monkeypatch):
+    """--ablate-gate's gain columns follow evaluate's rule: a zero baseline
+    score gets no column, and nothing raises."""
+    scores = iter([{"rel-l2": 0.5, "rel-h1": 0.5, "rel-l1": 0.5, "n": 4},
+                   {"rel-l2": 0.0, "rel-h1": 1.0, "rel-l1": 0.0, "n": 4}])
+    monkeypatch.setattr(cli, "evaluate", lambda *a: next(scores))
+    assert run(["train", "--data", str(adv_data), "--out", str(tmp_path), "--epochs", "1",
+                "--batch-size", "4", "--width", "6", "--depth", "2", "--modes", "4",
+                "--ablate-gate"]) == 0
+    table = json.loads((tmp_path / "metrics.json").read_text())["dimino"]
+    assert sorted(k for k in table if k.endswith("-gain")) == ["rel-h1-gain"]
+    assert table["rel-h1-gain"] == 0.5

@@ -422,7 +422,7 @@ def test_a_training_step_keeps_only_what_backward_reads(monkeypatch):
         freed["irfftn"].append(weakref.ref(out.data))
         return out
 
-    def watched_linear(x, w, b=None):
+    def watched_linear(x, w, b):
         out = linear(x, w, b)
         if id(w.data) in byp:
             freed["byp"].append(weakref.ref(out.data))

@@ -21,7 +21,7 @@ from dimino.training import (
     build_loss,
     evaluate,
     format_metric_table,
-    gain,
+    gains,
     grad_check_model,
     _FlatParams,
     _lr_at,
@@ -116,10 +116,20 @@ def test_build_loss_h1_matches_rel_metric():
 
 # -- gains -----------------------------------------------------------------
 
+def _gain(base, score):
+    return gains({"rel-l2": base}, {"rel-l2": score})["rel-l2-gain"]
+
+
 def test_gain_formula_reference_points():
-    assert gain(1.203, 0.915) == pytest.approx(0.239, abs=5e-4)
-    assert gain(24.792, 5.866) == pytest.approx(0.763, abs=5e-4)
-    assert gain(1.0, 1.0) == 0.0
+    assert _gain(1.203, 0.915) == pytest.approx(0.239, abs=5e-4)
+    assert _gain(24.792, 5.866) == pytest.approx(0.763, abs=5e-4)
+    assert _gain(1.0, 1.0) == 0.0
+
+
+def test_a_zero_or_missing_base_score_has_no_gain_column():
+    table = {"rel-l2": 0.1, "rel-h1": 0.2, "rel-l1": 0.3}
+    got = gains({"rel-l2": 0.0, "rel-h1": 0.4}, table)
+    assert got == {"rel-h1-gain": pytest.approx(0.5)}
 
 
 # -- adam ------------------------------------------------------------------
@@ -519,7 +529,7 @@ def test_history_json_is_line_delimited():
 
 def test_full_model_grad_check():
     ds = _tiny_dataset(n=2)
-    err = grad_check_model(_tiny_model(), ds.split("train"), n_sample=4, seed=0)
+    err = grad_check_model(_tiny_model(), ds.split("train"), seed=0)
     assert err < 1e-6
 
 
@@ -529,7 +539,7 @@ def test_full_model_h1_grad_check(system, in_fields, target, rank):
     model = DimINOModel(ModelConfig(system, in_fields, [target], rank, width=6, depth=2,
                                     modes=4))
     samples = random_batch(system, range(2), with_targets=True)
-    assert grad_check_model(model, samples, loss_kind="h1", n_sample=4, seed=0) < 1e-6
+    assert grad_check_model(model, samples, loss_kind="h1", seed=0) < 1e-6
 
 
 @pytest.mark.parametrize("system, in_fields, target, rank", [
