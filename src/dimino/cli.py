@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dims
-from .data import dataset_hash, load_dataset, save_dataset
+from .data import WRITABLE_DTYPES, dataset_hash, load_dataset, save_dataset
 from .model import PRECISIONS, DimINOModel, ModelConfig, load_model, save_model
 from .solvers import DEFAULT_PARAM_RANGES, Grid, SolverConfig, generate_dataset
 from .sti import solver_sti_oracle, sti_check
 from .training import (
+    LOSS_KINDS,
     TrainConfig,
     evaluate,
     format_metric_table,
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw parameter NAME log-uniformly from [LO, HI] (0 < LO <= HI); "
                         "repeatable")
     p.add_argument("--solver-steps", type=int)
-    p.add_argument("--dtype", choices=("float32", "float64"),
+    p.add_argument("--dtype", choices=WRITABLE_DTYPES,
                    default=_default(save_dataset, "dtype"))
     p.add_argument("--out", help="dataset directory (default: runs/gen-data)")
     p.set_defaults(func=cmd_gen_data)
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model (optionally with its ablated twin)")
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="run directory (default: runs/train)")
-    p.add_argument("--loss", choices=("h1", "l2"), default=TrainConfig.loss)
+    p.add_argument("--loss", choices=LOSS_KINDS, default=TrainConfig.loss)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
@@ -261,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--precision", choices=PRECISIONS, default=ModelConfig.precision)
     p.add_argument("--ablate-gate", action="store_true",
-                   help="also train the gate-free twin for paired comparison")
+                   help="also train the raw-input twin (no DimNorm, gate or "
+                        "redimensionalization) for paired comparison")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")

@@ -152,6 +152,7 @@ class Dataset:
 
 
 _DTYPES = ("float64", "float32", "complex128", "complex64")  # index = dtype code
+WRITABLE_DTYPES = ("float32", "float64")  # the dtypes a dataset is written and read in
 
 
 def write_sealed(path, magic: bytes, version: int, header: dict, arrays) -> None:
@@ -239,9 +240,12 @@ def _manifest_dims(system: str, records) -> dict:
 
 
 def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
-    """Write ``dataset`` to ``directory``.  A split that ``load_dataset``
-    would refuse for its values (checked after the cast to ``dtype``) raises
-    DatasetFormatError before any file is written."""
+    """Write ``dataset`` to ``directory``.  A ``dtype`` outside
+    ``WRITABLE_DTYPES`` raises ValueError, and a split that ``load_dataset``
+    would refuse for its values (checked after the cast to ``dtype``)
+    DatasetFormatError, before any file is written."""
+    if dtype not in WRITABLE_DTYPES:
+        raise ValueError(f"dtype must be one of {WRITABLE_DTYPES}, got {dtype!r}")
     first = next((split for split in dataset.splits.values() if len(split)), None)
     if first is None:
         raise ValueError("dataset has no samples")
@@ -299,6 +303,8 @@ def load_dataset(directory) -> Dataset:
         grid = Grid(
             tuple(manifest["grid"]["points"]), tuple(manifest["grid"]["extent"])
         )
+        if manifest["dtype"] not in WRITABLE_DTYPES:
+            raise ValueError(f"dtype {manifest['dtype']!r} is not one of {WRITABLE_DTYPES}")
         dtype = np.dtype(manifest["dtype"])
         records = [(r["kind"], r["name"]) for r in manifest["records"]]
         if sorted(k for k, _ in records if k not in ("field", "target", "constant")) != ["time"]:

@@ -81,15 +81,10 @@ def _is_power_of_two(p: float) -> bool:
     return math.frexp(p)[0] == 0.5
 
 
-def _mean_rel_l2(pairs) -> float:
-    """Mean rel-L2 over (prediction, reference) pairs."""
-    return float(np.mean([rel_metric("rel-l2", pred, ref) for pred, ref in pairs]))
-
-
-def _target_pairs(pred: np.ndarray, names, truth: Batch):
-    """(pred[i, ..., j], target ``names[j]`` of truth row i), row by row."""
-    return ((pred[i, ..., j], truth.targets[name][i])
-            for i in range(len(pred)) for j, name in enumerate(names))
+def _field_rel_l2(pred: np.ndarray, names, targets) -> float:
+    """Mean rel-L2 of ``pred[..., j]`` against ``targets[names[j]]``, in (row, field) order."""
+    return float(np.mean(np.stack([rel_metric("rel-l2", pred[..., j], targets[name])
+                                   for j, name in enumerate(names)], axis=-1)))
 
 
 def _truth(batch: Batch, cfg: SolverConfig) -> Batch:
@@ -158,20 +153,20 @@ def sti_check(model: DimINOModel, batch: Batch, p_list,
         expected = dims.similar_transform(predicted, p).targets
         entry = STIEntry(
             p=p,
-            latent_residual=_mean_rel_l2(zip(star, base_star)),
-            output_scaling_residual=_mean_rel_l2(
-                zip(pred, np.stack([expected[name] for name in targets], axis=-1))),
-            model_rel_l2=_mean_rel_l2(_target_pairs(pred, targets, transformed)),
+            latent_residual=float(np.mean(rel_metric("rel-l2", star, base_star))),
+            output_scaling_residual=float(np.mean(rel_metric(
+                "rel-l2", pred, np.stack([expected[name] for name in targets], axis=-1)))),
+            model_rel_l2=_field_rel_l2(pred, targets, transformed.targets),
         )
         if baseline is not None:
             names = baseline.config.target_fields
-            entry.baseline_single_shot = _mean_rel_l2(
-                _target_pairs(baseline.predict(transformed), names, transformed))
+            entry.baseline_single_shot = _field_rel_l2(
+                baseline.predict(transformed), names, transformed.targets)
             if p == 1.0:
                 entry.baseline_rollout = entry.baseline_single_shot
             elif p.is_integer():
-                entry.baseline_rollout = _mean_rel_l2(_target_pairs(
-                    _baseline_rollout(baseline, transformed, int(p)), names, transformed))
+                entry.baseline_rollout = _field_rel_l2(
+                    _baseline_rollout(baseline, transformed, int(p)), names, transformed.targets)
         report.entries.append(entry)
     return report
 
@@ -197,5 +192,6 @@ def solver_sti_oracle(batch: Batch, p: float, cfg: SolverConfig = None) -> float
     """
     truth = dims.similar_transform(_truth(batch, cfg), p)
     moved = _truth(truth, cfg)
-    return _mean_rel_l2((moved.targets[name][i], truth.targets[name][i])
-                        for i in range(len(batch)) for name in truth.targets)
+    names = list(truth.targets)
+    return _field_rel_l2(np.stack([moved.targets[n] for n in names], axis=-1), names,
+                         truth.targets)

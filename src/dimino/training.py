@@ -14,6 +14,7 @@ from .data import Batch, Dataset
 from .model import DimINOModel, Inputs
 
 METRIC_KINDS = ("rel-l2", "rel-h1", "rel-l1")
+LOSS_KINDS = ("h1", "l2")
 EVAL_BATCH = 32
 # Floor on each sample's loss denominator.  A zero target's denominator is
 # floored here, so its term is 1e15 times its error norm, against about 1 for
@@ -42,30 +43,37 @@ def _h1_norm2(f: np.ndarray, axes, extent) -> np.ndarray:
     return np.sum(f**2, axis=sum_axes) + spectral.h1_seminorm2(f, axes, extent)[0]
 
 
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's ``np.linalg.norm(row.ravel()) ** 2``: one dot product of a C-contiguous copy."""
+    x = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 def rel_metric(kind: str, pred: np.ndarray, target: np.ndarray,
-               extent=None) -> float:
-    """Relative error of one field; falls back to the absolute norm when the
-    target vanishes."""
+               extent=None) -> np.ndarray:
+    """Relative error of each row of a (B, ...) stack over its other axes, as
+    float64 (B,); a row whose target vanishes is scored by its absolute norm."""
     if pred.shape != target.shape:
         raise ad.ShapeMismatch(f"{pred.shape} vs {target.shape}")
-    extent = (1.0,) * pred.ndim if extent is None else tuple(extent)
-    e = pred - target
+    e, axes = pred - target, tuple(range(1, pred.ndim))
     if kind == "rel-l2":
-        num, den = np.linalg.norm(e.ravel()), np.linalg.norm(target.ravel())
+        num, den = np.sqrt(_sq_norms(e)), np.sqrt(_sq_norms(target))
     elif kind == "rel-l1":
-        num, den = np.abs(e).sum(), np.abs(target).sum()
+        num, den = np.abs(e).sum(axis=axes), np.abs(target).sum(axis=axes)
     elif kind == "rel-h1":
-        axes = tuple(range(e.ndim))
-        num = math.sqrt(_h1_norm2(e, axes, extent))
-        den = math.sqrt(_h1_norm2(target, axes, extent))
+        extent = (1.0,) * len(axes) if extent is None else tuple(extent)
+        num = np.sqrt(_h1_norm2(e, axes, extent))
+        den = np.sqrt(_h1_norm2(target, axes, extent))
     else:
         raise ValueError(f"unknown metric kind {kind!r}")
-    return float(num) if den == 0 else float(num / den)
+    return np.divide(num, den, out=num, where=den != 0).astype(np.float64)
 
 
 def build_loss(kind: str, out: ad.Tensor, target: np.ndarray, rank: int,
                extent=None) -> ad.Tensor:
     """Differentiable batch loss: mean over samples of the relative norm."""
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"loss must be one of {LOSS_KINDS}, got {kind!r}")
     tape = out.tape
     b = target.shape[0]
     spatial_axes = tuple(range(1, 1 + rank))
@@ -76,10 +84,8 @@ def build_loss(kind: str, out: ad.Tensor, target: np.ndarray, rank: int,
     if kind == "h1":
         num = ad.add(num, ad.h1_seminorm2(e, spatial_axes, extent))
         den = _h1_norm2(target, spatial_axes, extent)
-    elif kind == "l2":
-        den = np.sum(target**2, axis=reduce_axes)
     else:
-        raise ValueError(f"unknown loss kind {kind!r}")
+        den = np.sum(target**2, axis=reduce_axes)
     inv_den = (1.0 / np.maximum(den, LOSS_FLOOR)).astype(out.data.dtype)
     ratio = ad.const_mul(num, inv_den)
     return ad.smul(ad.reduce_sum(ad.sqrt(ratio)), 1.0 / b)
@@ -157,6 +163,8 @@ class TrainConfig:
     valid_frac: float = 0.2
 
     def __post_init__(self):
+        if self.loss not in LOSS_KINDS:
+            raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         for name, low in (("epochs", 1), ("batch_size", 1), ("lr", 0), ("patience", 0),
                           ("warmup_epochs", 0)):
             if not getattr(self, name) >= low:  # NaN fails too
@@ -248,17 +256,16 @@ def _prepared(model: DimINOModel, batch: Batch) -> Tuple[Inputs, np.ndarray]:
 def evaluate_samples(model: DimINOModel, inputs: Inputs, targets: np.ndarray,
                      extent) -> Dict[str, float]:
     """Mean per-sample, per-target-field metrics of prepared ``inputs``
-    against their stacked ``targets`` (B, *grid, C)."""
-    sums = {k: 0.0 for k in METRIC_KINDS}
-    for start in range(0, len(targets), EVAL_BATCH):
-        batch = slice(start, start + EVAL_BATCH)
-        pred = model.predict(inputs.take(batch))
-        for p, t in zip(pred, targets[batch]):
-            for j in range(t.shape[-1]):
-                for k in METRIC_KINDS:
-                    sums[k] += rel_metric(k, p[..., j], t[..., j], extent)
-    count = targets.shape[0] * targets.shape[-1]
-    return {k: sums[k] / count for k in METRIC_KINDS}
+    against their stacked ``targets`` (B, *grid, C), each folded in (row, field)
+    order by ``np.cumsum`` (``np.sum`` and ``np.mean`` would sum pairwise)."""
+    pred = np.concatenate([model.predict(inputs.take(slice(start, start + EVAL_BATCH)))
+                           for start in range(0, len(targets), EVAL_BATCH)])
+    table = {}
+    for k in METRIC_KINDS:
+        scores = np.stack([rel_metric(k, pred[..., j], targets[..., j], extent)
+                           for j in range(targets.shape[-1])], axis=-1)
+        table[k] = float(np.cumsum(scores)[-1]) / scores.size
+    return table
 
 
 def evaluate(model: DimINOModel, dataset: Dataset, split: str,
@@ -268,6 +275,8 @@ def evaluate(model: DimINOModel, dataset: Dataset, split: str,
         batch = dataset.split(split)
     except KeyError as exc:
         raise MissingSplit(str(exc)) from exc
+    if not len(batch):
+        raise MissingSplit(f"split {split!r} has no samples")
     table = evaluate_samples(model, *_prepared(model, batch), dataset.grid.extent)
     table["n"] = len(batch)
     if baseline:

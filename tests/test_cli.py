@@ -11,10 +11,11 @@ import pytest
 from dimino import cli, solvers, sti
 from dimino.autodiff import standard_primitive_checks
 from dimino.cli import main
-from dimino.data import FORMAT, Grid, dataset_hash, load_dataset, save_dataset
+from dimino.data import (FORMAT, WRITABLE_DTYPES, Grid, dataset_hash, load_dataset,
+                         save_dataset)
 from dimino.dims import similar_transform
 from dimino.model import DimINOModel, ModelConfig, save_model
-from dimino.training import TrainConfig
+from dimino.training import LOSS_KINDS, TrainConfig
 
 
 def run(argv):
@@ -160,6 +161,15 @@ def test_eval_missing_split_exits_one(adv_data, trained, capsys):
         str(trained / "checkpoint.bin"), "--split", "nope",
     ]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_empty_split_exits_one(adv_data, trained, tmp_path, capsys):
+    dataset = load_dataset(adv_data)
+    dataset.splits["test"] = dataset.split("test")[:0]
+    save_dataset(dataset, tmp_path / "d")
+    assert run(["eval", "--data", str(tmp_path / "d"), "--ckpt",
+                str(trained / "checkpoint.bin"), "--split", "test"]) == 1
+    assert capsys.readouterr().err == "error: split 'test' has no samples\n"
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -336,8 +346,15 @@ def test_flag_defaults_are_the_library_defaults(tmp_path):
     """Each flag's default is the library's, so one default cannot drift from
     another: train's are TrainConfig's and ModelConfig's, gen-data's are
     generate_dataset's and save_dataset's, and gen-data without --t writes
-    the horizon generate_dataset picks for the system."""
-    args = cli.build_parser().parse_args(["train", "--data", "d"])
+    the horizon generate_dataset picks for the system.  The --loss and
+    --dtype choices are training.LOSS_KINDS and data.WRITABLE_DTYPES."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {(name, a.dest): a.choices for name, p in subparsers.choices.items()
+               for a in p._actions}
+    assert choices["train", "loss"] is LOSS_KINDS
+    assert choices["gen-data", "dtype"] is WRITABLE_DTYPES
+    args = parser.parse_args(["train", "--data", "d"])
     for config in (TrainConfig, ModelConfig):
         for f in dataclasses.fields(config):
             if f.name in vars(args):

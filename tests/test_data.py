@@ -21,9 +21,11 @@ from dimino.data import (
     dataset_hash,
     load_dataset,
     read_sealed,
+    WRITABLE_DTYPES,
     save_dataset,
     write_sealed,
 )
+from dimino import data
 from dimino.solvers import generate_dataset
 
 from conftest import random_sample
@@ -475,6 +477,23 @@ def test_save_refuses_a_value_that_overflows_its_written_dtype(tmp_path):
     with pytest.raises(DatasetFormatError, match="train.bin: a field is not finite"):
         save_dataset(ds, tmp_path / "f32", "float32")
     assert not (tmp_path / "f32").exists()
+
+
+@pytest.mark.parametrize("dtype", ["float16", "complex128", "int64"])
+def test_save_refuses_an_unwritable_dtype_and_writes_nothing(tmp_path, dtype):
+    out = tmp_path / "d"
+    with pytest.raises(ValueError, match=r"dtype must be one of \('float32', 'float64'\)"):
+        save_dataset(_fixed_dataset(), out, dtype)
+    assert not out.exists()
+
+
+def test_load_refuses_a_manifest_dtype_it_cannot_have_written(tmp_path, monkeypatch):
+    """A complex128 dataset, which save_dataset no longer writes, does not load."""
+    monkeypatch.setattr(data, "WRITABLE_DTYPES", WRITABLE_DTYPES + ("complex128",))
+    save_dataset(_fixed_dataset(), tmp_path / "d", "complex128")
+    monkeypatch.undo()
+    with pytest.raises(DatasetFormatError, match="'complex128' is not one of"):
+        load_dataset(tmp_path / "d")
 
 
 def test_missing_split_raises():

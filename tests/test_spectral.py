@@ -101,7 +101,7 @@ def test_h1_seminorm_on_an_odd_axis_keeps_its_highest_mode(shape, modes):
     assert got == pytest.approx(want, rel=1e-12)
     # rel-h1 against a constant target of 1: the target's seminorm is 0, and
     # sum(f) is 0, so the error's squared H1 norm is sum(f**2) + n_total + want
-    rel = rel_metric("rel-h1", f, np.ones(shape))
+    rel = rel_metric("rel-h1", f[None], np.ones((1, *shape)))[0]
     assert rel == pytest.approx(np.sqrt((share * n_total + n_total + want) / n_total),
                                 rel=1e-12)
 
@@ -135,9 +135,9 @@ def test_h1_weights_check_the_extent():
     with pytest.raises(ad.ShapeMismatch, match="extent"):
         spectral.h1_weights((8, 8), ())
     with pytest.raises(ad.ShapeMismatch, match="extent"):
-        rel_metric("rel-h1", np.ones(8), np.arange(8.0), (1.0, 2.0))
+        rel_metric("rel-h1", np.ones((1, 8)), np.arange(8.0)[None], (1.0, 2.0))
     with pytest.raises(ad.ShapeMismatch, match="extent"):
-        rel_metric("rel-h1", np.ones(8), np.arange(8.0), ())
+        rel_metric("rel-h1", np.ones((1, 8)), np.arange(8.0)[None], ())
 
 
 @given(shape=st.lists(POW2, min_size=1, max_size=2), extent=st.lists(EXTENT, min_size=2, max_size=2))

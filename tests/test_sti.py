@@ -199,7 +199,7 @@ def test_solver_oracle_rejects_bad_p():
 
 def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
     """Reference sweep: a second forward and a fresh solver run for every p,
-    and a row-by-row baseline rollout."""
+    a row-by-row baseline rollout, and every error scored one row at a time."""
     system = samples.system
     rule = dims.similarity_exponents(system)
     p_list = sorted(set(float(p) for p in p_list) | {1.0})
@@ -208,8 +208,11 @@ def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
     base_pred, base_star = base.output.data, base.u_star.data
     n = len(samples)
 
+    def row_err(pred, ref):
+        return rel_metric("rel-l2", pred[None], ref[None])[0]
+
     def mean_err(pred, names, truth):
-        return float(np.mean([rel_metric("rel-l2", pred[i, ..., j], truth[name][i])
+        return float(np.mean([row_err(pred[i, ..., j], truth[name][i])
                               for i in range(n) for j, name in enumerate(names)]))
 
     for p in p_list:
@@ -221,9 +224,9 @@ def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
         entry = sti.STIEntry(
             p=p,
             latent_residual=float(np.mean(
-                [rel_metric("rel-l2", star[i], base_star[i]) for i in range(n)])),
+                [row_err(star[i], base_star[i]) for i in range(n)])),
             output_scaling_residual=float(np.mean(
-                [rel_metric("rel-l2", pred[i], ratios * base_pred[i]) for i in range(n)])),
+                [row_err(pred[i], ratios * base_pred[i]) for i in range(n)])),
             model_rel_l2=mean_err(pred, model.config.target_fields, truth),
         )
         names = baseline.config.target_fields
@@ -240,7 +243,7 @@ def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
                     nxt.append(replace(s, fields=fields))
                 current = nxt
             entry.baseline_rollout = float(np.mean(
-                [rel_metric("rel-l2", s.fields[name], truth[name][i])
+                [row_err(s.fields[name], truth[name][i])
                  for i, s in enumerate(current) for name in names]))
         report.entries.append(entry)
     return report

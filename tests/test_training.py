@@ -1,5 +1,7 @@
+import math
 import resource
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dimino.data import Batch, Dataset, Grid
-from dimino import training
+from dimino import spectral, training
 from dimino.dims import EPS_FLOOR, similar_transform
 from dimino.model import DimINOModel, ModelConfig, load_model, save_model
 from dimino.solvers import generate_dataset
 from dimino.training import (
     LOSS_FLOOR,
+    LOSS_KINDS,
     METRIC_KINDS,
     MissingSplit,
     NaNLoss,
@@ -36,34 +39,91 @@ from conftest import random_batch, random_sample
 
 # -- metrics ---------------------------------------------------------------
 
+def _field_rel_metric(kind, pred, target, extent=None) -> float:
+    """The per-field rule that ``rel_metric`` applies to each row: the
+    relative error of one field of one sample, or its absolute norm when the
+    target vanishes."""
+    extent = (1.0,) * pred.ndim if extent is None else tuple(extent)
+    e = pred - target
+    if kind == "rel-l2":
+        num, den = np.linalg.norm(e.ravel()), np.linalg.norm(target.ravel())
+    elif kind == "rel-l1":
+        num, den = np.abs(e).sum(), np.abs(target).sum()
+    else:
+        axes = tuple(range(e.ndim))
+        h1 = lambda f: np.sum(f**2) + spectral.h1_seminorm2(f, axes, extent)[0]
+        num, den = math.sqrt(h1(e)), math.sqrt(h1(target))
+    return float(num) if den == 0 else float(num / den)
+
+
+@st.composite
+def metric_cases(draw):
+    """(kind, pred, target, extent): a (B, *grid, C) stack in float32 or
+    float64, some of whose target rows are zero."""
+    rank = draw(st.integers(1, 2))
+    sizes = [2, 3, 6, 8, 16, 64, 256] if rank == 1 else [2, 3, 4, 8, 16, 32]
+    grid = tuple(draw(st.sampled_from(sizes)) for _ in range(rank))
+    rows, channels = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    extent = draw(st.none() | st.tuples(*[st.sampled_from([0.25, 1.0, 3.0])] * rank))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    pred, target = (scale * rng.standard_normal((rows, *grid, channels)) for _ in range(2))
+    pred = pred.astype(draw(st.sampled_from([np.float32, np.float64])))
+    target = target.astype(draw(st.sampled_from([np.float32, np.float64])))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    target[zero] = 0.0
+    if draw(st.booleans()):
+        pred[zero] = 0.0
+    return draw(st.sampled_from(METRIC_KINDS)), pred, target, extent
+
+
+@given(case=metric_cases())
+@settings(max_examples=300, deadline=None)
+def test_rel_metric_scores_each_row_by_the_per_field_rule(case):
+    """One call on a stack gives, bit for bit and without a warning, each
+    row's per-field rule as float64: on whole rows, and on channel slices
+    ``[..., j]``, whose strided layout must not change the summation."""
+    kind, pred, target, extent = case
+    grid_extent = None if extent is None else extent + (1.0,)
+    stacks = [(pred, target, grid_extent)]
+    stacks += [(pred[..., j], target[..., j], extent) for j in range(pred.shape[-1])]
+    for p, t, ext in stacks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rel_metric(kind, p, t, ext)
+        want = np.array([_field_rel_metric(kind, pi, ti, ext) for pi, ti in zip(p, t)])
+        assert got.dtype == np.float64 and got.shape == (len(p),)
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("kind", ["rel-l2", "rel-h1", "rel-l1"])
 def test_metric_zero_on_equal_fields(kind):
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((32,))
-    assert rel_metric(kind, a, a.copy()) == 0.0
+    a = rng.standard_normal((1, 32))
+    assert rel_metric(kind, a, a.copy()).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("kind", ["rel-l2", "rel-h1", "rel-l1"])
 def test_metric_one_on_zero_prediction(kind):
     rng = np.random.default_rng(1)
-    t = rng.standard_normal((32,))
-    assert rel_metric(kind, np.zeros_like(t), t) == pytest.approx(1.0)
+    t = rng.standard_normal((1, 32))
+    assert rel_metric(kind, np.zeros_like(t), t)[0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("kind", ["rel-l2", "rel-h1", "rel-l1"])
 def test_metric_invariant_under_joint_scaling(kind):
     rng = np.random.default_rng(2)
     for trial in range(20):
-        pred = rng.standard_normal((16, 16))
-        target = rng.standard_normal((16, 16))
-        base = rel_metric(kind, pred, target)
-        scaled = rel_metric(kind, 7.5 * pred, 7.5 * target)
+        pred = rng.standard_normal((1, 16, 16))
+        target = rng.standard_normal((1, 16, 16))
+        base = rel_metric(kind, pred, target)[0]
+        scaled = rel_metric(kind, 7.5 * pred, 7.5 * target)[0]
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
 def test_metric_absolute_fallback_on_zero_target():
-    pred = np.ones(8)
-    assert rel_metric("rel-l2", pred, np.zeros(8)) == pytest.approx(
+    pred = np.ones((1, 8))
+    assert rel_metric("rel-l2", pred, np.zeros((1, 8)))[0] == pytest.approx(
         np.linalg.norm(pred)
     )
 
@@ -71,16 +131,16 @@ def test_metric_absolute_fallback_on_zero_target():
 def test_rel_h1_penalizes_gradient_error_more():
     n = 64
     x = np.linspace(0, 1, n, endpoint=False)
-    target = np.sin(2 * np.pi * x)
+    target = np.sin(2 * np.pi * x)[None]
     rough = target + 0.01 * np.sin(2 * np.pi * 24 * x)
-    assert rel_metric("rel-h1", rough, target) > rel_metric("rel-l2", rough, target)
+    assert rel_metric("rel-h1", rough, target)[0] > rel_metric("rel-l2", rough, target)[0]
 
 
 def test_metric_shape_mismatch():
     with pytest.raises(ad.ShapeMismatch):
-        rel_metric("rel-l2", np.ones(4), np.ones(5))
+        rel_metric("rel-l2", np.ones((1, 4)), np.ones((1, 5)))
     with pytest.raises(ValueError):
-        rel_metric("rel-linf", np.ones(4), np.ones(4))
+        rel_metric("rel-linf", np.ones((1, 4)), np.ones((1, 4)))
 
 
 def test_build_loss_matches_rel_metric_for_l2():
@@ -90,9 +150,7 @@ def test_build_loss_matches_rel_metric_for_l2():
     tape = ad.Tape()
     out = tape.leaf(pred)
     loss = build_loss("l2", out, target, rank=1)
-    want = np.mean([
-        rel_metric("rel-l2", pred[i, :, 0], target[i, :, 0]) for i in range(2)
-    ])
+    want = np.mean(rel_metric("rel-l2", pred[..., 0], target[..., 0]))
     assert float(loss.data) == pytest.approx(want, rel=1e-12)
 
 
@@ -103,14 +161,12 @@ def test_build_loss_h1_matches_rel_metric():
         pred, target = rng.standard_normal(shape), rng.standard_normal(shape)
         tape = ad.Tape()
         loss = build_loss("h1", tape.leaf(pred), target, len(extent), extent)
-        # rel_metric falls back to the absolute norm against a zero field; a
-        # row's loss is the relative norm over all of its channels
+        # rel_metric falls back to each row's absolute norm against a zero
+        # field; a row's loss is the relative norm over all of its channels
         norm2 = lambda f: rel_metric("rel-h1", f, np.zeros_like(f), extent) ** 2
-        want = np.mean([
-            np.sqrt(sum(norm2(pred[i, ..., c] - target[i, ..., c]) for c in range(shape[-1]))
-                    / sum(norm2(target[i, ..., c]) for c in range(shape[-1])))
-            for i in range(shape[0])
-        ])
+        want = np.mean(np.sqrt(
+            sum(norm2(pred[..., c] - target[..., c]) for c in range(shape[-1]))
+            / sum(norm2(target[..., c]) for c in range(shape[-1]))))
         assert float(loss.data) == pytest.approx(want, rel=1e-12)
 
 
@@ -310,6 +366,14 @@ def test_train_config_validation():
         TrainConfig(lr=-1.0)
 
 
+def test_a_loss_outside_loss_kinds_is_refused_at_construction():
+    assert [TrainConfig(loss=kind).loss for kind in LOSS_KINDS] == ["h1", "l2"]
+    with pytest.raises(ValueError, match=r"loss must be one of \('h1', 'l2'\), got 'l3'"):
+        TrainConfig(loss="l3")
+    with pytest.raises(ValueError, match="loss must be one of"):
+        build_loss("l3", ad.Tape().leaf(np.ones((1, 4, 1))), np.ones((1, 4, 1)), rank=1)
+
+
 @pytest.mark.parametrize("field, value", [
     ("valid_frac", float("nan")), ("valid_frac", 1.5), ("valid_frac", 1.0),
     ("valid_frac", 0.0), ("valid_frac", -0.5), ("warmup_epochs", -3),
@@ -352,7 +416,7 @@ def _train_per_batch(model, dataset, cfg):
             for i, s in enumerate(batch):
                 for j, name in enumerate(model.config.target_fields):
                     for k in METRIC_KINDS:
-                        sums[k] += rel_metric(k, pred[i, ..., j], s.targets[name], extent)
+                        sums[k] += _field_rel_metric(k, pred[i, ..., j], s.targets[name], extent)
                     count += 1
         metrics = {k: sums[k] / count for k in METRIC_KINDS}
         history.append({"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses)),
@@ -505,6 +569,15 @@ def test_evaluate_missing_split():
     ds = _tiny_dataset()
     with pytest.raises(MissingSplit):
         evaluate(_tiny_model(), ds, "test")
+
+
+def test_evaluate_refuses_an_empty_split_before_prepare(monkeypatch):
+    ds = _tiny_dataset()
+    ds.splits["test"] = ds.split("train")[:0]
+    model = _tiny_model()
+    monkeypatch.setattr(model, "prepare", lambda batch: pytest.fail("prepared"))
+    with pytest.raises(MissingSplit, match="split 'test' has no samples"):
+        evaluate(model, ds, "test")
 
 
 def test_evaluate_gain_columns():
