@@ -145,13 +145,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     model = load_model(args.ckpt)
-    baseline = None
+    rows = {"model": evaluate(model, dataset, args.split)}
     if args.baseline_ckpt:
-        baseline = evaluate(load_model(args.baseline_ckpt), dataset, args.split)
-    table = evaluate(model, dataset, args.split, baseline)
-    rows = {"model": table}
-    if baseline:
-        rows["baseline"] = baseline
+        rows["baseline"] = evaluate(load_model(args.baseline_ckpt), dataset, args.split)
+        rows["model"].update(gains(rows["baseline"], rows["model"]))
     print(format_metric_table(rows))
     if args.out:
         out = _out_dir(args)

@@ -241,14 +241,25 @@ def _manifest_dims(system: str, records) -> dict:
 
 def save_dataset(dataset: Dataset, directory, dtype="float64") -> Path:
     """Write ``dataset`` to ``directory``.  A ``dtype`` outside
-    ``WRITABLE_DTYPES`` raises ValueError, and a split that ``load_dataset``
-    would refuse for its values (checked after the cast to ``dtype``)
-    DatasetFormatError, before any file is written."""
+    ``WRITABLE_DTYPES`` raises ValueError; a split whose system, grid or
+    names differ from the dataset's, or that ``load_dataset`` would refuse
+    for its values (checked after the cast to ``dtype``), raises
+    DatasetFormatError.  Both are raised before any file is written."""
     if dtype not in WRITABLE_DTYPES:
         raise ValueError(f"dtype must be one of {WRITABLE_DTYPES}, got {dtype!r}")
     first = next((split for split in dataset.splits.values() if len(split)), None)
     if first is None:
         raise ValueError("dataset has no samples")
+
+    def layout(batch):
+        """A split's system, grid, and field, constant and target names."""
+        return batch.system, batch.grid, *(sorted(getattr(batch, kind))
+                                           for kind in ("fields", "constants", "targets"))
+    want = (dataset.system, dataset.grid, *layout(first)[2:])
+    for name, split in dataset.splits.items():
+        if layout(split) != want:
+            raise DatasetFormatError(f"split {name!r} is {layout(split)}, "
+                                     f"not the dataset's {want}")
     directory = Path(directory)
     records = [*(("field", n) for n in first.fields),
                *(("constant", n) for n in first.constants), ("time", "t_final"),

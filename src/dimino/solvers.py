@@ -4,9 +4,9 @@ All solvers run in double precision on periodic grids.  Nonlinear products
 are 2/3-rule dealiased; advection-dominated systems use an integrating-factor
 RK4 (diffusion exact in spectral space), the stiff diffusion-reaction system
 uses Strang splitting with an RK4 reaction step.  ``solve_sample`` solves a
-whole ``data.Batch`` and returns its targets as (B, *grid) columns;
-``generate_dataset`` draws rows, stacks them once, and redraws the rows
-whose solve went non-finite.
+whole ``data.Batch`` and returns its targets as (B, *grid) columns.  No
+solver raises: a row whose solve blows up comes back non-finite
+(``finite_rows``), for ``generate_dataset`` to redraw and ``sti`` to refuse.
 
 Time stepping allocates nothing: each solve allocates its stages, stage
 argument and FFT scratch once, and every step writes into them through
@@ -27,7 +27,7 @@ from .spectral import dealias_mask, irfftn, mode_numbers, rfftn, wavenumbers
 
 
 class StepUnstable(Exception):
-    """A solve went non-finite (in ``generate_dataset``: on every draw)."""
+    """A row non-finite on every draw of ``generate_dataset``, or an STI truth row."""
 
 
 # Courant number of the adaptive step count, and the retained fraction of
@@ -58,16 +58,18 @@ class SolverConfig:
             raise ValueError("steps must be >= 1")
 
 
-def _check_finite(arr, step):
-    if not np.all(np.isfinite(arr)):
-        raise StepUnstable(f"solution became non-finite by step {step}")
+def finite_rows(targets: Dict[str, np.ndarray]) -> np.ndarray:
+    """(B,) bool: the rows of {name: (B, *grid)} ``targets`` whose solve did not fail."""
+    return np.all([np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in targets.values()],
+                  axis=0)
 
 
 def solve_advection_analytic(u0: np.ndarray, beta, t, extent: float = 1.0) -> np.ndarray:
-    """Shift u0 by beta*t with spectral interpolation (exact if band-limited)."""
-    k, = wavenumbers(u0.shape, (extent,))
-    shift = np.exp(-1j * k * beta * t)
-    return irfftn(rfftn(u0, (0,)) * shift, u0.shape, (0,))
+    """Shift u0 by beta*t with spectral interpolation (exact if band-limited);
+    ``u0`` is one field (n,) or a stack (B, n) with a beta and t per row or one for all."""
+    k, = wavenumbers(u0.shape[-1:], (extent,))
+    beta, t = (np.reshape(x, np.shape(x) + (1,) * (u0.ndim - 1)) for x in (beta, t))
+    return irfftn(rfftn(u0, (-1,)) * np.exp(-1j * k * beta * t), u0.shape[-1:], (-1,))
 
 
 def _ifrk4(v, n_steps, dt, lin, nonlin):
@@ -138,9 +140,7 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
     ``u0`` is one initial field (n,) or a stack (B, n) with one ``nu`` and
     one ``t`` per row (or one for all).  A stack is solved as one batch and
     equals the row-by-row solves bit for bit: each row keeps its own CFL step
-    count and time step.  A single field raises StepUnstable if its solve
-    goes non-finite; in a stack such a row is returned non-finite, for the
-    caller to redraw.
+    count and time step.  A row whose solve blows up comes back non-finite.
     """
     cfg = cfg or SolverConfig()
     rows = np.atleast_2d(u0)
@@ -171,10 +171,7 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
                -nu[order, None] * k**2, nonlin)
     out = np.empty_like(rows, dtype=np.float64)
     out[order] = irfftn(v, (n,), (-1,))
-    if np.ndim(u0) == 1:
-        _check_finite(out, n_steps[0] - 1)
-        return out[0]
-    return out
+    return out[0] if np.ndim(u0) == 1 else out
 
 
 def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
@@ -185,8 +182,8 @@ def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
     (Ru = u - u^3 - k - v, Rv = u - v) takes an RK4 step.  The closing half
     step of diffusion of one step and the opening half step of the next are
     merged into one full step (first same as last), so n steps take n + 1
-    diffusions.  ``reaction=False`` is a test hook for the pure-diffusion
-    probe.
+    diffusions.  A solve that blows up stops early and comes back non-finite.
+    ``reaction=False`` is a test hook for the pure-diffusion probe.
     """
     cfg = cfg or SolverConfig()
     shape = u0.shape
@@ -234,9 +231,8 @@ def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
             np.add(r1, r4, out=r1)
             np.add(w, np.multiply(dt / 6, r1, out=r1), out=w)
         diffuse(w, full if step < n_steps - 1 else half)
-        if step % 16 == 15:
-            _check_finite(w, step)
-    _check_finite(w, n_steps - 1)
+        if step % 16 == 15 and not np.isfinite(w).all():
+            break
     return w[0], w[1]
 
 
@@ -293,15 +289,12 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
                            out=out)
 
     w_hat = _ifrk4(w_hat[None], [n_steps], [dt], -nu * k2, nonlin)[0]
-    _check_finite(w_hat, n_steps - 1)
     return irfftn(w_hat, shape, (0, 1))
 
 
 def _solve_row(s: Sample, cfg):
     """One row's targets, in the order of TARGETS[s.system]."""
     t, f, c, extent = s.t_final, s.fields, s.constants, s.grid.extent
-    if s.system == "advection1d":
-        return (solve_advection_analytic(f["u"], c["beta"], t, extent[0]),)
     if s.system == "diffreact2d":
         return solve_diffreact_2d(f["u"], f["v"], c["Du"], c["Dv"], c["k"], t, cfg, extent)
     return (solve_ns_vorticity_2d(f["omega"], c["nu"], f["f"], t, cfg, extent),)
@@ -309,29 +302,28 @@ def _solve_row(s: Sample, cfg):
 
 def solve_sample(batch: Batch, cfg: SolverConfig = None) -> Dict[str, np.ndarray]:
     """The reference solver's targets of every row of ``batch``, as
-    {name: (B, *grid)}; a row whose solve went non-finite comes back
-    non-finite, for the caller to redraw or refuse.
+    {name: (B, *grid)}; a row whose solve blew up comes back non-finite,
+    for the caller to redraw or refuse.
 
-    burgers1d is solved as one stack, each row with its own nu, t_final and
-    step count: that pays where per-call overhead dominates, as on its 128
-    points.  The other systems are solved row by row, each solve reusing
-    its own step buffers; an allocation-free stacked prototype ran at
-    0.82-0.91x of the per-row speed for ns-vorticity2d and 0.88-1.05x for
-    diffreact2d on 4 and 16 rows at 64^2, and gained only on small NS
+    The 1D systems are solved as one stack, each row with its own constant,
+    t_final and step count: that pays where per-call overhead dominates, as
+    on their 128-256 points.  The 2D systems are solved row by row, each
+    solve reusing its own step buffers; an allocation-free stacked prototype
+    ran at 0.82-0.91x of the per-row speed for ns-vorticity2d and 0.88-1.05x
+    for diffreact2d on 4 and 16 rows at 64^2, and gained only on small NS
     grids (1.23x on 8 rows at 32^2).
     """
     if batch.system not in TARGETS:
         raise ValueError(f"unknown system {batch.system!r}")
+    f, c, t, extent = batch.fields, batch.constants, batch.t_final, batch.grid.extent
+    if batch.system == "advection1d":
+        return {"u": solve_advection_analytic(f["u"], c["beta"], t, extent[0])}
     if batch.system == "burgers1d":
-        return {"u": solve_burgers_1d(batch.fields["u"], batch.constants["nu"],
-                                      batch.t_final, cfg, batch.grid.extent[0])}
+        return {"u": solve_burgers_1d(f["u"], c["nu"], t, cfg, extent[0])}
     names = TARGETS[batch.system]
-    out = np.full((len(names), len(batch)) + batch.grid.shape, np.nan)
+    out = np.empty((len(names), len(batch)) + batch.grid.shape)
     for i, row in enumerate(batch):
-        try:
-            out[:, i] = _solve_row(row, cfg)
-        except StepUnstable:
-            pass  # the row stays NaN
+        out[:, i] = _solve_row(row, cfg)
     return dict(zip(names, out))
 
 
@@ -459,9 +451,8 @@ def generate_dataset(system: str, param_ranges: dict = None, n_samples: int = 64
         drawn = Batch.stack([_draw_sample(system, np.random.default_rng([seed, i, attempt]),
                                           grid, t_final, ranges) for i in pending])
         drawn.targets = solve_sample(drawn, cfg)
-        for i, row in zip(pending, drawn):
-            if all(np.isfinite(a).all() for a in row.targets.values()):
-                rows[i] = row
+        for i, row, ok in zip(pending, drawn, finite_rows(drawn.targets)):
+            rows[i] = row if ok else None
         pending = [i for i in pending if rows[i] is None]
         if not pending:
             break

@@ -18,7 +18,7 @@ import numpy as np
 from . import dims
 from .data import Batch
 from .model import DimINOModel
-from .solvers import SolverConfig, StepUnstable, solve_sample
+from .solvers import SolverConfig, StepUnstable, finite_rows, solve_sample
 from .training import rel_metric
 
 
@@ -54,14 +54,15 @@ class STIReport:
 
     def format_table(self) -> str:
         """One column per p; a baseline row appears when it has a value,
-        and a p it has none for (a rollout at non-integer p) reads "-"."""
+        and a p it has none for (a rollout at non-integer p) reads "-".
+        Every cell starts with a space, so a wide value never runs on."""
         def row(label, key, scale, fmt):
             values = [getattr(e, key) for e in self.entries]
             if all(v is None for v in values):
                 return []
             return [f"{label:<22}" + "".join(
-                f"{'-':>12}" if v is None else f"{scale * v:>12{fmt}}" for v in values)]
-        ps = "".join(f"{'p=' + format(e.p, 'g'):>12}" for e in self.entries)
+                f" {'-':>11}" if v is None else f" {scale * v:>11{fmt}}" for v in values)]
+        ps = "".join(f" {'p=' + format(e.p, 'g'):>11}" for e in self.entries)
         return "\n".join([f"{'rel-L2 (1e-2)':<22}" + ps,
                           *row("model", "model_rel_l2", 100, ".3f"),
                           *row("baseline single-shot", "baseline_single_shot", 100, ".3f"),
@@ -91,7 +92,7 @@ def _truth(batch: Batch, cfg: SolverConfig) -> Batch:
     """``batch`` with the targets ``solve_sample`` gives it; a row that went
     non-finite raises StepUnstable."""
     truth = solve_sample(batch, cfg)
-    if not all(np.isfinite(arr).all() for arr in truth.values()):
+    if not finite_rows(truth).all():
         raise StepUnstable(f"a {batch.system} reference solve went non-finite")
     return replace(batch, targets=truth)
 

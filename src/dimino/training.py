@@ -268,9 +268,8 @@ def evaluate_samples(model: DimINOModel, inputs: Inputs, targets: np.ndarray,
     return table
 
 
-def evaluate(model: DimINOModel, dataset: Dataset, split: str,
-             baseline: Dict[str, float] = None) -> Dict[str, float]:
-    """Metric table for a split; adds gain columns when a baseline is given."""
+def evaluate(model: DimINOModel, dataset: Dataset, split: str) -> Dict[str, float]:
+    """Metric table for a split; ``gains`` adds the gain columns over another."""
     try:
         batch = dataset.split(split)
     except KeyError as exc:
@@ -279,8 +278,6 @@ def evaluate(model: DimINOModel, dataset: Dataset, split: str,
         raise MissingSplit(f"split {split!r} has no samples")
     table = evaluate_samples(model, *_prepared(model, batch), dataset.grid.extent)
     table["n"] = len(batch)
-    if baseline:
-        table.update(gains(baseline, table))
     return table
 
 
@@ -308,20 +305,21 @@ def gains(base: Dict[str, float], table: Dict[str, float]) -> Dict[str, float]:
 
 
 def format_metric_table(rows: Dict[str, Dict[str, float]]) -> str:
-    """Rows: model name -> metric dict.  Values reported in units of 1e-2."""
+    """Rows: model name -> metric dict.  Values reported in units of 1e-2;
+    every cell starts with a space, so a wide value never runs into the next."""
     cols = list(METRIC_KINDS) + [f"{k}-gain" for k in METRIC_KINDS]
-    header = f"{'model':<24}" + "".join(f"{c:>14}" for c in cols)
+    header = f"{'model':<24}" + "".join(f" {c:>13}" for c in cols)
     lines = [header]
     for name, table in rows.items():
         cells = []
         for c in cols:
             v = table.get(c)
             if v is None:
-                cells.append(f"{'-':>14}")
+                cells.append(f" {'-':>13}")
             elif c.endswith("gain"):
-                cells.append(f"{100 * v:>13.1f}%")
+                cells.append(f" {100 * v:>12.1f}%")
             else:
-                cells.append(f"{100 * v:>14.3f}")
+                cells.append(f" {100 * v:>13.3f}")
         lines.append(f"{name:<24}" + "".join(cells))
     return "\n".join(lines)
 

@@ -2,6 +2,7 @@ import json
 import shutil
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +486,45 @@ def test_save_refuses_an_unwritable_dtype_and_writes_nothing(tmp_path, dtype):
     with pytest.raises(ValueError, match=r"dtype must be one of \('float32', 'float64'\)"):
         save_dataset(_fixed_dataset(), out, dtype)
     assert not out.exists()
+
+
+def _disagreeing_split(kind):
+    """A split of ``_fixed_dataset`` that disagrees with it in one way."""
+    test = _fixed_dataset().split("test")
+    if kind == "grid":
+        return Batch(test.system, Grid((8, 8), (1.0, 2.0)),
+                     {n: np.zeros((2, 8, 8)) for n in test.fields}, test.constants,
+                     test.t_final, {n: np.zeros((2, 8, 8)) for n in test.targets})
+    if kind == "extent":
+        return replace(test, grid=Grid((4, 4), (1.0, 1.0)))
+    if kind == "system":
+        return replace(test, system="ns-vorticity2d")
+    if kind == "field":
+        return replace(test, fields={"u": test.fields["u"], "w": test.fields["v"]})
+    if kind == "constant":
+        return replace(test, constants={n: c for n, c in test.constants.items() if n != "k"})
+    return replace(test, targets={"u": test.targets["u"]})
+
+
+@pytest.mark.parametrize("kind", ["grid", "extent", "system", "field", "constant", "target"])
+def test_save_refuses_a_split_that_disagrees_with_its_dataset_and_writes_nothing(
+        tmp_path, kind):
+    ds = _fixed_dataset()
+    ds.splits["test"] = _disagreeing_split(kind)
+    out = tmp_path / "d"
+    with pytest.raises(DatasetFormatError, match="split 'test' is"):
+        save_dataset(ds, out)
+    assert not out.exists()
+
+
+def test_save_refuses_a_split_of_another_system_by_name(tmp_path):
+    # an advection1d split in a burgers1d dataset once raised a bare KeyError: 'beta'
+    grid = Grid((16,), (1.0,))
+    ds = generate_dataset("burgers1d", {}, 2, 0, grid, 0.1)
+    ds.splits["test"] = generate_dataset("advection1d", {}, 2, 0, grid, 0.1).split("train")
+    with pytest.raises(DatasetFormatError, match="split 'test' is .'advection1d'"):
+        save_dataset(ds, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
 
 
 def test_load_refuses_a_manifest_dtype_it_cannot_have_written(tmp_path, monkeypatch):

@@ -87,6 +87,19 @@ def test_table_marks_a_rollout_it_has_no_value_for():
         [100 * e.baseline_rollout for e in report.entries[1:]], abs=1e-3)
 
 
+def test_table_never_runs_cells_together():
+    # a value wider than its column once ran into the next cell
+    report = sti.STIReport("burgers1d", 2, [
+        sti.STIEntry(0.5, 1e-13, 2e-12, 5.2e6, baseline_single_shot=3.1e7),
+        sti.STIEntry(1024.0, 1e300, 1e-300, 4.2e9, 1e10, 5.2e6)])
+    lines = report.format_table().splitlines()
+    assert [line[:22].strip() for line in lines] == [
+        "rel-L2 (1e-2)", "model", "baseline single-shot", "baseline rollout",
+        "latent residual", "output-scale residual"]
+    assert [len(line[22:].split()) for line in lines] == [2] * 6
+    assert lines[1][22:].split() == ["520000000.000", "420000000000.000"]
+
+
 def test_system_mismatch_rejected():
     model = DimINOModel(ModelConfig(
         system="burgers1d", in_fields=["u"], target_fields=["u"], rank=1,

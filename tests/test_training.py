@@ -582,8 +582,9 @@ def test_evaluate_refuses_an_empty_split_before_prepare(monkeypatch):
 
 def test_evaluate_gain_columns():
     ds = _tiny_dataset()
-    table = evaluate(_tiny_model(), ds, "train",
-                     baseline={"rel-l2": 1.0, "rel-h1": 1.0, "rel-l1": 1.0})
+    table = evaluate(_tiny_model(), ds, "train")
+    assert not any(k.endswith("-gain") for k in table)
+    table.update(gains({"rel-l2": 1.0, "rel-h1": 1.0, "rel-l1": 1.0}, table))
     assert "rel-l2-gain" in table
     assert table["rel-l2-gain"] == pytest.approx(1.0 - table["rel-l2"])
 
@@ -592,6 +593,15 @@ def test_format_metric_table_layout():
     text = format_metric_table({"m": {"rel-l2": 0.915, "rel-l2-gain": 0.239}})
     assert "91.500" in text
     assert "23.9%" in text
+
+
+def test_format_metric_table_never_runs_cells_together():
+    # a burgers1d twin once printed 519853377.8413149589500.228 for two cells
+    wide = {"rel-l2": 5.2e6, "rel-h1": 3.1e7, "rel-l1": 1e12, "rel-l2-gain": -4.2e9,
+            "rel-h1-gain": -1e13, "rel-l1-gain": None}
+    lines = format_metric_table({"twin": wide, "m": {"rel-l2": 0.5}}).splitlines()
+    assert [len(line.split()) for line in lines] == [7, 7, 7]
+    assert lines[1].split()[1:4] == ["520000000.000", "3100000000.000", "100000000000000.000"]
 
 
 def test_history_json_is_line_delimited():
