@@ -34,9 +34,8 @@ def _default(fn, name):
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out) if args.out else Path("runs") / args.command
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The run directory; a command makes it only as it writes its first file."""
+    return Path(args.out) if args.out else Path("runs") / args.command
 
 
 def _file_hash(path) -> str:
@@ -128,6 +127,7 @@ def cmd_train(args) -> int:
         model = DimINOModel(_model_config_from_args(args, dataset, use_dimnorm))
         model, history = train(model, dataset, cfg)
         ckpt = out / (f"{name}-checkpoint.bin" if args.ablate_gate else "checkpoint.bin")
+        out.mkdir(parents=True, exist_ok=True)
         save_model(model, ckpt)
         (out / f"{name}-history.jsonl").write_text(history_json(history))
         split = "test" if "test" in dataset.splits else "train"
@@ -152,6 +152,7 @@ def cmd_eval(args) -> int:
     print(format_metric_table(rows))
     if args.out:
         out = _out_dir(args)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "metrics.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
         _write_run_record(
             out, args,
@@ -177,6 +178,7 @@ def cmd_sti_check(args) -> int:
         print(f"solver oracle residual at p={max(p_list):g}: {res:.2e}")
     if args.out:
         out = _out_dir(args)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "sti-report.json").write_text(report.to_json() + "\n")
         _write_run_record(
             out, args,

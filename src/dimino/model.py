@@ -152,17 +152,19 @@ def init_params(config: ModelConfig) -> Dict[str, np.ndarray]:
 
 @dataclass
 class Inputs:
-    """A prepared batch, in the model dtype: the network input x
-    (B, *grid, Cin), the log gate inputs log_c (B, m) and the output scales
-    (B, *1, Cout).  The twin has neither, so both are None."""
+    """A prepared batch: in the model dtype, the network input x (B, *grid, Cin),
+    the log gate inputs log_c (B, m) and the output scales (B, *1, Cout), which
+    the twin has not (None); and the targets (B, *grid, Cout) in ``target_fields``
+    order and their own dtype, None for a batch without targets."""
     x: np.ndarray
     log_c: Optional[np.ndarray] = None
     out_scales: Optional[np.ndarray] = None
+    targets: Optional[np.ndarray] = None
 
     def take(self, idx) -> "Inputs":
         """The rows ``idx`` (an index array or a slice) of every array."""
         return Inputs(*(None if a is None else a[idx]
-                        for a in (self.x, self.log_c, self.out_scales)))
+                        for a in (self.x, self.log_c, self.out_scales, self.targets)))
 
 
 @dataclass
@@ -191,7 +193,7 @@ class DimINOModel:
         dimensionless numbers, and the target fields' scales restore the
         output.  The twin's stack ends in constant and prediction-interval
         channels, broadcast over the grid, and the twin gets neither gate
-        nor scales.
+        nor scales.  Both stack a batch's targets, which must hold every target field.
         """
         cfg = self.config
         if batch.system != cfg.system:
@@ -200,12 +202,17 @@ class DimINOModel:
         if set(cfg.in_fields) - set(batch.fields):
             raise FieldSetMismatch(
                 f"sample fields {sorted(batch.fields)} != model fields {cfg.in_fields}")
+        missing = [n for n in cfg.target_fields if n not in batch.targets]
+        if batch.targets and missing:
+            raise FieldSetMismatch(f"sample targets lack the model's target fields {missing}")
+        targets = (np.stack([batch.targets[n] for n in cfg.target_fields], axis=-1)
+                   if batch.targets else None)
         chans = [batch.fields[n] for n in cfg.in_fields]
         if not cfg.use_dimnorm:
             columns = [batch.constants[n] for n in cfg.constant_names] + [batch.t_final]
             chans += [np.broadcast_to(c.reshape((-1,) + (1,) * (chans[0].ndim - 1)), chans[0].shape)
                       for c in columns]
-            return Inputs(np.stack(chans, axis=-1).astype(cfg.dtype, copy=False))
+            return Inputs(np.stack(chans, axis=-1).astype(cfg.dtype, copy=False), targets=targets)
         x = np.stack(chans, axis=-1)
         scales = dims.characteristic_scales_from_sample(batch)
 
@@ -215,7 +222,7 @@ class DimINOModel:
         x /= column(cfg.in_fields).astype(x.dtype)
         log_c = np.log(dims.compute_dimensionless(dims.REGISTRY[cfg.system], scales))
         return Inputs(x.astype(cfg.dtype, copy=False), log_c.astype(cfg.dtype),
-                      column(cfg.target_fields).astype(cfg.dtype))
+                      column(cfg.target_fields).astype(cfg.dtype), targets)
 
     # -- forward ----------------------------------------------------------
 

@@ -5,6 +5,8 @@ both versions, and scores (a) invariance of the dimensionless prediction,
 (b) correctness of the output scaling, and (c) prediction error against
 solver ground truth at the stretched horizon.  A solver-only oracle checks
 that the solver itself obeys the invariance before any model is blamed.
+Every error against a truth is one ``training.mean_error`` call, the rule
+``dimino eval`` reports; the two residuals stay means of whole-row ``rel_metric``.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from . import dims
 from .data import Batch
 from .model import DimINOModel
 from .solvers import SolverConfig, StepUnstable, finite_rows, solve_sample
-from .training import rel_metric
+from .training import mean_error, rel_metric
 
 
 class SpecMismatch(Exception):
@@ -82,12 +84,6 @@ def _is_power_of_two(p: float) -> bool:
     return math.frexp(p)[0] == 0.5
 
 
-def _field_rel_l2(pred: np.ndarray, names, targets) -> float:
-    """Mean rel-L2 of ``pred[..., j]`` against ``targets[names[j]]``, in (row, field) order."""
-    return float(np.mean(np.stack([rel_metric("rel-l2", pred[..., j], targets[name])
-                                   for j, name in enumerate(names)], axis=-1)))
-
-
 def _truth(batch: Batch, cfg: SolverConfig) -> Batch:
     """``batch`` with the targets ``solve_sample`` gives it; a row that went
     non-finite raises StepUnstable."""
@@ -107,7 +103,8 @@ def sti_check(model: DimINOModel, batch: Batch, p_list,
     Ground truth at the stretched horizon comes from the reference solver,
     not from model rollout, and a truth row that goes non-finite raises
     StepUnstable.  The batch is solved once at p = 1, and the model's input
-    at p is ``dims.similar_transform`` of that truth batch.  For a system in
+    at p is ``dims.similar_transform`` of that truth batch, prepared with
+    the truth it is scored against.  For a system in
     EXACT_SOLVER_SYMMETRY and p a power of two, the transformed targets are
     the truth at p: the continuous PDE maps exactly under the rule, and the
     solver agrees bit for bit because scaling by a power of two is exact in
@@ -137,37 +134,36 @@ def sti_check(model: DimINOModel, batch: Batch, p_list,
 
     report = STIReport(system, len(batch))
     targets = model.config.target_fields
-    base = model.forward(batch)
-    base_pred, base_star = base.output.data, base.u_star.data
     truth = _truth(batch, solver_cfg)
+    base_inputs = model.prepare(truth)
+    base = model.forward(base_inputs)
+    base_pred, base_star = base.output.data, base.u_star.data
     predicted = replace(truth, targets={name: base_pred[..., j].astype(np.float64)
                                         for j, name in enumerate(targets)})
     for p in p_list:
         transformed = dims.similar_transform(truth, p)
-        if p == 1.0:
-            pred, star = base_pred, base_star
-        else:
-            result = model.forward(transformed)
-            pred, star = result.output.data, result.u_star.data
         if not (p == 1.0 or system in EXACT_SOLVER_SYMMETRY and _is_power_of_two(p)):
             transformed = _truth(transformed, solver_cfg)
+        inputs = base_inputs if p == 1.0 else model.prepare(transformed)
+        result = base if p == 1.0 else model.forward(inputs)
+        pred, star = result.output.data, result.u_star.data
         expected = dims.similar_transform(predicted, p).targets
         entry = STIEntry(
             p=p,
             latent_residual=float(np.mean(rel_metric("rel-l2", star, base_star))),
             output_scaling_residual=float(np.mean(rel_metric(
                 "rel-l2", pred, np.stack([expected[name] for name in targets], axis=-1)))),
-            model_rel_l2=_field_rel_l2(pred, targets, transformed.targets),
+            model_rel_l2=mean_error("rel-l2", pred, inputs.targets),
         )
         if baseline is not None:
-            names = baseline.config.target_fields
-            entry.baseline_single_shot = _field_rel_l2(
-                baseline.predict(transformed), names, transformed.targets)
+            b_inputs = baseline.prepare(transformed)
+            entry.baseline_single_shot = mean_error(
+                "rel-l2", baseline.predict(b_inputs), b_inputs.targets)
             if p == 1.0:
                 entry.baseline_rollout = entry.baseline_single_shot
             elif p.is_integer():
-                entry.baseline_rollout = _field_rel_l2(
-                    _baseline_rollout(baseline, transformed, int(p)), names, transformed.targets)
+                entry.baseline_rollout = mean_error(
+                    "rel-l2", _baseline_rollout(baseline, transformed, int(p)), b_inputs.targets)
         report.entries.append(entry)
     return report
 
@@ -194,5 +190,5 @@ def solver_sti_oracle(batch: Batch, p: float, cfg: SolverConfig = None) -> float
     truth = dims.similar_transform(_truth(batch, cfg), p)
     moved = _truth(truth, cfg)
     names = list(truth.targets)
-    return _field_rel_l2(np.stack([moved.targets[n] for n in names], axis=-1), names,
-                         truth.targets)
+    return mean_error("rel-l2", *(np.stack([b.targets[n] for n in names], axis=-1)
+                                  for b in (moved, truth)))

@@ -1,4 +1,7 @@
-"""Losses, metrics, optimizer, and the training/evaluation loop."""
+"""Losses, metrics, optimizer, and the training/evaluation loop.
+
+``mean_error`` is the one rule that turns prediction and target stacks into a
+reported error: every validation value, ``evaluate`` metric and STI error row."""
 from __future__ import annotations
 
 import json
@@ -11,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import spectral
 from .data import Batch, Dataset
-from .model import DimINOModel, Inputs
+from .model import DimINOModel, FieldSetMismatch, Inputs
 
 METRIC_KINDS = ("rel-l2", "rel-h1", "rel-l1")
 LOSS_KINDS = ("h1", "l2")
@@ -67,6 +70,17 @@ def rel_metric(kind: str, pred: np.ndarray, target: np.ndarray,
     else:
         raise ValueError(f"unknown metric kind {kind!r}")
     return np.divide(num, den, out=num, where=den != 0).astype(np.float64)
+
+
+def mean_error(kind: str, pred: np.ndarray, target: np.ndarray, extent=None) -> float:
+    """Mean ``rel_metric`` of (B, *grid, C) stacks over their (row, field)
+    pairs, scored as C-contiguous field-major (B*C, *grid) copies (a strided
+    slab would change numpy's summation order), and folded in (row, field)
+    order by ``np.cumsum`` (``np.sum`` and ``np.mean`` would sum pairwise)."""
+    pred, target = (np.ascontiguousarray(np.moveaxis(x, -1, 1)).reshape(-1, *x.shape[1:-1])
+                    for x in (pred, target))
+    scores = rel_metric(kind, pred, target, extent)
+    return float(np.cumsum(scores)[-1]) / scores.size
 
 
 def build_loss(kind: str, out: ad.Tensor, target: np.ndarray, rank: int,
@@ -188,8 +202,8 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     """Train with Adam; retains the best-valid checkpoint.
 
     Fully deterministic for a fixed (cfg.seed, single-thread BLAS).  The
-    train and valid splits are prepared and their targets stacked once; each
-    step gathers its rows.  One ``ad.Workspace`` serves every step and every
+    train and valid splits are prepared, targets included, once; each step
+    gathers its rows.  One ``ad.Workspace`` serves every step and every
     validation pass of the call, and Adam updates the parameters packed into
     one flat array per dtype (``model.params`` holds views of them until the
     best checkpoint is restored); both give the bits of the plain loop.
@@ -200,8 +214,8 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     n_valid = max(1, int(round(cfg.valid_frac * len(samples))))
     if n_valid >= len(samples):
         raise ValueError("dataset too small to split")
-    inputs, targets = _prepared(model, samples[perm[n_valid:]])
-    valid_inputs, valid_targets = _prepared(model, samples[perm[:n_valid]])
+    inputs = _scored_inputs(model, samples[perm[n_valid:]])
+    valid_inputs = _scored_inputs(model, samples[perm[:n_valid]])
 
     flat = _FlatParams(model.params)
     model.params = flat.views
@@ -213,19 +227,19 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     with ad.Workspace():
         for epoch in range(cfg.epochs):
             lr = _lr_at(cfg, epoch)
-            order = np.random.default_rng([cfg.seed, epoch]).permutation(len(targets))
+            order = np.random.default_rng([cfg.seed, epoch]).permutation(len(inputs.x))
             losses = []
             for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-                idx = order[start:start + cfg.batch_size]
-                result = model.forward(inputs.take(idx), train=True)
-                loss = build_loss(cfg.loss, result.output, targets[idx], rank, extent)
+                batch = inputs.take(order[start:start + cfg.batch_size])
+                result = model.forward(batch, train=True)
+                loss = build_loss(cfg.loss, result.output, batch.targets, rank, extent)
                 if not np.isfinite(loss.data):
                     raise NaNLoss(epoch, step)
                 if lr > 0:
                     result.tape.backward(loss)
                     adam_step(flat.flat, flat.gather(result.leaves), state, lr)
                 losses.append(float(loss.data))
-            metrics = evaluate_samples(model, valid_inputs, valid_targets, extent)
+            metrics = evaluate_samples(model, valid_inputs, extent)
             record = {
                 "epoch": epoch,
                 "lr": lr,
@@ -246,26 +260,20 @@ def train(model: DimINOModel, dataset: Dataset, cfg: TrainConfig
     return model, history
 
 
-def _prepared(model: DimINOModel, batch: Batch) -> Tuple[Inputs, np.ndarray]:
-    """``model.prepare(batch)`` and the batch's target columns stacked to
-    (B, *grid, C)."""
-    names = model.config.target_fields
-    return model.prepare(batch), np.stack([batch.targets[n] for n in names], axis=-1)
+def _scored_inputs(model: DimINOModel, batch: Batch) -> Inputs:
+    """``model.prepare(batch)``; a batch without targets raises FieldSetMismatch."""
+    inputs = model.prepare(batch)
+    if inputs.targets is None:
+        raise FieldSetMismatch(f"the samples lack every target field {model.config.target_fields}")
+    return inputs
 
 
-def evaluate_samples(model: DimINOModel, inputs: Inputs, targets: np.ndarray,
-                     extent) -> Dict[str, float]:
-    """Mean per-sample, per-target-field metrics of prepared ``inputs``
-    against their stacked ``targets`` (B, *grid, C), each folded in (row, field)
-    order by ``np.cumsum`` (``np.sum`` and ``np.mean`` would sum pairwise)."""
+def evaluate_samples(model: DimINOModel, inputs: Inputs, extent) -> Dict[str, float]:
+    """``mean_error`` of each metric kind: prepared ``inputs``, predicted
+    ``EVAL_BATCH`` rows at a time, against their targets."""
     pred = np.concatenate([model.predict(inputs.take(slice(start, start + EVAL_BATCH)))
-                           for start in range(0, len(targets), EVAL_BATCH)])
-    table = {}
-    for k in METRIC_KINDS:
-        scores = np.stack([rel_metric(k, pred[..., j], targets[..., j], extent)
-                           for j in range(targets.shape[-1])], axis=-1)
-        table[k] = float(np.cumsum(scores)[-1]) / scores.size
-    return table
+                           for start in range(0, len(inputs.x), EVAL_BATCH)])
+    return {k: mean_error(k, pred, inputs.targets, extent) for k in METRIC_KINDS}
 
 
 def evaluate(model: DimINOModel, dataset: Dataset, split: str) -> Dict[str, float]:
@@ -276,7 +284,7 @@ def evaluate(model: DimINOModel, dataset: Dataset, split: str) -> Dict[str, floa
         raise MissingSplit(str(exc)) from exc
     if not len(batch):
         raise MissingSplit(f"split {split!r} has no samples")
-    table = evaluate_samples(model, *_prepared(model, batch), dataset.grid.extent)
+    table = evaluate_samples(model, _scored_inputs(model, batch), dataset.grid.extent)
     table["n"] = len(batch)
     return table
 
@@ -286,13 +294,13 @@ def grad_check_model(model: DimINOModel, batch: Batch, loss_kind: str = "l2",
     """Finite-difference check of the full forward/backward pipeline at
     ``GRAD_CHECK_SAMPLES`` coordinates of each parameter."""
     names = list(model.params)
-    target = np.stack([batch.targets[n] for n in model.config.target_fields], axis=-1)
+    inputs = _scored_inputs(model, batch)
     rank = model.config.rank
 
     def f(*leaves):
         ld = dict(zip(names, leaves))
-        result = model.forward(batch, tape=leaves[0].tape, leaves=ld)
-        return build_loss(loss_kind, result.output, target, rank)
+        result = model.forward(inputs, tape=leaves[0].tape, leaves=ld)
+        return build_loss(loss_kind, result.output, inputs.targets, rank)
 
     return ad.grad_check(f, [model.params[n] for n in names], n_sample=GRAD_CHECK_SAMPLES,
                          seed=seed)

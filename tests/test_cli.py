@@ -83,15 +83,24 @@ def test_gen_data_unknown_system_is_usage_error(capsys):
     (["--param", "nu"], "two numbers LO,HI"),
     (["--param", "nu,1e-3,1e-2,1"], "two numbers LO,HI"),
     (["--grid", "16,16"], "burgers1d needs a 1D grid, got points (16, 16)"),
+    (["--grid", "16", "--solver-steps", "0"], "steps must be >= 1"),
 ], ids=["misspelled-name", "lo-above-hi", "zero-lo", "missing-hi", "no-bounds",
-        "extra-field", "2d-grid"])
+        "extra-field", "2d-grid", "zero-solver-steps"])
 def test_gen_data_bad_param_or_grid_exits_one(tmp_path, capsys, extra, message):
+    # a failed command leaves no output directory behind, empty or not
     argv = ["gen-data", "--system", "burgers1d", "--n", "1", "--t", "0.1",
             "--out", str(tmp_path / "d"), *extra]
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    assert not (tmp_path / "d" / "manifest.json").exists()
+    assert not (tmp_path / "d").exists()
+
+
+def test_train_on_a_missing_dataset_exits_one_and_makes_no_directory(tmp_path, capsys):
+    assert run(["train", "--data", str(tmp_path / "nowhere"), "--out",
+                str(tmp_path / "t")]) == 1
+    assert "nowhere/manifest.json" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
@@ -104,7 +113,7 @@ def test_gen_data_refuses_a_dataset_its_dtype_cannot_hold(tmp_path, capsys):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "train.bin: a field is not finite" in err
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_train_writes_checkpoint_metrics_history(trained):

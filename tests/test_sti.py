@@ -11,7 +11,7 @@ from dimino.data import Batch, Grid
 from dimino.model import DimINOModel, ModelConfig
 from dimino.solvers import SolverConfig, StepUnstable, generate_dataset, solve_sample
 from dimino.sti import SpecMismatch, solver_sti_oracle, sti_check
-from dimino.training import rel_metric
+from dimino.training import evaluate, rel_metric
 
 # system -> (in_fields, target_fields, rank)
 _MODEL_FIELDS = {
@@ -30,12 +30,28 @@ def _model(system, use_dimnorm=True, precision="f64"):
     ))
 
 
+_NS_RANGES = {"nu": (5e-3, 1e-2), "amp": (1.0, 2.0), "f_amp": (0.02, 0.05)}
+
+
 def _ns_samples(n=2, seed=0):
     grid = Grid((16, 16), (1.0, 1.0))
-    ranges = {"nu": (5e-3, 1e-2), "amp": (1.0, 2.0), "f_amp": (0.02, 0.05)}
-    ds = generate_dataset("ns-vorticity2d", ranges, n, seed, grid, 0.5,
+    ds = generate_dataset("ns-vorticity2d", _NS_RANGES, n, seed, grid, 0.5,
                           SolverConfig(steps=64))
     return ds.split("train")
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("gated", [True, False], ids=["gated", "twin"])
+def test_eval_and_sti_check_agree_at_p_one(seed, gated):
+    """Both report the mean rel-L2 over (row, field) pairs by one rule and
+    one fold, so 16 rows give the same bits; a pairwise sum (np.mean's, from
+    8 values on) makes seeds 3 and 5 disagree in the last bits."""
+    ds = generate_dataset("ns-vorticity2d", _NS_RANGES, 16, seed, Grid((16, 16), (1.0, 1.0)),
+                          0.5, split="test")
+    model = DimINOModel(ModelConfig("ns-vorticity2d", ["omega", "f"], ["omega"], 2, width=8,
+                                    depth=2, modes=4, use_dimnorm=gated, init_seed=seed))
+    report = sti_check(model, ds.split("test"), [1.0])
+    assert evaluate(model, ds, "test")["rel-l2"] == report.entries[0].model_rel_l2
 
 
 def test_p_equal_one_has_zero_residuals():
@@ -212,7 +228,8 @@ def test_solver_oracle_rejects_bad_p():
 
 def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
     """Reference sweep: a second forward and a fresh solver run for every p,
-    a row-by-row baseline rollout, and every error scored one row at a time."""
+    a row-by-row baseline rollout, and every error scored one row at a time
+    and summed in (row, field) order."""
     system = samples.system
     rule = dims.similarity_exponents(system)
     p_list = sorted(set(float(p) for p in p_list) | {1.0})
@@ -224,9 +241,12 @@ def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
     def row_err(pred, ref):
         return rel_metric("rel-l2", pred[None], ref[None])[0]
 
+    def fold(errs):
+        return float(sum(errs) / len(errs))
+
     def mean_err(pred, names, truth):
-        return float(np.mean([row_err(pred[i, ..., j], truth[name][i])
-                              for i in range(n) for j, name in enumerate(names)]))
+        return fold([row_err(pred[i, ..., j], truth[name][i])
+                     for i in range(n) for j, name in enumerate(names)])
 
     for p in p_list:
         transformed = dims.similar_transform(samples, p)
@@ -255,9 +275,8 @@ def _per_p_solve_sti_check(model, samples, p_list, baseline, solver_cfg):
                         fields[name] = rolled[i, ..., j]
                     nxt.append(replace(s, fields=fields))
                 current = nxt
-            entry.baseline_rollout = float(np.mean(
-                [row_err(s.fields[name], truth[name][i])
-                 for i, s in enumerate(current) for name in names]))
+            entry.baseline_rollout = fold([row_err(s.fields[name], truth[name][i])
+                                           for i, s in enumerate(current) for name in names])
         report.entries.append(entry)
     return report
 

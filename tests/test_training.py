@@ -1,7 +1,10 @@
+import ast
 import math
 import resource
 import sys
 import warnings
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dimino.data import Batch, Dataset, Grid
 from dimino import spectral, training
 from dimino.dims import EPS_FLOOR, similar_transform
-from dimino.model import DimINOModel, ModelConfig, load_model, save_model
+from dimino.model import DimINOModel, FieldSetMismatch, ModelConfig, load_model, save_model
 from dimino.solvers import generate_dataset
 from dimino.training import (
     LOSS_FLOOR,
@@ -29,6 +32,7 @@ from dimino.training import (
     _FlatParams,
     _lr_at,
     history_json,
+    mean_error,
     rel_metric,
     train,
 )
@@ -57,13 +61,13 @@ def _field_rel_metric(kind, pred, target, extent=None) -> float:
 
 
 @st.composite
-def metric_cases(draw):
+def metric_cases(draw, max_rows=5):
     """(kind, pred, target, extent): a (B, *grid, C) stack in float32 or
     float64, some of whose target rows are zero."""
     rank = draw(st.integers(1, 2))
     sizes = [2, 3, 6, 8, 16, 64, 256] if rank == 1 else [2, 3, 4, 8, 16, 32]
     grid = tuple(draw(st.sampled_from(sizes)) for _ in range(rank))
-    rows, channels = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rows, channels = draw(st.integers(1, max_rows)), draw(st.integers(1, 3))
     extent = draw(st.none() | st.tuples(*[st.sampled_from([0.25, 1.0, 3.0])] * rank))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
@@ -94,6 +98,57 @@ def test_rel_metric_scores_each_row_by_the_per_field_rule(case):
         want = np.array([_field_rel_metric(kind, pi, ti, ext) for pi, ti in zip(p, t)])
         assert got.dtype == np.float64 and got.shape == (len(p),)
         assert np.array_equal(got, want)
+
+
+@given(case=metric_cases(max_rows=12))
+@settings(max_examples=200, deadline=None)
+def test_mean_error_folds_the_per_field_rule_in_row_field_order(case):
+    """mean_error is, bit for bit, the per-field rule on each [i, ..., j]
+    slab, summed one (row, field) pair at a time; up to 36 pairs, so the fold
+    crosses the 8 values from which np.sum and np.mean sum pairwise."""
+    kind, pred, target, extent = case
+    total = 0.0
+    for i in range(len(pred)):
+        for j in range(pred.shape[-1]):
+            total += _field_rel_metric(kind, pred[i, ..., j], target[i, ..., j], extent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mean_error(kind, pred, target, extent)
+    assert got == total / (pred.shape[0] * pred.shape[-1])
+
+
+def _rel_metric_calls(tree):
+    """(scope, keyword) of each call of rel_metric: the dotted name of the
+    enclosing function and the keyword argument the call sits in, if any."""
+    calls = []
+
+    def visit(node, scope, keyword):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name], None)
+                continue
+            if isinstance(child, ast.Call) and "rel_metric" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                calls.append((".".join(scope), keyword))
+            visit(child, scope, child.arg if isinstance(child, ast.keyword) else keyword)
+    visit(tree, [], None)
+    return calls
+
+
+def test_only_mean_error_and_the_sti_residuals_call_rel_metric():
+    # every reported error is one mean_error call; the two STI residuals
+    # keep their whole-row rule, so a third rule cannot creep back in
+    assert _rel_metric_calls(ast.parse(
+        "def f():\n    rel_metric(a)\nclass C:\n    def g(self):\n"
+        "        E(x=m.rel_metric(b), y=h(rel_metric(c)))\n")) == [
+        ("f", None), ("C.g", "x"), ("C.g", "y")]
+    calls = []
+    for path in sorted(Path(training.__file__).parent.glob("*.py")):
+        calls += [(f"{path.stem}.{scope}", kw)
+                  for scope, kw in _rel_metric_calls(ast.parse(path.read_text()))]
+    assert sorted(calls) == [("sti.sti_check", "latent_residual"),
+                             ("sti.sti_check", "output_scaling_residual"),
+                             ("training.mean_error", None)]
 
 
 @pytest.mark.parametrize("kind", ["rel-l2", "rel-h1", "rel-l1"])
@@ -578,6 +633,26 @@ def test_evaluate_refuses_an_empty_split_before_prepare(monkeypatch):
     monkeypatch.setattr(model, "prepare", lambda batch: pytest.fail("prepared"))
     with pytest.raises(MissingSplit, match="split 'test' has no samples"):
         evaluate(model, ds, "test")
+
+
+@pytest.mark.parametrize("targets, message", [
+    (["u"], r"sample targets lack the model's target fields \['v'\]"),
+    ([], r"the samples lack every target field \['u', 'v'\]"),
+], ids=["partial", "none"])
+def test_a_batch_without_the_models_targets_is_refused_before_any_forward(
+        targets, message, monkeypatch):
+    # the split's targets hold `targets` of the fields u and v
+    batch = random_batch("diffreact2d", range(6), with_targets=True)
+    batch = replace(batch, targets={n: batch.targets[n] for n in targets})
+    ds = Dataset("diffreact2d", batch.grid, {"train": batch, "test": batch})
+    model = DimINOModel(ModelConfig("diffreact2d", ["u", "v"], ["u", "v"], 2, width=6,
+                                    depth=2, modes=4))
+    monkeypatch.setattr(DimINOModel, "forward", lambda *a, **k: pytest.fail("forward"))
+    for call in (lambda: evaluate(model, ds, "test"),
+                 lambda: train(model, ds, TrainConfig(epochs=1)),
+                 lambda: grad_check_model(model, ds.split("train"))):
+        with pytest.raises(FieldSetMismatch, match=message):
+            call()
 
 
 def test_evaluate_gain_columns():
