@@ -25,10 +25,9 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from . import spectral
-from .spectral import _out
+from .spectral import _out, erf
 
 
 class AutodiffError(Exception):

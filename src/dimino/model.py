@@ -180,7 +180,7 @@ class DimINOModel:
         self.config = config
         self.params = params if params is not None else init_params(config)
 
-    def prepare(self, batch: Batch) -> Inputs:
+    def prepare(self, batch: Batch, targets: bool = True) -> Inputs:
         """The model's input stage: network input, gate inputs and output
         scales of a Batch.  It depends on no parameter, so a batch of
         prepared rows is a row gather (``Inputs.take``).
@@ -193,7 +193,8 @@ class DimINOModel:
         dimensionless numbers, and the target fields' scales restore the
         output.  The twin's stack ends in constant and prediction-interval
         channels, broadcast over the grid, and the twin gets neither gate
-        nor scales.  Both stack a batch's targets, which must hold every target field.
+        nor scales.  Both stack a batch's targets, which must hold every
+        target field; with ``targets=False`` the targets are not read.
         """
         cfg = self.config
         if batch.system != cfg.system:
@@ -202,17 +203,18 @@ class DimINOModel:
         if set(cfg.in_fields) - set(batch.fields):
             raise FieldSetMismatch(
                 f"sample fields {sorted(batch.fields)} != model fields {cfg.in_fields}")
-        missing = [n for n in cfg.target_fields if n not in batch.targets]
-        if batch.targets and missing:
-            raise FieldSetMismatch(f"sample targets lack the model's target fields {missing}")
-        targets = (np.stack([batch.targets[n] for n in cfg.target_fields], axis=-1)
-                   if batch.targets else None)
+        stacked = None
+        if targets and batch.targets:
+            missing = [n for n in cfg.target_fields if n not in batch.targets]
+            if missing:
+                raise FieldSetMismatch(f"sample targets lack the model's target fields {missing}")
+            stacked = np.stack([batch.targets[n] for n in cfg.target_fields], axis=-1)
         chans = [batch.fields[n] for n in cfg.in_fields]
         if not cfg.use_dimnorm:
             columns = [batch.constants[n] for n in cfg.constant_names] + [batch.t_final]
             chans += [np.broadcast_to(c.reshape((-1,) + (1,) * (chans[0].ndim - 1)), chans[0].shape)
                       for c in columns]
-            return Inputs(np.stack(chans, axis=-1).astype(cfg.dtype, copy=False), targets=targets)
+            return Inputs(np.stack(chans, axis=-1).astype(cfg.dtype, copy=False), targets=stacked)
         x = np.stack(chans, axis=-1)
         scales = dims.characteristic_scales_from_sample(batch)
 
@@ -222,16 +224,17 @@ class DimINOModel:
         x /= column(cfg.in_fields).astype(x.dtype)
         log_c = np.log(dims.compute_dimensionless(dims.REGISTRY[cfg.system], scales))
         return Inputs(x.astype(cfg.dtype, copy=False), log_c.astype(cfg.dtype),
-                      column(cfg.target_fields).astype(cfg.dtype), targets)
+                      column(cfg.target_fields).astype(cfg.dtype), stacked)
 
     # -- forward ----------------------------------------------------------
 
     def forward(self, batch: Union[Batch, Inputs], train: bool = False,
                 tape: Tape = None, leaves: Dict[str, Tensor] = None) -> ForwardResult:
-        """Run a Batch, or the Inputs ``prepare`` already made of one."""
+        """Run a Batch, or the Inputs ``prepare`` already made of one.  A
+        Batch's targets are not read."""
         cfg = self.config
         if not isinstance(batch, Inputs):
-            batch = self.prepare(batch)
+            batch = self.prepare(batch, targets=False)
         spatial = batch.x.shape[1:-1]
         if cfg.modes > spatial[-1] // 2 or (cfg.rank == 2 and 2 * cfg.modes > spatial[0]):
             raise ModeOverflow(

@@ -5,7 +5,7 @@ import struct
 import tempfile
 import tracemalloc
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +215,32 @@ def test_f32_precision_runs_in_single():
     model = DimINOModel(small_config(precision="f32"))
     out = model.predict(random_batch("ns-vorticity2d"))
     assert out.dtype == np.float32
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_predict_reads_no_targets(gated):
+    """predict gives the same bits with and without a batch's targets, and
+    stacks no (B, *grid, Cout) target array for a batch that has them."""
+    model = DimINOModel(small_config(use_dimnorm=gated))
+    batch = random_batch("ns-vorticity2d", range(16), with_targets=True)
+    bare = replace(batch, targets={})
+    stack_bytes = batch.targets["omega"].nbytes
+
+    def peak(b):
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            out = model.predict(b)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    model.predict(batch)  # fills the cached DFT bases
+    (with_targets, peak_with), (without, peak_without) = peak(batch), peak(bare)
+    assert np.array_equal(with_targets, without)
+    assert peak_with - peak_without < stack_bytes // 2
 
 
 # Each system's input and target fields, as generate_dataset writes them.

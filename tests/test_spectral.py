@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -266,30 +270,69 @@ def test_irfftn_refuses_a_spectrum_outside_the_real_fft_layout(last_modes):
         spectral.irfftn(y, (8, 2 * last_modes - 2), (0, 1))
 
 
-def _fft_imports(tree):
-    """Names of every scipy.fft / numpy.fft import or attribute use in a module."""
-    fft_modules = {"scipy.fft", "numpy.fft"}
+def _names_scipy_or_fft(module: str) -> bool:
+    return any(module == m or module.startswith(m + ".") for m in ("scipy", "numpy.fft"))
+
+
+def _scipy_and_fft_uses(tree):
+    """Every scipy import or string constant naming a scipy module, and every
+    numpy.fft import or attribute use, in a module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            yield from (a.name for a in node.names
-                        if any(a.name.startswith(m) for m in fft_modules))
+            yield from (a.name for a in node.names if _names_scipy_or_fft(a.name))
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if any(node.module.startswith(m) for m in fft_modules):
+            if _names_scipy_or_fft(node.module):
                 yield node.module
-            elif node.module in ("scipy", "numpy"):
-                yield from (f"{node.module}.{a.name}" for a in node.names if a.name == "fft")
+            elif node.module == "numpy":
+                yield from ("numpy.fft" for a in node.names if a.name == "fft")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.startswith("scipy.")):
+            yield node.value
         elif (isinstance(node, ast.Attribute) and node.attr == "fft"
-              and isinstance(node.value, ast.Name)
-              and node.value.id in ("np", "numpy", "scipy", "sp")):
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
             yield f"{node.value.id}.fft"
 
 
-def test_only_spectral_imports_an_fft_module():
+def test_only_spectral_names_scipy_or_an_fft_module():
     src = Path(spectral.__file__).parent
-    found = {path.name: sorted(set(_fft_imports(ast.parse(path.read_text()))))
+    found = {path.name: sorted(set(_scipy_and_fft_uses(ast.parse(path.read_text()))))
              for path in sorted(src.glob("*.py"))}
-    assert found.pop("spectral.py"), "the guard no longer sees spectral's own import"
+    own = found.pop("spectral.py")
+    assert "numpy.fft" in own and any(name.startswith("scipy.") for name in own), \
+        "the guard no longer sees spectral's own use"
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def _run_fresh(code: str) -> dict:
+    """The JSON that ``code`` prints, run in a fresh interpreter on this dimino."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spectral.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_two_scipy_kernels_and_no_scipy_package():
+    loaded = _run_fresh("import json, sys; import dimino.cli; "
+                        "print(json.dumps(sorted(n for n in sys.modules if n.startswith('scipy'))))")
+    assert loaded == ["scipy.fft._pocketfft.pypocketfft", "scipy.special._special_ufuncs"]
+
+
+@pytest.mark.parametrize("dimino_first", [True, False], ids=["dimino-first", "scipy-first"])
+def test_kernels_are_scipys_own_objects_in_either_import_order(dimino_first):
+    imports = ["from dimino import autodiff, spectral", "import scipy.fft, scipy.special"]
+    checks = _run_fresh("\n".join([
+        "import json, sys",
+        *(imports if dimino_first else imports[::-1]),
+        "import numpy as np",
+        "x = np.random.default_rng(0).standard_normal((6, 8))",
+        "print(json.dumps({",
+        "    'erf': scipy.special.erf is autodiff.erf is spectral.erf,",
+        "    'pocketfft': scipy.fft._pocketfft.basic.pfft is spectral._pocketfft",
+        "                 is sys.modules['scipy.fft._pocketfft.pypocketfft'],",
+        "    'rfftn': bool(np.array_equal(scipy.fft.rfftn(x), spectral.rfftn(x, (0, 1)))),",
+        "}))",
+    ]))
+    assert checks == {"erf": True, "pocketfft": True, "rfftn": True}
 
 
 def _manifest_names(tree):
