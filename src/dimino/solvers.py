@@ -8,11 +8,17 @@ whole ``data.Batch`` and returns its targets as (B, *grid) columns.  No
 solver raises: a row whose solve blows up comes back non-finite
 (``finite_rows``), for ``generate_dataset`` to redraw and ``sti`` to refuse.
 
-Time stepping allocates nothing: each solve allocates its stages, stage
-argument and FFT scratch once, and every step writes into them through
-``out=``.  Each product and sum keeps the operands and the grouping of the
-textbook expression, so the targets are those of the expression form bit
-for bit (``tests/test_solvers.py`` pins each loop against it).
+Time stepping allocates, casts and broadcasts nothing: each solve allocates
+its stages, stage argument and FFT scratch once, and every step writes into
+them through ``out=``.  Every factor a step multiplies by (integrating
+factors, stage coefficients, dealias masks and spectral symbols) is
+expanded once per solve to the complex dtype and full shape of the state it
+multiplies, so no step's ufunc casts a real operand or broadcasts a smaller
+one.  numpy multiplies real by complex by casting the real operand to
+``x + 0j`` and running the complex loop, so the expanded factors give the
+same products.  Each product and sum keeps the operands and the grouping of
+the textbook expression, so the targets are those of the expression form
+bit for bit (``tests/test_solvers.py`` pins each loop against it).
 """
 from __future__ import annotations
 
@@ -81,21 +87,21 @@ def _ifrk4(v, n_steps, dt, lin, nonlin):
     step count, so the rows still running always form a leading block, and
     only that block is advanced; ``nonlin(w, out)`` writes such a block's
     nonlinear term into ``out``.  Each row computes the single-sample
-    expressions with ``(rows, 1, ...)`` columns for its ``dt``, and the
-    loop-invariant factors are hoisted without reordering any product, so
-    every row gets the textbook IF-RK4 bit for bit.  The stages and the
-    stage argument live in buffers allocated once; every product and sum
-    writes into them with its operands in the textbook's order.
+    expressions with its own ``dt``, and the loop-invariant factors are
+    hoisted, in ``v``'s complex dtype and shape, without reordering any
+    product, so every row gets the textbook IF-RK4 bit for bit.  The stages
+    and the stage argument live in buffers allocated once; every product and
+    sum writes into them with its operands in the textbook's order.
 
     Non-finite values are absorbing, so a row that blows up stays non-finite;
     once every running row has (checked every 16 steps) the loop stops early.
     The caller inspects the returned stack.
     """
     dt = np.asarray(dt, dtype=float).reshape((-1,) + (1,) * (v.ndim - 1))
-    e_full = np.exp(lin * dt)
     e_half = np.exp(lin * dt / 2)
-    half_dt, sixth_dt = dt / 2, dt / 6
-    dt_e_half, two_e_half = dt * e_half, 2 * e_half
+    e_full, e_half, half_dt, sixth_dt, dt_e_half, two_e_half = (
+        np.full(v.shape, x, v.dtype)
+        for x in (np.exp(lin * dt), e_half, dt / 2, dt / 6, dt * e_half, 2 * e_half))
     v = v.copy()
     buffers = [np.empty_like(v) for _ in range(6)]
     done = 0
@@ -148,7 +154,6 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
     nu = np.broadcast_to(np.asarray(nu, dtype=float), (b,))
     t = np.broadcast_to(np.asarray(t, dtype=float), (b,))
     k, = wavenumbers((n,), (extent,))
-    mask = dealias_mask((n,), DEALIAS_FRAC).astype(np.complex128)
     if cfg.steps is not None:
         n_steps = np.full(b, cfg.steps)
     else:
@@ -156,15 +161,18 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
         dt_cfl = CFL * (extent / n) / umax
         n_steps = np.maximum(np.ceil(t / dt_cfl).astype(int), 16)
     dt = t / n_steps
-    flux_symbol = -0.5j * k
-    spec, field = np.empty((b, n // 2 + 1), np.complex128), np.empty((b, n))
+    modes = (b, n // 2 + 1)
+    mask, flux_symbol = (np.full(modes, x, np.complex128)
+                         for x in (dealias_mask((n,), DEALIAS_FRAC), -0.5j * k))
+    spec, field = np.empty(modes, np.complex128), np.empty((b, n))
 
     def nonlin(v, out=None):
         """flux_symbol * (rfftn(u * u) * mask), u = irfftn(v * mask)."""
-        vh, u = spec[:len(v)], field[:len(v)]
-        irfftn(np.multiply(v, mask, out=vh), (n,), (-1,), out=u)
+        a = len(v)
+        vh, u, m = spec[:a], field[:a], mask[:a]
+        irfftn(np.multiply(v, m, out=vh), (n,), (-1,), out=u)
         rfftn(np.multiply(u, u, out=u), (-1,), out=vh)
-        return np.multiply(flux_symbol, np.multiply(vh, mask, out=vh), out=out)
+        return np.multiply(flux_symbol[:a], np.multiply(vh, m, out=vh), out=out)
 
     order = np.argsort(-n_steps, kind="stable")
     v = _ifrk4(rfftn(rows[order], (-1,)), n_steps[order].tolist(), dt[order],
@@ -193,7 +201,7 @@ def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
     # u and v share one (2, nx, ny) state, so each diffusion is one stacked
     # transform pair.
     rate = -np.array([Du, Dv])[:, None, None] * (kx**2 + ky**2)
-    half, full = np.exp(rate * dt / 2), np.exp(rate * dt)
+    half, full = (np.exp(x).astype(np.complex128) for x in (rate * dt / 2, rate * dt))
 
     spec = np.empty(rate.shape, np.complex128)
     r1, r2, r3, r4, arg = (np.empty((2,) + shape) for _ in range(5))
@@ -249,10 +257,12 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
     k2 = kx**2 + ky**2
     k2_inv = np.zeros_like(k2)
     k2_inv[k2 > 0] = 1.0 / k2[k2 > 0]
-    mask = dealias_mask(shape, DEALIAS_FRAC).astype(np.complex128)
-    iky, minus_ikx, ikx = 1j * ky, -1j * kx, 1j * kx
-    grads_hat = np.empty((4, 1) + k2.shape, np.complex128)
-    grads, spec = np.empty((4, 1) + shape), np.empty((1,) + k2.shape, np.complex128)
+    modes = (1,) + k2.shape  # one row: the state's shape in _ifrk4
+    k2_inv, mask, iky, minus_ikx, ikx = (
+        np.full(modes, x, np.complex128)
+        for x in (k2_inv, dealias_mask(shape, DEALIAS_FRAC), 1j * ky, -1j * kx, 1j * kx))
+    grads_hat = np.empty((4,) + modes, np.complex128)
+    grads, spec = np.empty((4, 1) + shape), np.empty(modes, np.complex128)
 
     def velocity_and_gradient(w_hat):
         """ux, uy, d(omega)/dx, d(omega)/dy of the (1, nx, ny // 2 + 1)
@@ -308,10 +318,12 @@ def solve_sample(batch: Batch, cfg: SolverConfig = None) -> Dict[str, np.ndarray
     The 1D systems are solved as one stack, each row with its own constant,
     t_final and step count: that pays where per-call overhead dominates, as
     on their 128-256 points.  The 2D systems are solved row by row, each
-    solve reusing its own step buffers; an allocation-free stacked prototype
-    ran at 0.82-0.91x of the per-row speed for ns-vorticity2d and 0.88-1.05x
-    for diffreact2d on 4 and 16 rows at 64^2, and gained only on small NS
-    grids (1.23x on 8 rows at 32^2).
+    solve reusing its own step buffers.  A stacked prototype with the same
+    expanded factors (bit-equal to the per-row solves) ran at 0.91-0.93x and
+    0.82-0.87x of the per-row speed for ns-vorticity2d on 4 and 16 rows at
+    64^2, and at 0.96x and 0.84x for diffreact2d there; it gained only on
+    small NS grids, 1.22-1.43x on 8 rows and 1.08-1.52x on 32 rows at 32^2
+    (two runs, 2-vCPU x86_64 VM, one BLAS thread, default parameter ranges).
     """
     if batch.system not in TARGETS:
         raise ValueError(f"unknown system {batch.system!r}")

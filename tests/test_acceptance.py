@@ -5,6 +5,7 @@ one-line summary with the measured value, so ``pytest -v -s`` doubles as an
 acceptance report.  Budgets (wall-clock ceilings) are asserted where stated.
 """
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -249,46 +250,50 @@ def test_gradient_checks():
     assert elapsed < 300
 
 
+def _paired_run(seed, dimnorm):
+    """One arm of the paired comparison: (test rel-L2, seconds to build,
+    train and evaluate the model)."""
+    grid = Grid((256,), (1.0,))
+    ranges = {"amp": (0.01, 100.0)}
+    tr = generate_dataset("advection1d", ranges, 256, seed, grid, 1.0)
+    te = generate_dataset("advection1d", ranges, 64, seed + 1000, grid, 1.0, split="test")
+    ds = Dataset("advection1d", grid, {"train": tr.split("train"), "test": te.split("test")},
+                 tr.meta)
+    t0 = time.monotonic()
+    model = DimINOModel(
+        ModelConfig(
+            "advection1d", ["u"], ["u"], 1, width=16, depth=4, modes=12,
+            use_dimnorm=dimnorm, init_seed=seed,
+        )
+    )
+    model, _ = train(model, ds, TrainConfig(epochs=200, seed=seed))
+    return evaluate(model, ds, "test")["rel-l2"], time.monotonic() - t0
+
+
 @pytest.mark.slow
-def test_paired_advection_training():
+def test_paired_advection_training(monkeypatch):
     """Median test rel-L2 of the gated model must not exceed the raw twin's.
 
     The comparison regime spreads initial-condition amplitudes over four
     decades: the gated model's nondimensionalized view is invariant to the
-    spread, while the raw twin must absorb it from data.
+    spread, while the raw twin must absorb it from data.  The six (seed, arm)
+    trainings are independent and run on two freshly spawned worker
+    processes, each with one BLAS thread.
     """
-    grid = Grid((256,), (1.0,))
-    ranges = {"amp": (0.01, 100.0)}
+    runs = [(seed, dimnorm) for seed in (0, 1, 2) for dimnorm in (True, False)]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read by each worker's numpy import
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        # six runs of < 900 s each on two workers finish within 3 x 900 + 900 s
+        outcomes = pool.starmap_async(_paired_run, runs, chunksize=1).get(timeout=4 * 900)
     results = {True: [], False: []}
-    for seed in (0, 1, 2):
-        tr = generate_dataset("advection1d", ranges, 256, seed, grid, 1.0)
-        te = generate_dataset(
-            "advection1d", ranges, 64, seed + 1000, grid, 1.0, split="test"
+    for (seed, dimnorm), (err, elapsed) in zip(runs, outcomes):
+        results[dimnorm].append(err)
+        label = "gated" if dimnorm else "twin"
+        print(
+            f"[acceptance] paired-training seed {seed} {label}: "
+            f"rel-l2 {err:.4f}, runtime {elapsed:.0f}s (<900s)"
         )
-        ds = Dataset(
-            "advection1d",
-            grid,
-            {"train": tr.split("train"), "test": te.split("test")},
-            tr.meta,
-        )
-        for dimnorm in (True, False):
-            t0 = time.monotonic()
-            model = DimINOModel(
-                ModelConfig(
-                    "advection1d", ["u"], ["u"], 1, width=16, depth=4, modes=12,
-                    use_dimnorm=dimnorm, init_seed=seed,
-                )
-            )
-            model, _ = train(model, ds, TrainConfig(epochs=200, seed=seed))
-            err = evaluate(model, ds, "test")["rel-l2"]
-            results[dimnorm].append(err)
-            elapsed = time.monotonic() - t0
-            label = "gated" if dimnorm else "twin"
-            print(
-                f"[acceptance] paired-training seed {seed} {label}: "
-                f"rel-l2 {err:.4f}, runtime {elapsed:.0f}s (<900s)"
-            )
-            assert elapsed < 900
+        assert elapsed < 900
     med_gated = float(np.median(results[True]))
     med_twin = float(np.median(results[False]))
     print(

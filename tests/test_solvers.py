@@ -334,6 +334,82 @@ def test_diffreact_equals_reference_strang_loop(n, amp, coefficients, steps, rea
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def test_gen_data_burgers_pair_equals_the_textbook_loop_over_5120_steps():
+    """gen-data's burgers1d case (two rows, grid 128, amp 1, t = 10): every
+    row takes 5120 CFL steps and equals ``_reference_burgers`` bit for bit."""
+    batch = generate_dataset("burgers1d", {"amp": (1.0, 1.0)}, 2, 111).split("train")
+    assert batch.grid.points == (128,) and batch.t_final.tolist() == [10.0, 10.0]
+    for row in batch:
+        u0, nu = row.fields["u"], row.constants["nu"]
+        assert math.ceil(10.0 / (CFL * (1.0 / 128) / np.max(np.abs(u0)))) == 5120
+        assert np.array_equal(row.targets["u"], _reference_burgers(u0, nu, 10.0, None))
+
+
+def test_gen_data_ns_rows_equal_the_textbook_loop():
+    """gen-data's ns-vorticity2d case (4 rows at 64^2, amp 1): every row
+    equals its solve with ``_reference_ifrk4_rows`` bit for bit."""
+    batch = generate_dataset("ns-vorticity2d", {"amp": (1.0, 1.0)}, 4, 111).split("train")
+    assert batch.grid.points == (64, 64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_ifrk4", _reference_ifrk4_rows)
+        for row in batch:
+            want = solve_ns_vorticity_2d(row.fields["omega"], row.constants["nu"],
+                                         row.fields["f"], row.t_final)
+            assert np.array_equal(row.targets["omega"], want)
+
+
+class _OutOperandCheck:
+    """numpy, except that every ufunc call given ``out=`` records each of its
+    array operands of rank >= 1 whose dtype or shape differs from ``out``'s
+    (scalars pass)."""
+
+    def __init__(self):
+        self.calls, self.mismatches = 0, set()
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not isinstance(attr, np.ufunc):
+            return attr
+
+        def checked(*args, **kwargs):
+            out = kwargs.get("out")
+            if out is not None:
+                out = out[0] if isinstance(out, tuple) else out
+                self.calls += 1
+                self.mismatches |= {(name, x.dtype.name, x.shape, out.dtype.name, out.shape)
+                                    for x in args if np.ndim(x) >= 1
+                                    and (x.dtype, x.shape) != (out.dtype, out.shape)}
+            return attr(*args, **kwargs)
+        return checked
+
+
+def _fields(seed, points, count, amp=1.0):
+    rng, grid = np.random.default_rng(seed), Grid(points, (1.0,) * len(points))
+    return [random_fourier_field(rng, grid, amp) for _ in range(count)]
+
+
+@pytest.mark.parametrize("solve", [
+    # three rows with 16, 205 and 21 CFL steps: the running block shrinks twice
+    lambda: (solve_burgers_1d(np.stack([_fields(s, (64,), 1, amp)[0] for s, amp in
+                                        ((0, 0.5), (1, 2.0), (2, 0.4))]),
+                              [1e-2, 3e-3, 5e-2], [0.05, 0.4, 0.2]),),
+    lambda: (solve_ns_vorticity_2d(_fields(3, (16, 16), 1)[0], 5e-3,
+                                   _fields(4, (16, 16), 1, 0.1)[0], 0.1),),
+    lambda: solve_diffreact_2d(*_fields(5, (16, 16), 2), 3e-3, 5e-3, 3e-3, 0.2),
+], ids=["burgers1d-mixed-steps", "ns-vorticity2d", "diffreact2d"])
+def test_solver_steps_cast_and_broadcast_nothing(solve, monkeypatch):
+    """Every ufunc a solver calls with ``out=`` gets operands of ``out``'s
+    dtype and shape: no step casts a real factor to complex or broadcasts a
+    column or a 1-D symbol over the state, and the solve keeps its bits."""
+    want = solve()
+    check = _OutOperandCheck()
+    monkeypatch.setattr(solvers, "np", check)
+    got = solve()
+    assert check.calls > 100
+    assert check.mismatches == set()
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 # -- stacked burgers solve -------------------------------------------------
 
 @given(n=st.sampled_from([16, 64, 128]),
