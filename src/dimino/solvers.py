@@ -10,15 +10,19 @@ solver raises: a row whose solve blows up comes back non-finite
 
 Time stepping allocates, casts and broadcasts nothing: each solve allocates
 its stages, stage argument and FFT scratch once, and every step writes into
-them through ``out=``.  Every factor a step multiplies by (integrating
-factors, stage coefficients, dealias masks and spectral symbols) is
-expanded once per solve to the complex dtype and full shape of the state it
-multiplies, so no step's ufunc casts a real operand or broadcasts a smaller
-one.  numpy multiplies real by complex by casting the real operand to
-``x + 0j`` and running the complex loop, so the expanded factors give the
-same products.  Each product and sum keeps the operands and the grouping of
-the textbook expression, so the targets are those of the expression form
-bit for bit (``tests/test_solvers.py`` pins each loop against it).
+them through the ufuncs bound below, given ``out`` positionally, and
+through ``spectral`` transform plans built once per solve (per running
+block for burgers1d), so no step re-checks a transform's layout.  Every
+factor a step multiplies by (integrating factors, stage coefficients,
+dealias masks and spectral symbols) is expanded once per solve to the
+complex dtype and full shape of the state it multiplies, so no step's ufunc
+casts a real operand or broadcasts a smaller one.  numpy multiplies real by
+complex by casting the real operand to ``x + 0j`` and running the complex
+loop, so the expanded factors give the same products.  Each product and sum
+keeps the operands and the grouping of the textbook expression, except that
+burgers1d folds its 0-or-1 dealias mask into the flux symbol, which changes
+no finite value (a masked mode is zero either way); so the targets are those of the expression form bit for bit
+(``tests/test_solvers.py`` pins each loop against it).
 """
 from __future__ import annotations
 
@@ -29,7 +33,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from .data import Batch, Dataset, Grid, Sample
-from .spectral import dealias_mask, irfftn, mode_numbers, rfftn, wavenumbers
+from .spectral import (dealias_mask, irfftn, irfftn_plan, mode_numbers, rfftn, rfftn_plan,
+                       wavenumbers)
 
 
 class StepUnstable(Exception):
@@ -49,6 +54,9 @@ MAX_RETRIES = 3
 # Each system's target fields, in the order its solver returns them.
 TARGETS = {"advection1d": ("u",), "burgers1d": ("u",), "diffreact2d": ("u", "v"),
            "ns-vorticity2d": ("omega",)}
+
+# The ufuncs of every solver step, called with ``out`` in its positional slot.
+_mul, _add, _sub = np.multiply, np.add, np.subtract
 
 
 def _ic_k_max(grid: Grid) -> int:
@@ -104,6 +112,7 @@ def _ifrk4(v, n_steps, dt, lin, nonlin):
         for x in (np.exp(lin * dt), e_half, dt / 2, dt / 6, dt * e_half, 2 * e_half))
     v = v.copy()
     buffers = [np.empty_like(v) for _ in range(6)]
+    mul, add = _mul, _add
     done = 0
     for a in range(len(v), 0, -1):  # a rows still running
         if n_steps[a - 1] <= done:
@@ -113,26 +122,26 @@ def _ifrk4(v, n_steps, dt, lin, nonlin):
         k1, k2, k3, k4, arg, ef_w = (x[:a] for x in buffers)
         for step in range(done, n_steps[a - 1]):
             nonlin(w, k1)
-            np.multiply(h, k1, out=arg)  # eh * (w + h * k1)
-            np.add(w, arg, out=arg)
-            np.multiply(eh, arg, out=arg)
+            mul(h, k1, arg)  # eh * (w + h * k1)
+            add(w, arg, arg)
+            mul(eh, arg, arg)
             nonlin(arg, k2)
-            np.multiply(eh, w, out=arg)  # eh * w + h * k2
-            np.multiply(h, k2, out=k3)
-            np.add(arg, k3, out=arg)
+            mul(eh, w, arg)  # eh * w + h * k2
+            mul(h, k2, k3)
+            add(arg, k3, arg)
             nonlin(arg, k3)
-            np.multiply(ef, w, out=ef_w)  # ef_w + de * k3
-            np.multiply(de, k3, out=arg)
-            np.add(ef_w, arg, out=arg)
+            mul(ef, w, ef_w)  # ef_w + de * k3
+            mul(de, k3, arg)
+            add(ef_w, arg, arg)
             nonlin(arg, k4)
             # w = ef_w + s6 * ((ef * k1 + te * (k2 + k3)) + k4)
-            np.multiply(ef, k1, out=k1)
-            np.add(k2, k3, out=k2)
-            np.multiply(te, k2, out=k2)
-            np.add(k1, k2, out=k1)
-            np.add(k1, k4, out=k1)
-            np.multiply(s6, k1, out=k1)
-            np.add(ef_w, k1, out=w)
+            mul(ef, k1, k1)
+            add(k2, k3, k2)
+            mul(te, k2, k2)
+            add(k1, k2, k1)
+            add(k1, k4, k1)
+            mul(s6, k1, k1)
+            add(ef_w, k1, w)
             if step % 16 == 15 and not np.isfinite(w).reshape(a, -1).all(axis=1).any():
                 return v
         done = n_steps[a - 1]
@@ -164,15 +173,26 @@ def solve_burgers_1d(u0: np.ndarray, nu, t, cfg: SolverConfig = None,
     modes = (b, n // 2 + 1)
     mask, flux_symbol = (np.full(modes, x, np.complex128)
                          for x in (dealias_mask((n,), DEALIAS_FRAC), -0.5j * k))
+    # The dealias mask is 0 or 1, so folding it into the flux symbol changes
+    # no product: (flux_symbol * mask) * rfftn(u * u) is one multiply.
+    flux_mask = flux_symbol * mask
     spec, field = np.empty(modes, np.complex128), np.empty((b, n))
+    blocks = {}  # rows running -> their views and transform plans
+    mul = _mul
 
-    def nonlin(v, out=None):
-        """flux_symbol * (rfftn(u * u) * mask), u = irfftn(v * mask)."""
+    def nonlin(v, out):
+        """out <- (flux_symbol * mask) * rfftn(u * u), u = irfftn(v * mask)."""
         a = len(v)
-        vh, u, m = spec[:a], field[:a], mask[:a]
-        irfftn(np.multiply(v, m, out=vh), (n,), (-1,), out=u)
-        rfftn(np.multiply(u, u, out=u), (-1,), out=vh)
-        return np.multiply(flux_symbol[:a], np.multiply(vh, m, out=vh), out=out)
+        if a not in blocks:
+            vh, u = spec[:a], field[:a]
+            blocks[a] = (vh, u, mask[:a], flux_mask[:a], irfftn_plan(vh, (n,), (-1,), u),
+                         rfftn_plan(u, (-1,), vh))
+        vh, u, m, fm, to_field, to_spec = blocks[a]
+        mul(v, m, vh)
+        to_field()
+        mul(u, u, u)
+        to_spec()
+        mul(fm, vh, out)
 
     order = np.argsort(-n_steps, kind="stable")
     v = _ifrk4(rfftn(rows[order], (-1,)), n_steps[order].tolist(), dt[order],
@@ -203,42 +223,53 @@ def solve_diffreact_2d(u0, v0, Du, Dv, k_const, t, cfg: SolverConfig = None,
     rate = -np.array([Du, Dv])[:, None, None] * (kx**2 + ky**2)
     half, full = (np.exp(x).astype(np.complex128) for x in (rate * dt / 2, rate * dt))
 
+    w = np.stack((u0, v0)).astype(np.float64)
     spec = np.empty(rate.shape, np.complex128)
     r1, r2, r3, r4, arg = (np.empty((2,) + shape) for _ in range(5))
+    (u, v), (au, av) = w, arg
+    (r1u, r1v), (r2u, r2v), (r3u, r3v), (r4u, r4v) = r1, r2, r3, r4
+    to_spec, to_field = rfftn_plan(w, (-2, -1), spec), irfftn_plan(spec, shape, (-2, -1), w)
+    mul, add, sub = _mul, _add, _sub
 
-    def diffuse(w, factor):
+    def diffuse(factor):
         """w <- irfftn(rfftn(w) * factor), in place."""
-        rfftn(w, (-2, -1), out=spec)
-        irfftn(np.multiply(spec, factor, out=spec), shape, (-2, -1), out=w)
+        to_spec()
+        mul(spec, factor, spec)
+        to_field()
 
-    def react(w, out):
-        """out <- (u - u * u * u - k - v, u - v) for (u, v) = w."""
-        (u, v), (ru, rv) = w, out
-        np.multiply(u, u, out=ru)
-        np.multiply(ru, u, out=ru)
-        np.subtract(u, ru, out=ru)
-        np.subtract(ru, k_const, out=ru)
-        np.subtract(ru, v, out=ru)
-        np.subtract(u, v, out=rv)
+    def react(u, v, ru, rv):
+        """(ru, rv) <- (u - u * u * u - k - v, u - v)."""
+        mul(u, u, ru)
+        mul(ru, u, ru)
+        sub(u, ru, ru)
+        sub(ru, k_const, ru)
+        sub(ru, v, ru)
+        sub(u, v, rv)
 
     def stage(r, h):
-        """w + h * r, in the stage argument's buffer."""
-        return np.add(w, np.multiply(h, r, out=arg), out=arg)
+        """arg <- w + h * r."""
+        mul(h, r, arg)
+        add(w, arg, arg)
 
-    w = np.stack((u0, v0)).astype(np.float64)
-    diffuse(w, half)
+    diffuse(half)
     for step in range(n_steps):
         if reaction:
-            react(w, r1)
-            react(stage(r1, dt / 2), r2)
-            react(stage(r2, dt / 2), r3)
-            react(stage(r3, dt), r4)
+            react(u, v, r1u, r1v)
+            stage(r1, dt / 2)
+            react(au, av, r2u, r2v)
+            stage(r2, dt / 2)
+            react(au, av, r3u, r3v)
+            stage(r3, dt)
+            react(au, av, r4u, r4v)
             # w <- w + dt / 6 * (((r1 + 2 * r2) + 2 * r3) + r4)
-            np.add(r1, np.multiply(2, r2, out=r2), out=r1)
-            np.add(r1, np.multiply(2, r3, out=r3), out=r1)
-            np.add(r1, r4, out=r1)
-            np.add(w, np.multiply(dt / 6, r1, out=r1), out=w)
-        diffuse(w, full if step < n_steps - 1 else half)
+            mul(2, r2, r2)
+            add(r1, r2, r1)
+            mul(2, r3, r3)
+            add(r1, r3, r1)
+            add(r1, r4, r1)
+            mul(dt / 6, r1, r1)
+            add(w, r1, w)
+        diffuse(full if step < n_steps - 1 else half)
         if step % 16 == 15 and not np.isfinite(w).all():
             break
     return w[0], w[1]
@@ -263,16 +294,20 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
         for x in (k2_inv, dealias_mask(shape, DEALIAS_FRAC), 1j * ky, -1j * kx, 1j * kx))
     grads_hat = np.empty((4,) + modes, np.complex128)
     grads, spec = np.empty((4, 1) + shape), np.empty(modes, np.complex128)
+    (ux_hat, uy_hat, wx_hat, wy_hat), (ux, uy, wx, wy) = grads_hat, grads
+    to_grads, to_spec = (irfftn_plan(grads_hat, shape, (-2, -1), grads),
+                         rfftn_plan(ux, (-2, -1), spec))
+    mul, add, sub = _mul, _add, _sub
 
     def velocity_and_gradient(w_hat):
-        """ux, uy, d(omega)/dx, d(omega)/dy of the (1, nx, ny // 2 + 1)
+        """grads <- ux, uy, d(omega)/dx, d(omega)/dy of the (1, nx, ny // 2 + 1)
         spectrum ``w_hat``, from one stacked inverse transform."""
-        psi_hat = np.multiply(w_hat, k2_inv, out=grads_hat[1])
-        np.multiply(iky, psi_hat, out=grads_hat[0])
-        np.multiply(minus_ikx, psi_hat, out=grads_hat[1])
-        np.multiply(ikx, w_hat, out=grads_hat[2])
-        np.multiply(iky, w_hat, out=grads_hat[3])
-        return irfftn(grads_hat, shape, (-2, -1), out=grads)
+        mul(w_hat, k2_inv, uy_hat)  # the streamfunction's spectrum
+        mul(iky, uy_hat, ux_hat)
+        mul(minus_ikx, uy_hat, uy_hat)
+        mul(ikx, w_hat, wx_hat)
+        mul(iky, w_hat, wy_hat)
+        to_grads()
 
     scale = max(float(np.max(np.abs(omega0))), 1e-12)
     if abs(float(np.mean(omega0))) > 1e-10 * scale:
@@ -285,7 +320,7 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
     if cfg.steps is not None:
         n_steps = cfg.steps
     else:
-        ux, uy, _, _ = velocity_and_gradient(w_hat[None])
+        velocity_and_gradient(w_hat[None])
         umax = max(float(np.max(np.hypot(ux, uy))), 1e-6)
         dt_cfl = CFL * (extent[0] / shape[0]) / umax
         n_steps = max(int(math.ceil(t / dt_cfl)), 32)
@@ -293,10 +328,14 @@ def solve_ns_vorticity_2d(omega0, nu, f, t, cfg: SolverConfig = None,
 
     def nonlin(v, out=None):
         """f_hat - rfftn(ux * wx + uy * wy) * mask, of the masked ``v``."""
-        ux, uy, wx, wy = velocity_and_gradient(np.multiply(v, mask, out=spec))
-        np.add(np.multiply(ux, wx, out=ux), np.multiply(uy, wy, out=uy), out=ux)
-        return np.subtract(f_hat, np.multiply(rfftn(ux, (-2, -1), out=spec), mask, out=spec),
-                           out=out)
+        mul(v, mask, spec)
+        velocity_and_gradient(spec)
+        mul(ux, wx, ux)
+        mul(uy, wy, uy)
+        add(ux, uy, ux)
+        to_spec()
+        mul(spec, mask, spec)
+        return sub(f_hat, spec, out)
 
     w_hat = _ifrk4(w_hat[None], [n_steps], [dt], -nu * k2, nonlin)[0]
     return irfftn(w_hat, shape, (0, 1))

@@ -1,17 +1,27 @@
 """Fourier transforms, wavenumbers, dealiasing and the H1 seminorm's weights.
 
-Every FFT in dimino goes through ``rfftn`` and ``irfftn`` here.  Both call
-the pocketfft kernel that ``scipy.fft`` dispatches to, with the arguments
+Every FFT in dimino goes through ``rfftn`` and ``irfftn`` here, or through
+the plans ``rfftn_plan`` / ``irfftn_plan``.  All four call the pocketfft
+kernel that ``scipy.fft`` dispatches to, with the arguments
 ``scipy.fft.rfftn`` / ``irfftn`` pass for the default norm and one worker, so
-every result equals scipy's bit for bit, with or without an ``out=`` array
-to write into; for float64 input they also equal
-numpy.fft's, and a transform over a stacked leading axis equals the per-slice
-transforms bit for bit.  The kernel is reached through scipy's private
-``_pocketfft.pypocketfft`` binding because scipy.fft's per-call Python
-dispatch (backend lookup, dtype and shape normalisation) costs several times
-the kernel itself on the small grids the solvers step thousands of times.
+every result equals scipy's bit for bit; for float64 input they also equal
+numpy.fft's, and a transform over a stacked leading axis equals the
+per-slice transforms bit for bit.  The kernel is reached through scipy's
+private ``_pocketfft.pypocketfft`` binding because scipy.fft's per-call
+Python dispatch (backend lookup, dtype and shape normalisation) costs
+several times the kernel itself on the small grids the solvers step
+thousands of times.
 ``tests/test_spectral.py::test_transforms_bit_equal_public_scipy_fft`` pins
 the equality, so a scipy upgrade that moves a bit fails there.
+
+``rfftn`` and ``irfftn`` return a new array and take no ``out=``.  A plan is
+the only way to transform into a caller's buffer: ``rfftn_plan(x, axes,
+out)`` and ``irfftn_plan(y, s, axes, out)`` check the input's dtype, the
+layout and ``out``'s shape and dtype once, raise ValueError naming the
+shapes, and return the kernel bound to both arrays (a ``functools.partial``;
+each call transforms the input's current contents).  pocketfft writes
+through ``out`` without checking its size, so an unchecked ``out`` one size
+too small corrupts the heap.
 
 This module is the only one in dimino that names scipy, and it uses exactly
 two of scipy's compiled kernels: pocketfft's ``r2c`` / ``c2r`` and the
@@ -90,26 +100,89 @@ _pocketfft = _scipy_kernel("scipy.fft._pocketfft.pypocketfft")
 _r2c, _c2r = _pocketfft.r2c, _pocketfft.c2r
 erf = _scipy_kernel("scipy.special._special_ufuncs").erf
 
-__all__ = ["rfftn", "irfftn", "rfftn_kept", "rfftn_kept_adjoint", "irfftn_kept",
+__all__ = ["rfftn", "irfftn", "rfftn_plan", "irfftn_plan", "rfftn_kept", "rfftn_kept_adjoint", "irfftn_kept",
            "irfftn_kept_adjoint", "mode_numbers", "wavenumbers", "dealias_mask",
            "k_squared", "h1_weights", "h1_seminorm2", "erf"]
 
 
-def rfftn(x: np.ndarray, axes, out=None) -> np.ndarray:
-    """Real-to-complex FFT over ``axes``; the last of them keeps n // 2 + 1 modes.
-    Given ``out`` (the spectrum's shape, complex in ``x``'s precision, not
-    overlapping ``x``), writes into it and returns it."""
-    return _r2c(x, axes, True, 0, out, 1)
+def rfftn(x: np.ndarray, axes) -> np.ndarray:
+    """Real-to-complex FFT over ``axes``; the last of them keeps n // 2 + 1 modes."""
+    return _r2c(x, axes, True, 0, None, 1)
 
 
-def irfftn(y: np.ndarray, s, axes, out=None) -> np.ndarray:
-    """Inverse of ``rfftn`` to the real shape ``s`` on ``axes``; ``out`` as for
-    ``rfftn``, real.  ``y`` is left as it was."""
-    last = s[-1]
-    if [y.shape[a] for a in axes] != [*s[:-1], last // 2 + 1]:
+def _check_layout(y: np.ndarray, s, axes):
+    if [y.shape[a] for a in axes] != [*s[:-1], s[-1] // 2 + 1]:
         raise ValueError(f"irfftn: spectrum shape {y.shape} on axes {tuple(axes)} is not "
                          f"the real-FFT layout of s={tuple(s)}")
-    return _c2r(y, axes, last, False, 2, out, 1)
+
+
+def irfftn(y: np.ndarray, s, axes) -> np.ndarray:
+    """Inverse of ``rfftn`` to the real shape ``s`` on ``axes``.  ``y`` is left
+    as it was."""
+    _check_layout(y, s, axes)
+    return _c2r(y, axes, s[-1], False, 2, None, 1)
+
+
+_R2C = {np.dtype(np.float32): np.dtype(np.complex64),
+        np.dtype(np.float64): np.dtype(np.complex128)}
+_C2R = {c: r for r, c in _R2C.items()}
+
+
+def _plan_axes(name, x, axes, dtypes) -> tuple:
+    """``axes`` as non-negative ints, for an ``x`` that is an array of one of
+    ``dtypes``' keys; ValueError otherwise."""
+    if not isinstance(x, np.ndarray) or x.dtype not in dtypes:
+        raise ValueError(f"{name}: input {getattr(x, 'dtype', type(x).__name__)} is none "
+                         f"of {', '.join(d.name for d in dtypes)}")
+    try:
+        normal = tuple(range(x.ndim)[a] for a in axes)
+    except (IndexError, TypeError):
+        normal = ()
+    if not normal:
+        raise ValueError(f"{name}: axes {axes!r} do not index an input of shape {x.shape}")
+    return normal
+
+
+def _check_out(name, x, axes, sizes, dtypes, out):
+    """Refuse, with a ValueError naming the shapes, an ``out`` that is not a
+    ``dtypes[x.dtype]`` array of ``x``'s shape with ``axes`` resized to
+    ``sizes``, or that overlaps ``x``: pocketfft writes through ``out``'s
+    strides without checking its size."""
+    shape = list(x.shape)
+    for a, n in zip(axes, sizes):
+        shape[a] = n
+    want = (tuple(shape), dtypes[x.dtype])
+    got = (getattr(out, "shape", None), getattr(out, "dtype", type(out).__name__))
+    if not isinstance(out, np.ndarray) or got != want:
+        raise ValueError(f"{name}: out is {got[0]} {got[1]}; input {x.shape} {x.dtype} "
+                         f"on axes {axes} needs {want[0]} {want[1]}")
+    if np.may_share_memory(x, out):
+        raise ValueError(f"{name}: out overlaps the input")
+
+
+def rfftn_plan(x: np.ndarray, axes, out: np.ndarray):
+    """``rfftn(x, axes)`` written into ``out``, as a call of no arguments.
+
+    Checks once that ``x`` is float32 or float64 and that ``out`` is the
+    spectrum's shape, complex in ``x``'s precision and apart from ``x``
+    (ValueError otherwise), then returns pocketfft's kernel bound to both.
+    Each call transforms what ``x`` holds then into ``out`` and returns
+    ``out``, bit-equal to ``rfftn``.
+    """
+    axes = _plan_axes("rfftn_plan", x, axes, _R2C)
+    sizes = [x.shape[a] for a in axes[:-1]] + [x.shape[axes[-1]] // 2 + 1]
+    _check_out("rfftn_plan", x, axes, sizes, _R2C, out)
+    return functools.partial(_r2c, x, axes, True, 0, out, 1)
+
+
+def irfftn_plan(y: np.ndarray, s, axes, out: np.ndarray):
+    """``irfftn(y, s, axes)`` written into ``out``, as a call of no arguments;
+    checked once as ``rfftn_plan`` is, with ``y`` in the real-FFT layout of
+    ``s`` and ``out`` real in ``y``'s precision."""
+    axes = _plan_axes("irfftn_plan", y, axes, _C2R)
+    _check_layout(y, s, axes)
+    _check_out("irfftn_plan", y, axes, s, _C2R, out)
+    return functools.partial(_c2r, y, axes, s[-1], False, 2, out, 1)
 
 
 def _phases(rows, n):

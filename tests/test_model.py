@@ -323,6 +323,29 @@ def test_gathered_inputs_bit_equal_the_sample_list(case):
         np.testing.assert_array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("gated", [True, False], ids=["gated", "twin"])
+@pytest.mark.parametrize("system", ["burgers1d", "ns-vorticity2d"], ids=["1d", "2d"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_a_chunk_of_two_or_more_rows_predicts_its_bits_in_the_full_batch(system, gated, data):
+    """Rows are independent: any contiguous chunk of at least two rows of a
+    batch predicts, bit for bit, what those rows get in the whole batch.
+    (A one-row batch does not: numpy's (k, 1, Cin) @ (k, Cin, Cout) in
+    ``mode_mix`` takes another path and rounds differently.)"""
+    n = data.draw(st.integers(2, 8), label="rows")
+    lo = data.draw(st.integers(0, n - 2), label="lo")
+    hi = data.draw(st.integers(lo + 2, n), label="hi")
+    batch = random_batch(system, [data.draw(st.integers(0, 2**16)) for _ in range(n)])
+    in_fields, target_fields = FIELDS[system]
+    model = DimINOModel(ModelConfig(
+        system=system, in_fields=in_fields, target_fields=target_fields,
+        rank=batch.grid.rank, width=data.draw(st.integers(2, 12), label="width"),
+        depth=data.draw(st.integers(1, 3), label="depth"),
+        modes=data.draw(st.integers(1, 8), label="modes"), use_dimnorm=gated,
+        init_seed=data.draw(st.integers(0, 2**16), label="init_seed")))
+    assert np.array_equal(model.predict(batch[lo:hi]), model.predict(batch)[lo:hi])
+
+
 def _divide_then_stack(config, samples):
     """The input stage as (x, log_c, out_scales), built one sample at a
     time: the gated model divides each field by its own scale and stacks the

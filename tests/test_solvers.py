@@ -358,29 +358,62 @@ def test_gen_data_ns_rows_equal_the_textbook_loop():
             assert np.array_equal(row.targets["omega"], want)
 
 
-class _OutOperandCheck:
-    """numpy, except that every ufunc call given ``out=`` records each of its
-    array operands of rank >= 1 whose dtype or shape differs from ``out``'s
-    (scalars pass)."""
+def test_gen_data_diffreact_row_equals_the_textbook_strang_loop():
+    """gen-data's diffreact2d case (one row at 64^2, t = 10, Du = Dv = k =
+    3.1623e-3, amp 0.31623) takes 1000 steps and equals
+    ``_reference_diffreact`` bit for bit."""
+    centre = (3.1623e-3, 3.1623e-3)
+    ranges = {"Du": centre, "Dv": centre, "k": centre, "amp": (0.31623, 0.31623)}
+    row, = generate_dataset("diffreact2d", ranges, 1, 111).split("train")
+    assert row.grid.points == (64, 64) and row.t_final == 10.0
+    assert max(math.ceil(row.t_final / 0.01), 16) == 1000
+    c = row.constants
+    want = _reference_diffreact(row.fields["u"], row.fields["v"], c["Du"], c["Dv"], c["k"],
+                                row.t_final, None, True)
+    assert all(np.array_equal(row.targets[n], w) for n, w in zip(("u", "v"), want))
 
-    def __init__(self):
+
+class _OutOperandCheck:
+    """numpy, and every ufunc that ``solvers`` binds at module level, except
+    that every ufunc call given an ``out`` (positional or keyword) records
+    each of its array operands of rank >= 1 whose dtype or shape differs
+    from ``out``'s (scalars pass)."""
+
+    def __init__(self, monkeypatch):
         self.calls, self.mismatches = 0, set()
+        monkeypatch.setattr(solvers, "np", self)
+        for name, attr in vars(solvers).items():
+            if isinstance(attr, np.ufunc):
+                monkeypatch.setattr(solvers, name, self._checked(attr))
 
     def __getattr__(self, name):
         attr = getattr(np, name)
-        if not isinstance(attr, np.ufunc):
-            return attr
+        return self._checked(attr) if isinstance(attr, np.ufunc) else attr
 
+    def _checked(self, ufunc):
         def checked(*args, **kwargs):
-            out = kwargs.get("out")
+            out = args[ufunc.nin] if len(args) > ufunc.nin else kwargs.get("out")
             if out is not None:
                 out = out[0] if isinstance(out, tuple) else out
                 self.calls += 1
-                self.mismatches |= {(name, x.dtype.name, x.shape, out.dtype.name, out.shape)
-                                    for x in args if np.ndim(x) >= 1
+                self.mismatches |= {(ufunc.__name__, x.dtype.name, x.shape, out.dtype.name,
+                                     out.shape) for x in args[:ufunc.nin] if np.ndim(x) >= 1
                                     and (x.dtype, x.shape) != (out.dtype, out.shape)}
-            return attr(*args, **kwargs)
+            return ufunc(*args, **kwargs)
         return checked
+
+
+class _UnexpandedColumns(_OutOperandCheck):
+    """``_OutOperandCheck`` whose ``np.full`` returns a fill value of the
+    requested rank in the requested dtype but not expanded to the requested
+    shape, so ``_ifrk4``'s (rows, 1) step coefficients stay columns that
+    numpy broadcasts over the state."""
+
+    @staticmethod
+    def full(shape, fill_value, dtype=None):
+        if np.ndim(fill_value) == len(shape):
+            return np.asarray(fill_value, dtype)
+        return np.full(shape, fill_value, dtype)
 
 
 def _fields(seed, points, count, amp=1.0):
@@ -388,25 +421,40 @@ def _fields(seed, points, count, amp=1.0):
     return [random_fourier_field(rng, grid, amp) for _ in range(count)]
 
 
-@pytest.mark.parametrize("solve", [
+SOLVES = {
     # three rows with 16, 205 and 21 CFL steps: the running block shrinks twice
-    lambda: (solve_burgers_1d(np.stack([_fields(s, (64,), 1, amp)[0] for s, amp in
-                                        ((0, 0.5), (1, 2.0), (2, 0.4))]),
-                              [1e-2, 3e-3, 5e-2], [0.05, 0.4, 0.2]),),
-    lambda: (solve_ns_vorticity_2d(_fields(3, (16, 16), 1)[0], 5e-3,
-                                   _fields(4, (16, 16), 1, 0.1)[0], 0.1),),
-    lambda: solve_diffreact_2d(*_fields(5, (16, 16), 2), 3e-3, 5e-3, 3e-3, 0.2),
-], ids=["burgers1d-mixed-steps", "ns-vorticity2d", "diffreact2d"])
-def test_solver_steps_cast_and_broadcast_nothing(solve, monkeypatch):
-    """Every ufunc a solver calls with ``out=`` gets operands of ``out``'s
+    "burgers1d-mixed-steps": lambda: (
+        solve_burgers_1d(np.stack([_fields(s, (64,), 1, amp)[0] for s, amp in
+                                   ((0, 0.5), (1, 2.0), (2, 0.4))]),
+                         [1e-2, 3e-3, 5e-2], [0.05, 0.4, 0.2]),),
+    "ns-vorticity2d": lambda: (solve_ns_vorticity_2d(_fields(3, (16, 16), 1)[0], 5e-3,
+                                                     _fields(4, (16, 16), 1, 0.1)[0], 0.1),),
+    "diffreact2d": lambda: solve_diffreact_2d(*_fields(5, (16, 16), 2), 3e-3, 5e-3, 3e-3, 0.2),
+}
+
+
+@pytest.mark.parametrize("system", SOLVES)
+def test_solver_steps_cast_and_broadcast_nothing(system, monkeypatch):
+    """Every ufunc a solver calls with an ``out`` gets operands of ``out``'s
     dtype and shape: no step casts a real factor to complex or broadcasts a
     column or a 1-D symbol over the state, and the solve keeps its bits."""
-    want = solve()
-    check = _OutOperandCheck()
-    monkeypatch.setattr(solvers, "np", check)
-    got = solve()
+    want = SOLVES[system]()
+    check = _OutOperandCheck(monkeypatch)
+    got = SOLVES[system]()
     assert check.calls > 100
     assert check.mismatches == set()
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("system", ["burgers1d-mixed-steps", "ns-vorticity2d"])
+def test_the_cast_and_broadcast_pin_sees_a_planted_broadcast(system, monkeypatch):
+    """With IF-RK4's step coefficients left as columns a solve keeps its
+    bits, and the check above records the broadcasts, so it can still fail."""
+    want = SOLVES[system]()
+    check = _UnexpandedColumns(monkeypatch)
+    got = SOLVES[system]()
+    assert check.calls > 100
+    assert any(x_shape != out_shape for _, _, x_shape, _, out_shape in check.mismatches)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 

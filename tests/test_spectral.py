@@ -212,20 +212,70 @@ def test_out_is_written_returned_and_bit_equal(shape, axes, dtype):
     s = tuple(shape[a] for a in axes)
     want = spectral.rfftn(x, axes)
     out = np.full(want.shape, np.nan, want.dtype)  # stale content must not show through
-    assert spectral.rfftn(x, axes, out=out) is out and np.array_equal(out, want)
+    assert spectral.rfftn_plan(x, axes, out)() is out and np.array_equal(out, want)
     y = (rng.standard_normal(want.shape) + 1j * rng.standard_normal(want.shape)).astype(want.dtype)
     y_before = y.copy()
     want = spectral.irfftn(y, s, axes)
     back = np.full(shape, np.nan, dtype)
-    assert spectral.irfftn(y, s, axes, out=back) is back and np.array_equal(back, want)
+    assert spectral.irfftn_plan(y, s, axes, back)() is back and np.array_equal(back, want)
     assert np.array_equal(y, y_before)
 
 
 def test_irfftn_with_out_keeps_its_layout_check():
     out = np.zeros((16, 16))
     with pytest.raises(ValueError, match="real-FFT layout"):
-        spectral.irfftn(np.ones((16, 8), dtype=complex), (16, 16), (0, 1), out=out)
+        spectral.irfftn_plan(np.ones((16, 8), dtype=complex), (16, 16), (0, 1), out)
     assert not out.any()
+
+
+_PROBE = """
+import json
+import numpy as np
+from dimino import spectral
+calls = []
+for name in ("_r2c", "_c2r"):
+    kernel = getattr(spectral, name)
+    setattr(spectral, name, lambda *a, kernel=kernel, name=name: calls.append(name) or kernel(*a))
+out = {out}
+out[...] = 7
+try:
+    spectral.{plan}({args}, out)()
+    raised = None
+except ValueError as exc:
+    raised = str(exc)
+print(json.dumps({{"raised": raised, "calls": calls, "untouched": bool((out == 7).all())}}))
+"""
+
+
+@pytest.mark.parametrize("plan, args, out", [
+    ("rfftn_plan", "np.ones(16), (0,)", "np.zeros(8, complex)"),
+    ("rfftn_plan", "np.ones(16), (0,)", "np.zeros(9, np.complex64)"),
+    ("rfftn_plan", "np.ones((16, 16)), (0, 1)", "np.zeros((8, 9), complex)"),
+    ("rfftn_plan", "np.ones((16, 16)), (0, 1)", "np.zeros((16, 9))"),
+    ("irfftn_plan", "np.ones(9, complex), (16,), (0,)", "np.zeros(8)"),
+    ("irfftn_plan", "np.ones(9, complex), (16,), (0,)", "np.zeros(16, np.float32)"),
+    ("irfftn_plan", "np.ones((16, 9), complex), (16, 16), (0, 1)", "np.zeros((8, 16))"),
+    ("irfftn_plan", "np.ones((16, 9), complex), (16, 16), (0, 1)", "np.zeros((16, 16), complex)"),
+], ids=["r2c-1d-small", "r2c-1d-dtype", "r2c-2d-small", "r2c-2d-dtype",
+        "c2r-1d-small", "c2r-1d-dtype", "c2r-2d-small", "c2r-2d-dtype"])
+def test_a_plan_refuses_a_wrong_out_before_any_kernel_runs(plan, args, out):
+    """An ``out`` too small or of the wrong dtype is refused with a
+    ValueError naming the shapes, before pocketfft is called: unchecked, the
+    kernel writes past a small buffer and the interpreter aborts later on a
+    corrupt heap (``_run_fresh`` would raise), and a wrong dtype reaches a
+    bare RuntimeError."""
+    got = _run_fresh(_PROBE.format(plan=plan, args=args, out=out))
+    assert got["raised"] is not None and "needs" in got["raised"]
+    assert got["calls"] == [] and got["untouched"]
+
+
+def test_a_plan_refuses_an_out_that_overlaps_its_input():
+    buffer = np.zeros((2, 32))
+    with pytest.raises(ValueError, match="overlaps"):
+        spectral.rfftn_plan(buffer[:, :16], (-1,), buffer.view(complex)[:, 7:])
+    y = np.zeros((2, 9), complex)
+    with pytest.raises(ValueError, match="overlaps"):
+        spectral.irfftn_plan(y, (16,), (-1,), y.view(float)[:, :16])
 
 
 @st.composite
@@ -259,6 +309,26 @@ def test_transforms_bit_equal_public_scipy_fft(case, dtype, seed):
     back = spectral.irfftn(y, s, axes)
     want = scipy.fft.irfftn(y, s=s, axes=axes)
     assert back.dtype == want.dtype == dtype and np.array_equal(back, want)
+
+
+@given(case=_transform_cases(), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_plans_bit_equal_the_transforms(case, dtype, seed):
+    """A plan transforms what its input holds at each call, into its ``out``,
+    bit for bit as ``rfftn`` / ``irfftn`` do."""
+    shape, axes = case
+    s = tuple(shape[a] for a in axes)
+    rng = np.random.default_rng(seed)
+    x = np.empty(shape, dtype)
+    xh = np.empty(spectral.rfftn(x, axes).shape, np.result_type(dtype, np.complex64))
+    y, back = np.empty_like(xh), np.empty_like(x)
+    forward, inverse = spectral.rfftn_plan(x, axes, xh), spectral.irfftn_plan(y, s, axes, back)
+    for _ in range(2):
+        x[...] = rng.standard_normal(shape)
+        assert forward() is xh and np.array_equal(xh, spectral.rfftn(x, axes))
+        y[...] = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+        assert inverse() is back and np.array_equal(back, spectral.irfftn(y, s, axes))
 
 
 @pytest.mark.parametrize("last_modes", [8, 10], ids=["truncated", "padded"])
@@ -301,6 +371,55 @@ def test_only_spectral_names_scipy_or_an_fft_module():
     assert "numpy.fft" in own and any(name.startswith("scipy.") for name in own), \
         "the guard no longer sees spectral's own use"
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def _kernel_uses(tree):
+    """(enclosing function, line) of every use of the pocketfft kernels that
+    may write into a caller's array: every reference to ``_r2c``, ``_c2r``,
+    ``_pocketfft`` or an ``r2c`` / ``c2r`` attribute, except a direct
+    ``_r2c`` / ``_c2r`` call whose ``out`` (the second-to-last of its six or
+    seven positional arguments) is ``None``, and the module-level names' own
+    binding."""
+    kernels, arity = {"_r2c", "_c2r", "_pocketfft"}, {"_r2c": 6, "_c2r": 7}
+    allowed = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and len(node.args) == arity.get(node.func.id) and not node.keywords
+                and isinstance(node.args[-2], ast.Constant) and node.args[-2].value is None):
+            allowed.add(id(node.func))
+        if isinstance(node, ast.Assign) and any(
+                isinstance(n, ast.Name) and n.id in kernels for t in node.targets
+                for n in ast.walk(t)):
+            allowed |= {id(n) for n in ast.walk(node.value)}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            named = ((isinstance(child, ast.Name) and child.id in kernels
+                      and isinstance(child.ctx, ast.Load))
+                     or (isinstance(child, ast.Attribute)
+                         and child.attr in kernels | {"r2c", "c2r"}))
+            if named and id(child) not in allowed:
+                yield scope, child.lineno
+            yield from visit(child, scope)
+    yield from visit(tree, None)
+
+
+def test_only_the_plans_pass_an_out_to_pocketfft():
+    """No unchecked ``out`` reaches pocketfft: outside ``rfftn_plan`` and
+    ``irfftn_plan`` every kernel call in dimino passes ``out=None``."""
+    probe = ast.parse("_r2c, _c2r = _pocketfft.r2c, _pocketfft.c2r\n"
+                      "def f(x):\n    return _r2c(x, (0,), True, 0, None, 1)\n"
+                      "def e(x):\n    return _c2r(x, (0,), 8, False, 2, None, 1)\n"
+                      "def g(x, o):\n    return _c2r(x, (0,), 8, False, 2, o, 1)\n"
+                      "def h(x, o):\n    return partial(_r2c, x, (0,), True, 0, o, 1)\n")
+    assert [scope for scope, _ in _kernel_uses(probe)] == ["g", "h"]
+    src = Path(spectral.__file__).parent
+    found = {(path.name, scope) for path in sorted(src.glob("*.py"))
+             for scope, _ in _kernel_uses(ast.parse(path.read_text()))}
+    assert found == {("spectral.py", "rfftn_plan"), ("spectral.py", "irfftn_plan")}
 
 
 def _run_fresh(code: str) -> dict:
